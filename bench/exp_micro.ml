@@ -15,7 +15,7 @@ let tests () =
   let config = Config.profiled ~pmin:0.0 ~pmax:0.30 () in
   let diversified =
     let img, _ =
-      Driver.diversify p.Suite.compiled ~config ~profile:p.Suite.profile
+      Driver.diversify_linked p.Suite.compiled ~config ~profile:p.Suite.profile
         ~version:0
     in
     img.Link.text
@@ -34,7 +34,7 @@ let tests () =
     Test.make ~name:"alg1.diversify-link"
       (Staged.stage (fun () ->
            ignore
-             (Driver.diversify p.compiled ~config ~profile:p.profile
+             (Driver.diversify_linked p.compiled ~config ~profile:p.profile
                 ~version:1)));
     (* Figure 4: simulate the ref input of one binary. *)
     Test.make ~name:"figure4.simulate-ref"

@@ -95,7 +95,7 @@ let population_grid p jobs =
       (Pool.map ~jobs
          (fun version ->
            let image, _ =
-             Driver.diversify p.Suite.compiled ~config
+             Driver.diversify_linked p.Suite.compiled ~config
                ~profile:p.Suite.profile ~version
            in
            Population.section_keys image.Link.text)

@@ -81,7 +81,7 @@ let measure_config p ~(base : Sim.result) ~hot (cname, config) =
   and acc_cold_density = ref 0.0 in
   for version = 0 to versions - 1 do
     let image, _ =
-      Driver.diversify p.Suite.compiled ~config ~profile:p.Suite.profile
+      Driver.diversify_linked p.Suite.compiled ~config ~profile:p.Suite.profile
         ~version
     in
     let r = Driver.run_image image ~profile:true ~args:w.Workload.ref_args in

@@ -67,25 +67,37 @@ let parse_config spec =
       Format.eprintf "minicc: bad config spec %S: %s@." spec e;
       exit 2
 
-let apply_max_overhead config = function
-  | None -> config
-  | Some pct ->
-      if pct <= 0.0 then begin
-        Format.eprintf "minicc: --max-overhead must be positive (got %g)@." pct;
-        exit 2
-      end
-      else Config.with_budget config pct
+(* --config SPEC plus -n/--variant, shared by run, workload and
+   diversify: [Some (config, version)] when a spec is given (or
+   defaulted).  The spec is parsed as the command line is evaluated, so
+   a bad one exits 2 before any compilation work. *)
+let variant_term ~default ~doc =
+  let config =
+    Arg.(
+      value & opt (some string) default & info [ "config" ] ~docv:"SPEC" ~doc)
+  in
+  let version =
+    Arg.(
+      value & opt int 0
+      & info [ "n"; "variant" ] ~docv:"N" ~doc:"Version index (seed).")
+  in
+  Term.(
+    const (fun spec version ->
+        Option.map (fun spec -> (parse_config spec, version)) spec)
+    $ config $ version)
 
-let max_overhead_arg =
+(* --profile FILE, the exact training profile guiding a --config build
+   of run and diversify; without one every block is cold. *)
+let profile_arg =
   Arg.(
     value
-    & opt (some float) None
-    & info [ "max-overhead" ] ~docv:"PCT"
-        ~doc:
-          "Overhead budget in percent: plan per-block NOP intensity from \
-           the profile (coldest blocks keep full intensity, hot loops \
-           absorb the cut) so estimated overhead stays under $(docv).  \
-           Equivalent to a $(b,+b)$(docv) config suffix.")
+    & opt (some file) None
+    & info [ "profile" ] ~docv:"FILE"
+        ~doc:"Execution profile (from $(b,profile)) guiding $(b,--config).")
+
+let load_profile = function
+  | Some path -> Profile.of_string (read_file path)
+  | None -> Profile.empty
 
 (* How to build: an optimization pipeline plus verification policy,
    assembled from --opt-level / -O0/-O1/-O2 / --passes / --verify-each. *)
@@ -196,14 +208,20 @@ let with_trace trace_file f =
             (Trace.event_count ()) file)
         f
 
-let pass_stats_arg =
+(* --NAME[=FORMAT]: off by default, a table when given bare. *)
+let report_format_arg name ~doc =
   Arg.(
     value
-    & opt ~vopt:(Some `Table) (some (enum [ ("table", `Table); ("json", `Json) ])) None
-    & info [ "pass-stats" ] ~docv:"FORMAT"
-        ~doc:
-          "Print per-pass statistics (wall time, size deltas, fixpoint \
-           runs, emitted bytes) as a $(b,table) (default) or $(b,json).")
+    & opt ~vopt:(Some `Table)
+        (some (enum [ ("table", `Table); ("json", `Json) ]))
+        None
+    & info [ name ] ~docv:"FORMAT" ~doc)
+
+let pass_stats_arg =
+  report_format_arg "pass-stats"
+    ~doc:
+      "Print per-pass statistics (wall time, size deltas, fixpoint runs, \
+       emitted bytes) as a $(b,table) (default) or $(b,json)."
 
 let print_pass_stats fmt (c : Driver.compiled) =
   match fmt with
@@ -292,17 +310,11 @@ let link_cmd =
     Term.(const run $ objects_arg $ output_arg ~default:"a.bin" $ trace_arg)
 
 let sim_profile_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some `Table)
-        (some (enum [ ("table", `Table); ("json", `Json) ]))
-        None
-    & info [ "sim-profile" ] ~docv:"FORMAT"
-        ~doc:
-          "Collect a runtime execution profile (per-function and \
-           per-block retired instructions, retired candidate NOPs and \
-           modeled cycles) and print it as a pprof-style $(b,table) \
-           (default) or $(b,json).")
+  report_format_arg "sim-profile"
+    ~doc:
+      "Collect a runtime execution profile (per-function and per-block \
+       retired instructions, retired candidate NOPs and modeled cycles) \
+       and print it as a pprof-style $(b,table) (default) or $(b,json)."
 
 let sample_arg =
   Arg.(
@@ -357,13 +369,41 @@ let load_image path =
     Format.eprintf "minicc: %s@." msg;
     exit 1
 
-let print_sampled ?top image binary (r : Sim.result) =
+(* The simulator options run and workload share: --sim-profile,
+   --sim-profile-sample, --engine and --top. *)
+type sim_opts = {
+  sim_profile : [ `Table | `Json ] option;
+  sample : int option;
+  engine : Sim.engine;
+  top : int option;
+}
+
+let sim_term =
+  Term.(
+    const (fun sim_profile sample engine top ->
+        { sim_profile; sample; engine; top })
+    $ sim_profile_arg $ sample_arg $ engine_arg $ top_arg)
+
+let simulate o image ~args =
+  Driver.run_image image
+    ~profile:(o.sim_profile <> None)
+    ?sample_period:(validate_period o.sample)
+    ~engine:o.engine ~args
+
+(* The --sim-profile and --sim-profile-sample reports of one run. *)
+let print_sim_profiles o image name (r : Sim.result) =
+  let top = o.top in
+  (match o.sim_profile with
+  | None -> ()
+  | Some fmt -> (
+      let prof = Simprof.of_result image r in
+      match fmt with
+      | `Table -> Format.printf "%a" (Simprof.pp_flat ?top) prof
+      | `Json -> print_endline (Simprof.to_json ?top prof)));
   match r.Sim.sample_profile with
   | None -> ()
   | Some sp ->
-      let sprof =
-        Sprof.of_run ~image ~workload:(Filename.basename binary) r
-      in
+      let sprof = Sprof.of_run ~image ~workload:(Filename.basename name) r in
       Format.printf
         "[sampled: %Ld samples at period %.0f, overhead %.3f%%]@."
         sp.Sim.samples_taken sp.Sim.period
@@ -372,54 +412,28 @@ let print_sampled ?top image binary (r : Sim.result) =
       Format.printf "%a" (Sprof.pp ?top) sprof
 
 let run_cmd =
-  let config_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "config" ] ~docv:"SPEC"
-          ~doc:
-            "Treat the input as MiniC source: compile it, build the \
-             diversified variant for this configuration spec in memory, \
-             and execute that instead of a prebuilt image.")
+  let variant_term =
+    variant_term ~default:None
+      ~doc:
+        "Treat the input as MiniC source: compile it, build the \
+         diversified variant for this configuration spec in memory, and \
+         execute that instead of a prebuilt image."
   in
-  let variant_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "n"; "variant" ] ~docv:"N" ~doc:"Version index (seed).")
-  in
-  let profile_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "profile" ] ~docv:"FILE"
-          ~doc:"Execution profile guiding $(b,--config) (from $(b,profile)).")
-  in
-  let run binary args config_spec variant profile_path sim_profile sample
-      engine top trace =
+  let run binary args variant profile_path sim trace =
     with_trace trace (fun () ->
         let image =
-          match config_spec with
+          match variant with
           | None -> load_image binary
-          | Some spec ->
-              let config = parse_config spec in
+          | Some (config, version) ->
               let c =
                 Driver.compile ~name:(Filename.basename binary)
                   (read_file binary)
               in
-              let profile =
-                match profile_path with
-                | Some p -> Profile.of_string (read_file p)
-                | None -> Profile.empty
-              in
-              fst (Driver.diversify c ~config ~profile ~version:variant)
+              let profile = load_profile profile_path in
+              fst (Driver.diversify_linked c ~config ~profile ~version)
         in
         let r =
-          try
-            Driver.run_image image
-              ~profile:(sim_profile <> None)
-              ?sample_period:(validate_period sample)
-              ~engine
-              ~args:(parse_args args)
+          try simulate sim image ~args:(parse_args args)
           with Sim.Fault msg ->
             Format.eprintf "minicc: fault: %s@." msg;
             exit 1
@@ -427,14 +441,7 @@ let run_cmd =
         print_string r.Sim.output;
         Format.printf "[status %ld, %Ld instructions, %.0f cycles]@."
           r.Sim.status r.Sim.instructions r.Sim.cycles;
-        (match sim_profile with
-        | None -> ()
-        | Some fmt -> (
-            let prof = Simprof.of_result image r in
-            match fmt with
-            | `Table -> Format.printf "%a" (Simprof.pp_flat ?top) prof
-            | `Json -> print_endline (Simprof.to_json ?top prof)));
-        print_sampled ?top image binary r)
+        print_sim_profiles sim image binary r)
   in
   Cmd.v
     (Cmd.info "run"
@@ -442,8 +449,7 @@ let run_cmd =
          "Execute a binary image in the CPU simulator (or, with \
           $(b,--config), a freshly diversified build of a source file).")
     Term.(
-      const run $ source_arg $ args_arg $ config_arg $ variant_arg
-      $ profile_arg $ sim_profile_arg $ sample_arg $ engine_arg $ top_arg
+      const run $ source_arg $ args_arg $ variant_term $ profile_arg $ sim_term
       $ trace_arg)
 
 (* ---- the profile group: the exact training path (default command) and
@@ -644,23 +650,13 @@ let profile_cmd =
       profile_show_cmd; profile_diff_cmd ]
 
 let diversify_cmd =
-  let profile_arg =
-    Arg.(
-      value & opt (some file) None
-      & info [ "profile" ] ~docv:"FILE" ~doc:"Execution profile (from $(b,profile)).")
-  in
-  let config_arg =
-    Arg.(
-      value & opt string "p0-30"
-      & info [ "config" ] ~docv:"NAME"
-          ~doc:
-            "Configuration: p50 p30 p25-50 p10-50 p0-30, uniform:P, \
-             range:LO:HI, with optional +xchg +shift +sched +regperm \
-             +subst +nonop +b<PCT> suffixes (the divpass portfolio and \
-             overhead budget).")
-  in
-  let version_arg =
-    Arg.(value & opt int 0 & info [ "n"; "variant" ] ~docv:"N" ~doc:"Version index (seed).")
+  let variant_term =
+    variant_term ~default:(Some "p0-30")
+      ~doc:
+        "Configuration: p50 p30 p25-50 p10-50 p0-30, uniform:P, \
+         range:LO:HI, with optional +xchg +shift +sched +regperm +subst \
+         +nonop +b<PCT> suffixes (the divpass portfolio and an overhead \
+         budget of PCT percent)."
   in
   let sampled_arg =
     Arg.(
@@ -672,17 +668,14 @@ let diversify_cmd =
              $(b,profile merge)) to train from instead of an exact \
              $(b,--profile) — the closed PGO loop.")
   in
-  let run source output profile_path sampled_path config version max_overhead
-      build stats trace =
+  let run source output profile_path sampled_path variant build stats trace =
     with_trace trace (fun () ->
-        (* Reject a bad spec (exit 2) before doing any compilation work. *)
-        let config = apply_max_overhead (parse_config config) max_overhead in
+        let config, version = Option.get variant in
         let c = compile_source ~build source in
         let profile =
           match (sampled_path, profile_path) with
           | Some sp, _ -> Driver.train_from_profile c (load_sprof sp)
-          | None, Some p -> Profile.of_string (read_file p)
-          | None, None -> Profile.empty
+          | None, p -> load_profile p
         in
         (match config.Config.strategy with
         | Config.Profiled _ when Profile.is_empty profile ->
@@ -690,7 +683,9 @@ let diversify_cmd =
               "warning: profile-guided config without --profile; everything \
                is cold@."
         | _ -> ());
-        let image, report = Driver.diversify c ~config ~profile ~version in
+        let image, report =
+          Driver.diversify_linked c ~config ~profile ~version
+        in
         Link.save image output;
         List.iter
           (fun (s : Divpass.stats) ->
@@ -705,8 +700,7 @@ let diversify_cmd =
     (Cmd.info "diversify" ~doc:"Build one diversified version of a program.")
     Term.(
       const run $ source_arg $ output_arg ~default:"a.div.bin" $ profile_arg
-      $ sampled_arg $ config_arg $ version_arg $ max_overhead_arg
-      $ build_term $ pass_stats_arg $ trace_arg)
+      $ sampled_arg $ variant_term $ build_term $ pass_stats_arg $ trace_arg)
 
 let gadgets_cmd =
   let run binary =
@@ -798,57 +792,31 @@ let workload_cmd =
   let ref_arg =
     Arg.(value & flag & info [ "ref" ] ~doc:"Use the ref input (default: train).")
   in
-  let config_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "config" ] ~docv:"SPEC"
-          ~doc:
-            "Run a diversified variant instead of the baseline: train on \
-             the workload's training input, then diversify under this \
-             configuration spec.")
+  let variant_term =
+    variant_term ~default:None
+      ~doc:
+        "Run a diversified variant instead of the baseline: train on the \
+         workload's training input, then diversify under this \
+         configuration spec."
   in
-  let variant_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "n"; "variant" ] ~docv:"N" ~doc:"Version index (seed).")
-  in
-  let run name use_ref config_spec variant max_overhead sim_profile sample
-      engine top trace =
+  let run name use_ref variant sim trace =
     with_trace trace (fun () ->
-        let config_opt =
-          Option.map
-            (fun spec -> apply_max_overhead (parse_config spec) max_overhead)
-            config_spec
-        in
         let w = Workloads.find name in
         let c = Driver.compile ~name:w.Workload.name w.source in
         let args = if use_ref then w.ref_args else w.train_args in
         let image =
-          match config_opt with
+          match variant with
           | None -> Driver.link_baseline c
-          | Some config ->
+          | Some (config, version) ->
               let profile = Driver.train c ~args:w.train_args in
-              fst (Driver.diversify c ~config ~profile ~version:variant)
+              fst (Driver.diversify_linked c ~config ~profile ~version)
         in
-        let r =
-          Driver.run_image image
-            ~profile:(sim_profile <> None)
-            ?sample_period:(validate_period sample)
-            ~engine ~args
-        in
+        let r = simulate sim image ~args in
         print_string r.Sim.output;
         Format.printf "[%s %s: status %ld, %Ld instructions]@." w.name
           (if use_ref then "ref" else "train")
           r.Sim.status r.Sim.instructions;
-        (match sim_profile with
-        | None -> ()
-        | Some fmt -> (
-            let prof = Simprof.of_result image r in
-            match fmt with
-            | `Table -> Format.printf "%a" (Simprof.pp_flat ?top) prof
-            | `Json -> print_endline (Simprof.to_json ?top prof)));
-        print_sampled ?top image w.name r)
+        print_sim_profiles sim image w.name r)
   in
   Cmd.v
     (Cmd.info "workload"
@@ -856,9 +824,7 @@ let workload_cmd =
          "Run a benchmark-suite program by name (optionally as a \
           diversified variant).")
     Term.(
-      const run $ name_arg $ ref_arg $ config_arg $ variant_arg
-      $ max_overhead_arg $ sim_profile_arg $ sample_arg $ engine_arg
-      $ top_arg $ trace_arg)
+      const run $ name_arg $ ref_arg $ variant_term $ sim_term $ trace_arg)
 
 let jobs_conv =
   Arg.conv

@@ -27,7 +27,7 @@ let () =
       let train_args = [ prof.Phpvm.prog_id; prof.train_n ] in
       let profile = Driver.train compiled ~args:train_args in
       let image, stats =
-        Driver.diversify compiled ~config ~profile ~version:0
+        Driver.diversify_linked compiled ~config ~profile ~version:0
       in
       (* Correctness on a different script than the one profiled. *)
       let other = List.nth Workloads.php_profiles 2 in

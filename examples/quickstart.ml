@@ -47,7 +47,9 @@ let () =
   let config = Config.profiled ~pmin:0.0 ~pmax:0.30 () in
   List.iter
     (fun version ->
-      let image, stats = Driver.diversify compiled ~config ~profile ~version in
+      let image, stats =
+        Driver.diversify_linked compiled ~config ~profile ~version
+      in
       let r = Driver.run_image image ~args:[ 5000l ] in
       assert (r.Sim.output = base_run.Sim.output);
       assert (r.Sim.status = base_run.Sim.status);
@@ -64,7 +66,10 @@ let () =
   let texts =
     List.map
       (fun v ->
-        (fst (Driver.diversify compiled ~config ~profile ~version:v)).Link.text)
+        let image, _ =
+          Driver.diversify_linked compiled ~config ~profile ~version:v
+        in
+        image.Link.text)
       [ 0; 1; 2 ]
   in
   Format.printf "distinct .text sections: %d of 3@."

@@ -113,7 +113,9 @@ let () =
     let survived = ref 0 in
     List.iter
       (fun version ->
-        let image, _ = Driver.diversify compiled ~config ~profile ~version in
+        let image, _ =
+          Driver.diversify_linked compiled ~config ~profile ~version
+        in
         (* Functionality is intact... *)
         let ok = Driver.run_image image ~args:[ 50011l ] in
         assert (ok.Sim.output = normal.Sim.output);

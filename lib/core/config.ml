@@ -78,10 +78,10 @@ let budget_to_string b =
   s
 
 (* Every field that changes behaviour must appear in the name: the name
-   keys reports AND derives the RNG stream (Rng.of_labels in
-   Driver.diversify), so two distinct configs sharing a name would also
-   share their randomness.  The divpass/budget suffixes come last and in
-   a fixed order so the name stays canonical. *)
+   keys reports, and its base (below) seeds every divpass RNG stream
+   (Rng.of_labels in Divpass), so two distinct configs sharing a base
+   name would also share their randomness.  The divpass/budget suffixes
+   come last and in a fixed order so the name stays canonical. *)
 let base_name t =
   (match t.strategy with
   | Off -> "baseline"

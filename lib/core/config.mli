@@ -89,5 +89,4 @@ val name : t -> string
     linear heuristic ["-lin"], enabled divpasses ["+sched"]
     ["+regperm"] ["+subst"] (and ["+nonop"] when NOP insertion is off),
     a budget ["+b<PCT>"].  The name keys reports and derives RNG
-    streams (see {!Driver.diversify}), so distinct configs must never
-    collide. *)
+    streams (see {!Divpass}), so distinct configs must never collide. *)

@@ -176,61 +176,6 @@ let link_baseline_cached c =
   memo ~metric:"driver.baseline_cache" baseline_cache c.cache_key (fun () ->
       link_baseline c)
 
-(* The shared diversification front half: every enabled diversity pass
-   (see Divpass) over the whole program, each under its own independent
-   RNG stream, with per-pass cctx/metrics accounting.  Both link paths
-   consume its output, so their RNG streams — and therefore their
-   images — are identical by construction. *)
-let diversify_funcs c ~config ~profile ~version =
-  let cname = Config.name config in
-  let ctx = { Divpass.prog = c.name; config; profile; version } in
-  let funcs = ref c.asm and report = ref [] in
-  List.iter
-    (fun (pass : Divpass.pass) ->
-      if pass.Divpass.enabled config.Config.passes then begin
-        let (out, s), dt = Cctx.timed (fun () -> pass.Divpass.run ctx !funcs) in
-        funcs := out;
-        report := s :: !report;
-        Cctx.record c.cctx
-          {
-            Cctx.stage = "diversify";
-            (* The historical cctx name for the paper's pass. *)
-            pass = (if s.Divpass.pass = "nop" then "nop-insert" else s.Divpass.pass);
-            func = "*";
-            time_s = dt;
-            items_before = s.Divpass.seen;
-            items_after = s.Divpass.seen + max 0 s.Divpass.changed;
-            bytes = s.Divpass.bytes_added;
-            changed = s.Divpass.changed > 0;
-          };
-        if s.Divpass.pass <> "nop" then
-          Metrics.incr
-            ~by:(Int64.of_int s.Divpass.changed)
-            (Metrics.counter
-               (Printf.sprintf "diversify.%s.changed.%s" s.Divpass.pass cname))
-      end)
-    Divpass.registry;
-  let report = List.rev !report in
-  let nop = Divpass.nop_stats report in
-  Metrics.incr
-    ~by:(Int64.of_int nop.Divpass.changed)
-    (Metrics.counter ("diversify.nops_inserted." ^ cname));
-  Metrics.observe
-    (Metrics.histogram ("diversify.nop_bytes." ^ cname))
-    (float_of_int nop.Divpass.bytes_added);
-  (!funcs, report)
-
-let diversify c ~config ~profile ~version =
-  let cname = Config.name config in
-  Trace.with_span "diversify"
-    ~args:
-      [ ("program", c.name); ("config", cname);
-        ("version", string_of_int version) ]
-    (fun () ->
-      let funcs, stats = diversify_funcs c ~config ~profile ~version in
-      ( Link.link ~funcs ~globals:c.modul.globals ~main_arity:c.main_arity,
-        stats ))
-
 let diversify_linked c ~config ~profile ~version =
   let cname = Config.name config in
   Trace.with_span "diversify"
@@ -238,10 +183,52 @@ let diversify_linked c ~config ~profile ~version =
       [ ("program", c.name); ("config", cname);
         ("version", string_of_int version) ]
     (fun () ->
-      let funcs, stats = diversify_funcs c ~config ~profile ~version in
+      (* Every enabled diversity pass (see Divpass) over the whole
+         program, each under its own independent RNG stream, with
+         per-pass cctx/metrics accounting. *)
+      let ctx = { Divpass.prog = c.name; config; profile; version } in
+      let funcs = ref c.asm and report = ref [] in
+      List.iter
+        (fun (pass : Divpass.pass) ->
+          if pass.Divpass.enabled config.Config.passes then begin
+            let (out, s), dt =
+              Cctx.timed (fun () -> pass.Divpass.run ctx !funcs)
+            in
+            funcs := out;
+            report := s :: !report;
+            Cctx.record c.cctx
+              {
+                Cctx.stage = "diversify";
+                (* The historical cctx name for the paper's pass. *)
+                pass =
+                  (if s.Divpass.pass = "nop" then "nop-insert"
+                   else s.Divpass.pass);
+                func = "*";
+                time_s = dt;
+                items_before = s.Divpass.seen;
+                items_after = s.Divpass.seen + max 0 s.Divpass.changed;
+                bytes = s.Divpass.bytes_added;
+                changed = s.Divpass.changed > 0;
+              };
+            if s.Divpass.pass <> "nop" then
+              Metrics.incr
+                ~by:(Int64.of_int s.Divpass.changed)
+                (Metrics.counter
+                   (Printf.sprintf "diversify.%s.changed.%s" s.Divpass.pass
+                      cname))
+          end)
+        Divpass.registry;
+      let report = List.rev !report in
+      let nop = Divpass.nop_stats report in
+      Metrics.incr
+        ~by:(Int64.of_int nop.Divpass.changed)
+        (Metrics.counter ("diversify.nops_inserted." ^ cname));
+      Metrics.observe
+        (Metrics.histogram ("diversify.nop_bytes." ^ cname))
+        (float_of_int nop.Divpass.bytes_added);
       (* Re-wrap each diversified function as an object carrying its
          undiversified provenance, and compose with the memoized runtime
-         objects: only NOP insertion and the relink ran — no
+         objects: only the diversity passes and the relink ran — no
          isel/liveness/regalloc — which is the whole point of the
          separate-compilation pipeline. *)
       let objects =
@@ -250,14 +237,13 @@ let diversify_linked c ~config ~profile ~version =
             Objfile.of_asm ~ir_digest:o.Objfile.meta.Objfile.ir_digest
               ~pipeline:o.Objfile.meta.Objfile.pipeline
               ~arity:o.Objfile.meta.Objfile.arity f)
-          c.objects funcs
+          c.objects !funcs
       in
       let image =
-        Link.link_objects ~expect_main_arity:c.main_arity
-          ~runtime:(Link.runtime_objects ~main_arity:c.main_arity)
-          ~objects ~globals:c.modul.globals ()
+        Link.link_objects ~expect_main_arity:c.main_arity ~objects
+          ~globals:c.modul.globals ()
       in
-      (image, stats))
+      (image, report))
 
 let population c ~config ~profile ~n =
   List.init n (fun version ->

@@ -80,34 +80,27 @@ val clear_caches : ?store:bool -> unit -> unit
     [~store:false] is the incremental-build scenario: the program-level
     memos go cold but per-function lowering artifacts survive. *)
 
-val diversify :
-  compiled ->
-  config:Config.t ->
-  profile:Profile.t ->
-  version:int ->
-  Link.image * Divpass.report
-(** Build one diversified version: every pass enabled in
-    [config.passes] runs in {!Divpass.registry} order, each under its
-    own RNG stream derived from (config seed, program name,
-    {!Config.base_name}, version[, pass, function]), so the same triple
-    always reproduces the same binary, distinct versions are
-    independent, and toggling one pass never perturbs another's stream.
-    Records one ["diversify"]-stage stat per enabled pass into the
-    compilation context (the NOP pass keeps its historical
-    ["nop-insert"] name). *)
-
 val diversify_linked :
   compiled ->
   config:Config.t ->
   profile:Profile.t ->
   version:int ->
   Link.image * Divpass.report
-(** {!diversify} through the separate-compilation path: NOP-insert each
-    function, wrap the results as relocatable objects, and
-    {!Link.link_objects} them against the memoized runtime objects.
-    Byte-identical to {!diversify} (same RNG stream, same layout) — the
-    equivalence suite pins this — but performs {e only} NOP insertion
-    and the relink: lowering always comes from {!compiled.objects}. *)
+(** Build one diversified version — the only way a variant is built.
+    Every pass enabled in [config.passes] runs in {!Divpass.registry}
+    order over the undiversified symbolic functions, each under its own
+    RNG stream derived from (config seed, program name,
+    {!Config.base_name}, version[, pass, function]), so the same triple
+    always reproduces the same binary, distinct versions are
+    independent, and toggling one pass never perturbs another's stream.
+    Each diversified function is then wrapped as a relocatable object
+    and {!Link.link_objects} composes them with the memoized runtime
+    objects: lowering always comes from {!compiled.objects}, so a build
+    performs only the diversity passes and the relink.  Records one
+    ["diversify"]-stage stat per enabled pass into the compilation
+    context (the NOP pass keeps its historical ["nop-insert"] name).
+    The resulting images are pinned, whole, by
+    [test/golden_nop_digests.json]. *)
 
 val population :
   compiled ->
@@ -154,7 +147,7 @@ val record_profile :
 val train_from_profile :
   ?fresh:Profile.t -> ?previous:Profile.t -> compiled -> Sprof.t -> Profile.t
 (** The production side of the §3.1 loop: derive the training profile
-    for {!diversify} from a recorded (loaded, merged, possibly stale,
+    for {!diversify_linked} from a recorded (loaded, merged, possibly stale,
     possibly cross-variant) sampled profile instead of an instrumented
     interpreter run — {!Sprof.to_profile} with telemetry.  When [fresh]
     is given (an exact training profile of the same program), exports

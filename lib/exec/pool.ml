@@ -2,8 +2,7 @@
      - outcome/jobs plumbing and the shared per-task runner
      - the serial backend (also the reference semantics)
      - the fork backend: wire protocol, worker loop, parent multiplexer
-     - the domain backend
-     - backend selection and the public entry points *)
+     - the public entry points *)
 
 type jobs = Auto | Jobs of int
 
@@ -335,45 +334,11 @@ let run_forked ~timeout_s ~jobs (tasks : (unit -> 'a) array) =
       cleanup ();
       raise e
 
-(* ---------------- domain backend ---------------- *)
+(* ---------------- entry points ---------------- *)
 
-let run_domains ~timeout_s ~jobs (tasks : (unit -> 'a) array) =
-  (* Domains cannot be killed, so per-task timeouts are not enforceable
-     here; tasks run to completion.  Metrics/Trace recording is safe:
-     both registries lock internally. *)
-  ignore timeout_s;
-  let n = Array.length tasks in
-  let results = Array.make n (Failed "pool: task not run") in
-  let next = Atomic.make 0 in
-  let worker () =
-    let continue = ref true in
-    while !continue do
-      let i = Atomic.fetch_and_add next 1 in
-      if i >= n then continue := false
-      else results.(i) <- run_task ~timeout_s:None tasks.(i)
-    done
-  in
-  let helpers = List.init (jobs - 1) (fun _ -> Par_compat.spawn worker) in
-  worker ();
-  List.iter (fun h -> ignore (Par_compat.join h)) helpers;
-  Array.to_list results
-
-(* ---------------- selection and entry points ---------------- *)
-
-type backend = Serial | Forked | Domains
-
-let backend () =
-  match Option.map String.lowercase_ascii (Sys.getenv_opt "PSD_POOL_BACKEND") with
-  | Some "serial" -> Serial
-  | Some "fork" -> Forked
-  | Some "domains" -> if Par_compat.domains_available then Domains else Serial
-  | _ ->
-      (* Fork wherever it exists: it is what provides crash containment
-         and kill-based timeouts.  Domains are the fallback (Windows). *)
-      if Sys.unix then Forked
-      else if Par_compat.domains_available then Domains
-      else Serial
-
+(* Fork wherever it exists: it is what provides crash containment and
+   kill-based timeouts.  Without it (a non-Unix build) every run is
+   serial. *)
 let run ?timeout_s ?(jobs = Auto) tasks =
   if !depth > 0 then raise Nested;
   let tasks = Array.of_list tasks in
@@ -385,19 +350,11 @@ let run ?timeout_s ?(jobs = Auto) tasks =
       ~finally:(fun () -> Stdlib.decr depth)
       (fun () ->
         let j = min n (resolve jobs) in
-        if j <= 1 then run_serial ~timeout_s tasks
-        else
-          match backend () with
-          | Forked -> run_forked ~timeout_s ~jobs:j tasks
-          | Domains -> run_domains ~timeout_s ~jobs:j tasks
-          | Serial -> run_serial ~timeout_s tasks)
+        if j <= 1 || not Sys.unix then run_serial ~timeout_s tasks
+        else run_forked ~timeout_s ~jobs:j tasks)
   end
 
 let map ?timeout_s ?jobs f items =
   run ?timeout_s ?jobs (List.map (fun x () -> f x) items)
 
-let backend_name () =
-  match backend () with
-  | Serial -> "serial"
-  | Forked -> "fork"
-  | Domains -> "domains"
+let backend_name () = if Sys.unix then "fork" else "serial"

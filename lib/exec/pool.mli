@@ -21,16 +21,9 @@
       share to a replacement, and carries on.  Per-task timeouts are
       enforced inside the worker by an interval timer and backstopped by
       the parent, which kills a wedged worker outright ({!Timed_out}).
-    - [`Domain`] (OCaml 5.x, opt-in via [PSD_POOL_BACKEND=domains]):
-      shared-memory domains pulling tasks off an atomic counter.  No
-      fork/marshal cost, but no kill-based isolation either: timeouts are
-      not enforceable and a crashing task takes the process down, so this
-      backend is for trusted in-process workloads.  The {!Metrics} and
-      {!Trace} registries take an internal lock, so concurrent recording
-      is safe.
-    - Serial: [jobs = 1] (or one task, or a 4.14 build forced to
-      [domains]) runs tasks in-process in order — same code path the
-      others are compared against.
+    - Serial: [jobs = 1] (or one task, or a build without [Unix.fork])
+      runs tasks in-process in order — the reference semantics the fork
+      backend is compared against.
 
     Worker telemetry is not lost: under [`Fork`], each task result
     travels with a {!Metrics} delta and the {!Trace} spans recorded while
@@ -80,5 +73,5 @@ val outcome_to_string : 'a outcome -> string
 (** ["done"], or the failure rendering — for error reports. *)
 
 val backend_name : unit -> string
-(** Which backend a multi-worker {!run} would use right now — ["fork"],
-    ["domains"] or ["serial"] — for reports. *)
+(** Which backend a multi-worker {!run} uses — ["fork"], or ["serial"]
+    where [Unix.fork] is unavailable — for reports. *)

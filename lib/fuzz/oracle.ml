@@ -354,7 +354,7 @@ let check ?(levels = levels_all) ?(configs = default_configs)
             (fun (cname, config) ->
               for version = 1 to versions do
                 let image, _stats =
-                  Driver.diversify c ~config ~profile ~version
+                  Driver.diversify_linked c ~config ~profile ~version
                 in
                 incr runs;
                 let od, rd = run_sim ~engine:Sim.Interp image ~args in

@@ -28,8 +28,8 @@ let patch32 text pos (v : int32) =
   Bytes.set text (pos + 3)
     (Char.chr (Int32.to_int (Int32.shift_right_logical v 24) land 0xFF))
 
-(* Data-space layout, shared by both linkers: __argv first, then the
-   program's globals in declaration order. *)
+(* Data-space layout: __argv first, then the program's globals in
+   declaration order. *)
 let layout_globals globals =
   let globals_with_argv =
     { Ir.gname = Libc.argv_symbol; size_words = Libc.argv_words; init = None }
@@ -48,8 +48,6 @@ let layout_globals globals =
       ([], []) globals_with_argv
   in
   (List.rev global_addrs, data_init)
-
-(* ---- the object linker ---- *)
 
 (* The fixed runtime — crt0 for [main_arity] plus the library — as
    relocatable objects, memoized per arity: every link of every variant
@@ -75,15 +73,15 @@ let runtime_objects ~main_arity =
 let link_objects ?expect_main_arity ?runtime ~objects ~globals () =
   let main_arity =
     match List.find_opt (fun o -> o.Objfile.sym = "main") objects with
-    | None -> failwith "Link.link: no main function"
+    | None -> failwith "Link.link_objects: no main function"
     | Some o -> o.Objfile.meta.Objfile.arity
   in
   (match expect_main_arity with
   | Some e when e <> main_arity ->
       failwith
         (Printf.sprintf
-           "Link.link: main arity mismatch: object main takes %d argument(s), \
-            %d expected"
+           "Link.link_objects: main arity mismatch: object main takes %d \
+            argument(s), %d expected"
            main_arity e)
   | _ -> ());
   let runtime =
@@ -96,7 +94,7 @@ let link_objects ?expect_main_arity ?runtime ~objects ~globals () =
   List.iter
     (fun (o : Objfile.func_obj) ->
       if Hashtbl.mem seen o.Objfile.sym then
-        failwith ("Link.link: duplicate symbol " ^ o.Objfile.sym);
+        failwith ("Link.link_objects: duplicate symbol " ^ o.Objfile.sym);
       Hashtbl.replace seen o.Objfile.sym ())
     all;
   let global_addrs, data_init = layout_globals globals in
@@ -127,21 +125,24 @@ let link_objects ?expect_main_arity ?runtime ~objects ~globals () =
                     (Int32.of_int (target - (base + site + 4)))
               | None ->
                   failwith
-                    (Printf.sprintf "Link.link: %s: undefined function %s"
+                    (Printf.sprintf
+                       "Link.link_objects: %s: undefined function %s"
                        o.Objfile.sym sym))
           | Asm.Abs32 (site, sym) -> (
               match List.assoc_opt sym global_addrs with
               | Some addr -> patch32 text (base + site) addr
               | None ->
                   failwith
-                    (Printf.sprintf "Link.link: %s: undefined global %s"
+                    (Printf.sprintf
+                       "Link.link_objects: %s: undefined global %s"
                        o.Objfile.sym sym)))
         o.Objfile.relocs)
     all;
   let entry =
     match Hashtbl.find_opt offsets Libc.start_symbol with
     | Some e -> e
-    | None -> failwith "Link.link: entry stub missing from runtime objects"
+    | None ->
+        failwith "Link.link_objects: entry stub missing from runtime objects"
   in
   let symbols =
     List.map
@@ -164,98 +165,6 @@ let link_objects ?expect_main_arity ?runtime ~objects ~globals () =
     text_base;
     symbols;
     entry;
-    user_start;
-    block_offsets;
-    globals = global_addrs;
-    data_init;
-    main_arity;
-  }
-
-let link ~funcs ~globals ~main_arity =
-  if not (List.exists (fun (f : Asm.func) -> f.name = "main") funcs) then
-    failwith "Link.link: no main function";
-  let objects =
-    List.map
-      (fun (f : Asm.func) ->
-        Objfile.of_asm ~arity:(if f.Asm.name = "main" then main_arity else 0) f)
-      funcs
-  in
-  link_objects ~expect_main_arity:main_arity ~objects ~globals ()
-
-(* ---- the seed whole-program linker, kept verbatim as the differential
-   oracle: the equivalence suite pins the object linker byte-identical
-   to this one across every workload × config × seed. ---- *)
-
-let link_whole ~funcs ~globals ~main_arity =
-  if not (List.exists (fun (f : Asm.func) -> f.name = "main") funcs) then
-    failwith "Link.link: no main function";
-  let all_funcs = (Libc.start ~main:"main" ~main_arity :: Libc.funcs) @ funcs in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Asm.func) ->
-      if Hashtbl.mem seen f.name then
-        failwith ("Link.link: duplicate symbol " ^ f.name);
-      Hashtbl.replace seen f.name ())
-    all_funcs;
-  let global_addrs, data_init = layout_globals globals in
-  (* Assemble every function and lay text out sequentially. *)
-  let assembled = List.map (fun f -> (f, Asm.assemble f)) all_funcs in
-  let offsets = Hashtbl.create 16 in
-  let total =
-    List.fold_left
-      (fun off ((f : Asm.func), (a : Asm.assembled)) ->
-        Hashtbl.replace offsets f.name off;
-        off + String.length a.bytes)
-      0 assembled
-  in
-  let text = Bytes.create total in
-  List.iter
-    (fun ((f : Asm.func), (a : Asm.assembled)) ->
-      let base = Hashtbl.find offsets f.name in
-      Bytes.blit_string a.bytes 0 text base (String.length a.bytes);
-      List.iter
-        (fun reloc ->
-          match reloc with
-          | Asm.Rel32 (site, sym) -> (
-              match Hashtbl.find_opt offsets sym with
-              | Some target ->
-                  patch32 text (base + site)
-                    (Int32.of_int (target - (base + site + 4)))
-              | None ->
-                  failwith
-                    (Printf.sprintf "Link.link: %s: undefined function %s"
-                       f.name sym))
-          | Asm.Abs32 (site, sym) -> (
-              match List.assoc_opt sym global_addrs with
-              | Some addr -> patch32 text (base + site) addr
-              | None ->
-                  failwith
-                    (Printf.sprintf "Link.link: %s: undefined global %s"
-                       f.name sym)))
-        a.relocs)
-    assembled;
-  let symbols =
-    List.map
-      (fun ((f : Asm.func), _) -> (f.name, Hashtbl.find offsets f.name))
-      assembled
-  in
-  let block_offsets =
-    List.map
-      (fun ((f : Asm.func), (a : Asm.assembled)) ->
-        let base = Hashtbl.find offsets f.name in
-        (f.name, List.map (fun (l, o) -> (l, base + o)) a.label_offsets))
-      assembled
-  in
-  let user_start =
-    match funcs with
-    | [] -> total
-    | f :: _ -> Hashtbl.find offsets f.Asm.name
-  in
-  {
-    text = Bytes.to_string text;
-    text_base;
-    symbols;
-    entry = Hashtbl.find offsets Libc.start_symbol;
     user_start;
     block_offsets;
     globals = global_addrs;

@@ -7,11 +7,10 @@
     After layout, the two relocation kinds are patched: [Rel32] call
     displacements and [Abs32] global data addresses.
 
-    {!link_objects} is the real linker; {!link} is the symbolic-assembly
-    convenience that wraps each function into an object first; and
-    {!link_whole} is the seed whole-program implementation, kept as the
-    differential oracle the equivalence suite pins the object path
-    against, byte for byte.
+    {!link_objects} is the only linker: the baseline and every
+    diversified version go through it, and the committed
+    [test/golden_nop_digests.json] fixture pins its whole output
+    ([.text] and layout) for every workload.
 
     The data address space is separate from text (Harvard-style in the
     simulator, matching W⊕X): globals start at {!data_base}, the stack
@@ -60,19 +59,6 @@ val link_objects :
     linker error.  Raises [Failure] — always naming the offending
     symbol — on a missing [main], a duplicate symbol, an unresolved
     function or global reference, or a [main]-arity mismatch. *)
-
-val link :
-  funcs:Asm.func list -> globals:Ir.global list -> main_arity:int -> image
-(** Wrap each symbolic function into an object ({!Objfile.of_asm}) and
-    {!link_objects} them.  [funcs] must contain a function named
-    ["main"] with [main_arity] parameters.  Raises [Failure] on
-    unresolved or duplicate symbols. *)
-
-val link_whole :
-  funcs:Asm.func list -> globals:Ir.global list -> main_arity:int -> image
-(** The seed whole-program linker, kept verbatim as the reference the
-    object pipeline is differentially tested against.  Produces images
-    byte-identical to {!link}. *)
 
 val symbol_offset : image -> string -> int
 (** Text offset of a function.  Raises [Failure] if absent. *)

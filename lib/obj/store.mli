@@ -12,8 +12,8 @@
 
     Process-wide, bounded, and {b sharded}: keys hash onto
     {!shard_count} independent shards, each guarded by its own mutex
-    with its own LRU clock, so concurrent lookups (the serve daemon's
-    request handlers, a domains-backend pool) contend only when their
+    with its own LRU clock, so concurrent lookups (say, request
+    handlers on several domains) contend only when their
     keys collide on a shard.  Shard choice is a pure function of the
     key — the same run distributes and evicts identically every time.
     Least-recently-used entries are evicted per shard once the shard's

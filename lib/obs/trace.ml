@@ -17,8 +17,8 @@ let t0 = ref 0.0
 let events : event list ref = ref []  (* reverse chronological *)
 let n_events = ref 0
 
-(* Guards the collected-event buffer (the [Domain] pool backend records
-   spans from several domains at once).  [on]/[t0] are read unlocked: a
+(* Guards the collected-event buffer against concurrent recorders (see
+   Lock).  [on]/[t0] are read unlocked: a
    racy read of [on] only means a span near the enable/disable edge may
    be kept or dropped, which start/stop semantics allow anyway. *)
 let lock = Lock.create ()

@@ -791,38 +791,18 @@ let init_data st (image : Link.image) =
       Array.iteri (fun i v -> st.mem.(base + i) <- Int32.to_int v) words)
     image.data_init
 
-let finish ~record st : result =
-  if record then begin
-    Metrics.incr (Metrics.counter "sim.runs");
-    Metrics.incr ~by:(Int64.of_int st.insns) (Metrics.counter "sim.instructions");
-    Metrics.incr ~by:(Int64.of_int st.nops) (Metrics.counter "sim.nops_retired");
-    Metrics.incr ~by:(Int64.of_int st.misses)
-      (Metrics.counter "sim.icache_misses")
-  end;
+let finish st : result =
   let cycles = st.cy.(0) in
   let sample_profile =
-    match st.samp with
-    | None -> None
-    | Some s ->
-        let overhead = s.s_nf.(1) in
-        if record then begin
-          Metrics.incr (Metrics.counter "sim.sampled_runs");
-          Metrics.incr
-            ~by:(Int64.of_int s.s_taken)
-            (Metrics.counter "sim.samples");
-          let base = cycles -. overhead in
-          if base > 0.0 then
-            Metrics.observe
-              (Metrics.histogram "sim.sample_overhead_pct")
-              (100.0 *. overhead /. base)
-        end;
-        Some
-          {
-            period = s.sp;
-            sample_counts = Array.map Int64.of_int s.s_counts;
-            samples_taken = Int64.of_int s.s_taken;
-            sample_overhead_cycles = overhead;
-          }
+    Option.map
+      (fun s ->
+        {
+          period = s.sp;
+          sample_counts = Array.map Int64.of_int s.s_counts;
+          samples_taken = Int64.of_int s.s_taken;
+          sample_overhead_cycles = s.s_nf.(1);
+        })
+      st.samp
   in
   let exec_profile =
     match st.prof with
@@ -848,9 +828,8 @@ let finish ~record st : result =
 
 let exec_to_outcome cache st : outcome =
   match exec_loop cache st with
-  | () -> Finished (finish ~record:true st)
-  | exception Fault msg ->
-      Faulted { fault_msg = msg; partial = finish ~record:false st }
+  | () -> Simcore.finished (finish st)
+  | exception Fault msg -> Faulted { fault_msg = msg; partial = finish st }
 
 (* Argument validation lives in [Sim.run], the single dispatch point for
    both engines. *)

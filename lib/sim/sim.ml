@@ -2,13 +2,16 @@
    engines.
 
    [Interp] is the seed fetch-decode-execute interpreter, kept verbatim
-   below as the trusted differential oracle (the same pattern as
-   [Link.link_whole] vs [Link.link_objects]).  [Block] is the
-   block-cached engine in [Bsim]: decode-once/execute-many over
-   pre-compiled per-offset entries, byte-identical observables, roughly
-   an order of magnitude faster — and the default.  The decode memo is
+   below as the trusted differential oracle: an independent second
+   implementation, so it catches engine bugs that a pinned fixture
+   cannot.  [Block] is the block-cached engine in [Bsim]:
+   decode-once/execute-many over pre-compiled per-offset entries,
+   byte-identical observables, roughly an order of magnitude faster —
+   and the default.  The decode memo is
    owned by the block cache and shared with the interpreter, so repeated
-   runs of one image pay decode cost once regardless of engine. *)
+   runs of one image pay decode cost once regardless of engine.  Both
+   engines hand a completed run to [Simcore.finished], which records the
+   sim.* metrics, so the metrics are the same whichever engine ran. *)
 
 type exec_profile = Simcore.exec_profile = {
   insn_counts : int64 array;
@@ -520,33 +523,17 @@ let init_data st (image : Link.image) =
       Array.iteri (fun i v -> st.mem.(base + i) <- v) words)
     image.data_init
 
-let finish ~record st =
-  if record then begin
-    Metrics.incr (Metrics.counter "sim.runs");
-    Metrics.incr ~by:st.instructions (Metrics.counter "sim.instructions");
-    Metrics.incr ~by:st.nops (Metrics.counter "sim.nops_retired");
-    Metrics.incr ~by:st.misses (Metrics.counter "sim.icache_misses")
-  end;
+let finish st =
   let sample_profile =
-    match st.samp with
-    | None -> None
-    | Some s ->
-        if record then begin
-          Metrics.incr (Metrics.counter "sim.sampled_runs");
-          Metrics.incr ~by:s.s_taken (Metrics.counter "sim.samples");
-          let base = st.cycles -. s.s_overhead in
-          if base > 0.0 then
-            Metrics.observe
-              (Metrics.histogram "sim.sample_overhead_pct")
-              (100.0 *. s.s_overhead /. base)
-        end;
-        Some
-          {
-            period = s.s_period;
-            sample_counts = s.s_counts;
-            samples_taken = s.s_taken;
-            sample_overhead_cycles = s.s_overhead;
-          }
+    Option.map
+      (fun s ->
+        {
+          period = s.s_period;
+          sample_counts = s.s_counts;
+          samples_taken = s.s_taken;
+          sample_overhead_cycles = s.s_overhead;
+        })
+      st.samp
   in
   {
     status = st.status;
@@ -565,9 +552,8 @@ let interp_exec st : outcome =
       step st
     done
   with
-  | () -> Finished (finish ~record:true st)
-  | exception Fault msg ->
-      Faulted { fault_msg = msg; partial = finish ~record:false st }
+  | () -> Simcore.finished (finish st)
+  | exception Fault msg -> Faulted { fault_msg = msg; partial = finish st }
 
 let default_fuel = Int64.shift_left 1L 40
 

@@ -42,3 +42,20 @@ let fault fmt =
       Metrics.incr (Metrics.counter "sim.faults");
       raise (Fault s))
     fmt
+
+let finished (r : result) =
+  Metrics.incr (Metrics.counter "sim.runs");
+  Metrics.incr ~by:r.instructions (Metrics.counter "sim.instructions");
+  Metrics.incr ~by:r.nops_retired (Metrics.counter "sim.nops_retired");
+  Metrics.incr ~by:r.icache_misses (Metrics.counter "sim.icache_misses");
+  (match r.sample_profile with
+  | None -> ()
+  | Some s ->
+      Metrics.incr (Metrics.counter "sim.sampled_runs");
+      Metrics.incr ~by:s.samples_taken (Metrics.counter "sim.samples");
+      let base = r.cycles -. s.sample_overhead_cycles in
+      if base > 0.0 then
+        Metrics.observe
+          (Metrics.histogram "sim.sample_overhead_pct")
+          (100.0 *. s.sample_overhead_cycles /. base));
+  Finished r

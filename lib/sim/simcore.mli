@@ -41,3 +41,11 @@ exception Fault of string
 val fault : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Format a fault message, bump the [sim.faults] counter, and raise
     {!Fault}. *)
+
+val finished : result -> outcome
+(** [Finished r], after recording the completed run into {!Metrics}:
+    counters [sim.runs], [sim.instructions], [sim.nops_retired] and
+    [sim.icache_misses], and for a sampled run [sim.sampled_runs],
+    [sim.samples] and the [sim.sample_overhead_pct] histogram.  Both
+    engines end every completed run here, so they record identically;
+    a faulted run records only [sim.faults] (see {!fault}). *)

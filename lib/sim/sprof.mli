@@ -16,7 +16,7 @@
     version, truncated and corrupted files precisely.
 
     {!to_profile} converts the sampled mass into a training
-    {!Profile.t} for {!Driver.diversify}.  Counts are quantized to
+    {!Profile.t} for {!Driver.diversify_linked}.  Counts are quantized to
     power-of-four buckets so the closed loop (diversify → sample →
     retrain → re-diversify) is insensitive to sub-bucket sampling noise
     and can reach a byte-level fixed point; {!staleness} quantifies how
@@ -73,7 +73,7 @@ val merge : ?weight:float -> t -> t -> t
     for more.  Raises [Invalid_argument] on a negative weight. *)
 
 val to_profile : t -> Profile.t
-(** The training profile {!Driver.diversify} consumes.  Masses are
+(** The training profile {!Driver.diversify_linked} consumes.  Masses are
     normalized so the hottest row maps to [2^20], then rounded to the
     nearest power of four (minimum 1: any sampled block counts as warm).
     The coarse buckets make the profile — and hence the retrained

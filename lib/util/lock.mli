@@ -1,9 +1,9 @@
 (** A plain mutual-exclusion lock.
 
     The observability registries ({!Metrics}, {!Trace}) are global mutable
-    state; under the pool's [Domain]-based backend several domains record
-    into them concurrently, so every mutation goes through one of these.
-    On OCaml 4.14 (no domains) the lock is still real but never contended;
+    state, so every mutation goes through one of these: any caller that
+    records from several domains or threads at once stays safe.  The
+    worker pool forks processes, so today the lock is never contended;
     its uncontended cost is a few nanoseconds, far below the cost of the
     instrumented operations themselves. *)
 

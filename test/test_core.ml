@@ -113,7 +113,7 @@ let test_off_is_identity () =
   let c = compile hot_loop_src in
   let profile = Driver.train c ~args:[ 5l ] in
   let image, stats =
-    Driver.diversify c ~config:Config.off ~profile ~version:0
+    Driver.diversify_linked c ~config:Config.off ~profile ~version:0
   in
   let baseline = Driver.link_baseline c in
   Alcotest.(check string) "same text" baseline.Link.text image.Link.text;
@@ -129,7 +129,7 @@ let test_semantics_preserved () =
     (fun (cname, config) ->
       List.iter
         (fun version ->
-          let image, _ = Driver.diversify c ~config ~profile ~version in
+          let image, _ = Driver.diversify_linked c ~config ~profile ~version in
           let r = Driver.run_image image ~args:[ 200l ] in
           Alcotest.(check int32)
             (Printf.sprintf "%s v%d status" cname version)
@@ -144,10 +144,10 @@ let test_deterministic_versions () =
   let c = compile hot_loop_src in
   let profile = Driver.train c ~args:[ 10l ] in
   let config = Config.uniform 0.5 in
-  let a, _ = Driver.diversify c ~config ~profile ~version:3 in
-  let b, _ = Driver.diversify c ~config ~profile ~version:3 in
+  let a, _ = Driver.diversify_linked c ~config ~profile ~version:3 in
+  let b, _ = Driver.diversify_linked c ~config ~profile ~version:3 in
   Alcotest.(check string) "same version same bytes" a.Link.text b.Link.text;
-  let c2, _ = Driver.diversify c ~config ~profile ~version:4 in
+  let c2, _ = Driver.diversify_linked c ~config ~profile ~version:4 in
   Alcotest.(check bool) "different versions differ" true
     (a.Link.text <> c2.Link.text)
 
@@ -155,7 +155,7 @@ let test_insertion_rate () =
   let c = compile hot_loop_src in
   let profile = Driver.train c ~args:[ 10l ] in
   let config = Config.uniform 0.5 in
-  let _, report = Driver.diversify c ~config ~profile ~version:0 in
+  let _, report = Driver.diversify_linked c ~config ~profile ~version:0 in
   let stats = Divpass.nop_stats report in
   let rate =
     float_of_int stats.Divpass.changed /. float_of_int stats.Divpass.seen
@@ -164,10 +164,14 @@ let test_insertion_rate () =
     (Printf.sprintf "rate %.3f near 0.5" rate)
     true
     (abs_float (rate -. 0.5) < 0.08);
-  let _, r0 = Driver.diversify c ~config:(Config.uniform 0.0) ~profile ~version:0 in
+  let _, r0 =
+    Driver.diversify_linked c ~config:(Config.uniform 0.0) ~profile ~version:0
+  in
   let s0 = Divpass.nop_stats r0 in
   Alcotest.(check int) "p=0 inserts nothing" 0 s0.Divpass.changed;
-  let _, r1 = Driver.diversify c ~config:(Config.uniform 1.0) ~profile ~version:0 in
+  let _, r1 =
+    Driver.diversify_linked c ~config:(Config.uniform 1.0) ~profile ~version:0
+  in
   let s1 = Divpass.nop_stats r1 in
   Alcotest.(check int) "p=1 inserts everywhere" s1.Divpass.seen
     s1.Divpass.changed
@@ -179,7 +183,7 @@ let test_profile_guided_dynamic_nops () =
   let c = compile hot_loop_src in
   let profile = Driver.train c ~args:[ 2000l ] in
   let run config =
-    let image, _ = Driver.diversify c ~config ~profile ~version:1 in
+    let image, _ = Driver.diversify_linked c ~config ~profile ~version:1 in
     Driver.run_image image ~args:[ 2000l ]
   in
   let uniform = run (Config.uniform 0.30) in
@@ -197,7 +201,7 @@ let test_libc_untouched () =
   let profile = Driver.train c ~args:[ 10l ] in
   let baseline = Driver.link_baseline c in
   let image, _ =
-    Driver.diversify c ~config:(Config.uniform 0.5) ~profile ~version:0
+    Driver.diversify_linked c ~config:(Config.uniform 0.5) ~profile ~version:0
   in
   Alcotest.(check int) "runtime block at same offset" baseline.Link.user_start
     image.Link.user_start;
@@ -249,7 +253,7 @@ let test_bb_shift () =
   let profile = Driver.train c ~args:[ 50l ] in
   let base = Driver.run_image (Driver.link_baseline c) ~args:[ 100l ] in
   let config = { (Config.uniform 0.0) with Config.bb_shift = true } in
-  let image, report = Driver.diversify c ~config ~profile ~version:0 in
+  let image, report = Driver.diversify_linked c ~config ~profile ~version:0 in
   let stats = Divpass.nop_stats report in
   let r = Driver.run_image image ~args:[ 100l ] in
   Alcotest.(check string) "output preserved" base.Sim.output r.Sim.output;
@@ -297,7 +301,7 @@ let test_config_names () =
 
 let test_config_name_injective () =
   (* Distinct configurations must have distinct names: the name feeds
-     Rng.of_labels in Driver.diversify, so a collision would also make
+     Rng.of_labels in Driver.diversify_linked, so a collision would also make
      their diversified populations identical. *)
   let base = Config.profiled ~pmin:0.0 ~pmax:0.30 () in
   let fn = Config.profiled ~scope:`Function ~pmin:0.0 ~pmax:0.30 () in
@@ -311,8 +315,10 @@ let test_config_name_injective () =
   (* and therefore distinct configs draw from distinct RNG streams *)
   let c = compile hot_loop_src in
   let profile = Driver.train c ~args:[ 10l ] in
-  let img_base, _ = Driver.diversify c ~config:base ~profile ~version:0 in
-  let img_fn, _ = Driver.diversify c ~config:fn ~profile ~version:0 in
+  let img_base, _ =
+    Driver.diversify_linked c ~config:base ~profile ~version:0
+  in
+  let img_fn, _ = Driver.diversify_linked c ~config:fn ~profile ~version:0 in
   Alcotest.(check bool) "different configs, different binaries" true
     (img_base.Link.text <> img_fn.Link.text)
 

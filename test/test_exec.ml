@@ -161,7 +161,9 @@ let test_metrics_merge () =
       (fun (w, c, profile) ->
         List.map
           (fun (_, config) () ->
-            let image, _ = Driver.diversify c ~config ~profile ~version:0 in
+            let image, _ =
+              Driver.diversify_linked c ~config ~profile ~version:0
+            in
             (Driver.run_image image ~args:w.Workload.train_args).Sim.status)
           configs)
       prepared

@@ -204,7 +204,9 @@ let test_workloads_diversified () =
       List.iter
         (fun (cname, config) ->
           for version = 1 to 3 do
-            let image, _ = Driver.diversify c ~config ~profile ~version in
+            let image, _ =
+              Driver.diversify_linked c ~config ~profile ~version
+            in
             let r = Driver.run_image image ~args in
             Alcotest.(check int32)
               (Printf.sprintf "%s/%s/v%d status" w.Workload.name cname version)

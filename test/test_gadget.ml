@@ -137,7 +137,7 @@ let test_survivor_monotone_in_probability () =
   let baseline = Driver.link_baseline c in
   let surv p =
     let image, _ =
-      Driver.diversify c ~config:(Config.uniform p) ~profile ~version:0
+      Driver.diversify_linked c ~config:(Config.uniform p) ~profile ~version:0
     in
     (Survivor.compare_sections ~original:baseline.Link.text
        ~diversified:image.Link.text ())

@@ -44,11 +44,6 @@ let test_duplicate_symbol_rejected () =
         (String.length m > 0)
   | _ -> Alcotest.fail "expected duplicate-symbol failure"
 
-let test_missing_main_rejected () =
-  match Link.link ~funcs:[] ~globals:[] ~main_arity:0 with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected missing-main failure"
-
 let test_call_relocation () =
   (* Verify a cross-function call displacement byte-exactly: decode the
      call in main and check it lands on the callee. *)
@@ -99,13 +94,16 @@ let test_load_bad_magic () =
 
 (* ---------------- simulator on hand-written code ---------------- *)
 
+(* Link a hand-written function as "main" taking [arity] arguments. *)
+let link_main ~arity (f : Asm.func) =
+  Link.link_objects ~objects:[ Objfile.of_asm ~arity f ] ~globals:[] ()
+
 (* Run a raw instruction sequence as "main". *)
 let run_raw insns ~args =
   let f =
     { Asm.name = "main"; items = Asm.Label 0 :: List.map (fun i -> Asm.Ins i) insns }
   in
-  let image = Link.link ~funcs:[ f ] ~globals:[] ~main_arity:(List.length args) in
-  Sim.run image ~args
+  Sim.run (link_main ~arity:(List.length args) f) ~args
 
 let esp_mem d = Insn.Mem (Insn.mem_base ~disp:d Reg.ESP)
 
@@ -156,8 +154,7 @@ let test_overflow_flag () =
         ];
     }
   in
-  let image = Link.link ~funcs:[ f ] ~globals:[] ~main_arity:0 in
-  let r = Sim.run image ~args:[] in
+  let r = Sim.run (link_main ~arity:0 f) ~args:[] in
   Alcotest.(check int32) "overflow detected" 1l r.Sim.status
 
 let test_push_pop_stack () =
@@ -274,7 +271,6 @@ let suite =
         Alcotest.test_case "globals layout" `Quick test_globals_layout;
         Alcotest.test_case "duplicate symbol" `Quick
           test_duplicate_symbol_rejected;
-        Alcotest.test_case "missing main" `Quick test_missing_main_rejected;
         Alcotest.test_case "call relocation" `Quick test_call_relocation;
         Alcotest.test_case "save/load roundtrip" `Quick
           test_save_load_roundtrip;

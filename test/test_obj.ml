@@ -1,8 +1,7 @@
 (* The separate-compilation layer: object-format framing and round-trips,
    linker error paths, the content-addressed store's rebuild guarantees,
-   and the equivalence suite pinning the object pipeline byte-identical
-   to the seed whole-program linker across every workload × config ×
-   seed. *)
+   and the equivalence suite pinning the object pipeline's NOP pass to
+   the seed diversifier across every workload × config × seed. *)
 
 let counter name = Metrics.counter_value (Metrics.counter name)
 
@@ -311,66 +310,52 @@ let test_store_eviction () =
 
 (* ---------------- equivalence suite ---------------- *)
 
-(* The acceptance bar of the refactor: the object pipeline produces the
-   same bytes as the seed whole-program pipeline for every workload ×
-   paper config × seed (version), baseline included.  [link_whole] is
-   the seed implementation kept verbatim as the oracle. *)
-let check_image_equal ~what (whole : Link.image) (obj : Link.image) =
+(* The object path reproduces the seed diversifier: for every workload ×
+   paper config × version, with an empty profile (the golden fixture
+   pins trained profiles), [Driver.diversify_linked] builds the same
+   whole image as the seed's program-wide [Nop_insert.run_program] under
+   the seed RNG derivation, linked from freshly wrapped objects; and the
+   baseline built from stored objects equals one built from fresh
+   wraps. *)
+let link_fresh (c : Driver.compiled) funcs =
+  let objects =
+    List.map2
+      (fun (o : Objfile.func_obj) f ->
+        Objfile.of_asm ~arity:o.Objfile.meta.Objfile.arity f)
+      c.objects funcs
+  in
+  Link.link_objects ~objects ~globals:c.modul.Ir.globals ()
+
+let check_image_equal ~what (want : Link.image) (got : Link.image) =
   Alcotest.(check string)
     (what ^ ": .text digest")
-    (Digest.to_hex (Digest.string whole.Link.text))
-    (Digest.to_hex (Digest.string obj.Link.text));
-  Alcotest.(check bool) (what ^ ": symbols") true
-    (whole.Link.symbols = obj.Link.symbols);
-  Alcotest.(check bool) (what ^ ": block offsets") true
-    (whole.Link.block_offsets = obj.Link.block_offsets);
-  Alcotest.(check int) (what ^ ": entry") whole.Link.entry obj.Link.entry;
-  Alcotest.(check int)
-    (what ^ ": user_start") whole.Link.user_start obj.Link.user_start;
-  Alcotest.(check bool) (what ^ ": globals") true
-    (whole.Link.globals = obj.Link.globals);
-  Alcotest.(check bool) (what ^ ": data_init") true
-    (whole.Link.data_init = obj.Link.data_init);
-  Alcotest.(check int)
-    (what ^ ": main_arity") whole.Link.main_arity obj.Link.main_arity
-
-let seeds = [ 0; 1; 2 ]
+    (Digest.to_hex (Digest.string want.Link.text))
+    (Digest.to_hex (Digest.string got.Link.text));
+  Alcotest.(check bool) (what ^ ": whole image") true (want = got)
 
 let test_workload_equivalence (w : Workload.t) () =
   let c = Driver.compile_cached ~name:w.Workload.name w.Workload.source in
-  let globals = c.Driver.modul.Ir.globals in
-  let baseline_whole =
-    Link.link_whole ~funcs:c.Driver.asm ~globals ~main_arity:c.Driver.main_arity
-  in
-  check_image_equal ~what:(w.Workload.name ^ "/baseline") baseline_whole
-    (Driver.link_baseline c);
+  check_image_equal ~what:(w.Workload.name ^ "/baseline")
+    (link_fresh c c.Driver.asm) (Driver.link_baseline c);
   List.iter
     (fun (_, config) ->
       let cname = Config.name config in
-      List.iter
-        (fun version ->
-          (* Seed whole-program pipeline: same RNG derivation as the
-             driver, NOP insertion over the whole program, monolithic
-             link. *)
-          let rng =
-            Rng.of_labels config.Config.seed
-              [ c.Driver.name; cname; string_of_int version ]
-          in
-          let funcs, _ =
-            Nop_insert.run_program ~config ~profile:Profile.empty ~rng
-              c.Driver.asm
-          in
-          let whole =
-            Link.link_whole ~funcs ~globals ~main_arity:c.Driver.main_arity
-          in
-          let obj_img, _ =
-            Driver.diversify_linked c ~config ~profile:Profile.empty ~version
-          in
-          check_image_equal
-            ~what:
-              (Printf.sprintf "%s/%s/v%d" w.Workload.name cname version)
-            whole obj_img)
-        seeds)
+      for version = 0 to 2 do
+        let rng =
+          Rng.of_labels config.Config.seed
+            [ c.Driver.name; cname; string_of_int version ]
+        in
+        let funcs, _ =
+          Nop_insert.run_program ~config ~profile:Profile.empty ~rng
+            c.Driver.asm
+        in
+        let obj_img, _ =
+          Driver.diversify_linked c ~config ~profile:Profile.empty ~version
+        in
+        check_image_equal
+          ~what:(Printf.sprintf "%s/%s/v%d" w.Workload.name cname version)
+          (link_fresh c funcs) obj_img
+      done)
     Config.paper_configs
 
 let suite =

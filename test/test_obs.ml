@@ -190,7 +190,7 @@ let test_profile_sums_across_configs () =
             match config with
             | None -> Driver.link_baseline_cached c
             | Some config ->
-                fst (Driver.diversify c ~config ~profile ~version:1)
+                fst (Driver.diversify_linked c ~config ~profile ~version:1)
           in
           let r =
             Driver.run_image image ~profile:true ~args:w.Workload.train_args

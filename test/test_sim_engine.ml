@@ -260,6 +260,61 @@ let test_block_rerun_deterministic () =
   in
   check_results_equal "block re-run" (run ()) (run ())
 
+(* ---------------- sim.* metrics recorded once, identically ------- *)
+
+let sim_counters =
+  [
+    "sim.runs"; "sim.instructions"; "sim.nops_retired"; "sim.icache_misses";
+    "sim.sampled_runs"; "sim.samples"; "sim.faults";
+  ]
+
+(* The sim.* counter increments and the sim.sample_overhead_pct
+   observations (as float bits) recorded while [f] runs. *)
+let sim_metric_delta f =
+  let counters () =
+    List.map (fun n -> Metrics.counter_value (Metrics.counter n)) sim_counters
+  in
+  let overheads () =
+    Metrics.histogram_values (Metrics.histogram "sim.sample_overhead_pct")
+  in
+  let c0 = counters () and h0 = List.length (overheads ()) in
+  ignore (f ());
+  ( List.combine sim_counters (List.map2 Int64.sub (counters ()) c0),
+    List.filteri (fun i _ -> i >= h0) (overheads ()) |> List.map bits )
+
+let check_delta what (counters, overheads) (counters', overheads') =
+  Alcotest.(check (list (pair string int64)))
+    (what ^ " counters") counters counters';
+  Alcotest.(check (list int64)) (what ^ " overhead observations") overheads
+    overheads'
+
+let test_metrics_parity () =
+  let w = Workloads.find "429.mcf" in
+  let _, baseline = prepared w in
+  let delta engine =
+    sim_metric_delta (fun () ->
+        Sim.run ~engine ~sample_period baseline ~args:w.Workload.train_args)
+  in
+  let ((counters, overheads) as di) = delta Sim.Interp in
+  check_delta "interp vs block" di (delta Sim.Block);
+  Alcotest.(check int64) "one run" 1L (List.assoc "sim.runs" counters);
+  Alcotest.(check int64) "one sampled run" 1L
+    (List.assoc "sim.sampled_runs" counters);
+  Alcotest.(check int) "one overhead observation" 1 (List.length overheads);
+  (* A faulting run records sim.faults and nothing else. *)
+  let fuel = Int64.div (List.assoc "sim.instructions" counters) 2L in
+  let faulted engine =
+    sim_metric_delta (fun () ->
+        Sim.run_outcome ~engine ~fuel ~sample_period baseline
+          ~args:w.Workload.train_args)
+  in
+  let only_fault =
+    ( List.map (fun n -> (n, if n = "sim.faults" then 1L else 0L)) sim_counters,
+      [] )
+  in
+  check_delta "faulted interp" only_fault (faulted Sim.Interp);
+  check_delta "faulted block" only_fault (faulted Sim.Block)
+
 let suite =
   [
     ( "sim_engine.traps",
@@ -273,6 +328,7 @@ let suite =
           test_decode_memo_shared;
         Alcotest.test_case "block re-run deterministic" `Quick
           test_block_rerun_deterministic;
+        Alcotest.test_case "sim metrics parity" `Quick test_metrics_parity;
       ] );
     ( "sim_engine.grid",
       List.map

@@ -28,7 +28,7 @@ let check_diversified_still_correct (w : Workload.t) () =
   let profile = Driver.train c ~args:w.train_args in
   let base = Driver.run_image (Driver.link_baseline c) ~args:w.train_args in
   let config = Config.profiled ~pmin:0.0 ~pmax:0.30 () in
-  let image, _ = Driver.diversify c ~config ~profile ~version:0 in
+  let image, _ = Driver.diversify_linked c ~config ~profile ~version:0 in
   let r = Driver.run_image image ~args:w.train_args in
   Alcotest.(check string) "diversified output" base.Sim.output r.Sim.output
 
