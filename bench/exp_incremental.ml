@@ -7,8 +7,9 @@
    scenario: same sources, new driver process), so the build must be
    pure store hits: zero lowering-stage runs, only NOP insertion and
    relink.  Wall-clock and per-stage Metrics deltas for both runs land
-   in BENCH_PR5.json; the warm run's populations are digest-compared
-   against the cold run's, so the speedup is for byte-identical output.
+   in incremental.json (reference report: BENCH_PR5.json); the warm
+   run's populations are digest-compared against the cold run's, so the
+   speedup is for byte-identical output.
 
    Runs serially (never on the pool): the protocol clears process-wide
    caches between runs and measures wall-clock, both of which parallel
@@ -81,15 +82,9 @@ let measure (w : Workload.t) ~config =
       "warm population differs from cold population";
   (cold, warm)
 
-let run_json (r : run) =
-  Jsonw.Obj
-    [
-      ("wall_s", Jsonw.Float r.wall_s);
-      ( "stage_runs",
-        Jsonw.Obj (List.map (fun (s, n) -> (s, Jsonw.int n)) r.stage_runs) );
-      ( "store",
-        Jsonw.Obj (List.map (fun (s, n) -> (s, Jsonw.int n)) r.store) );
-    ]
+let counts_json (r : run) =
+  let ints l = Jsonw.Obj (List.map (fun (s, n) -> (s, Jsonw.int n)) l) in
+  Jsonw.Obj [ ("stage_runs", ints r.stage_runs); ("store", ints r.store) ]
 
 let run () =
   let config = List.assoc "p0-30" Suite.configs in
@@ -119,40 +114,39 @@ let run () =
   and warm_total = total (fun _ w -> w.wall_s) in
   Format.printf "total: cold %.3fs, warm %.3fs (%.1fx)@." cold_total warm_total
     (cold_total /. Float.max warm_total 1e-9);
-  let json =
-    Jsonw.Obj
+  let speedup cold warm = Jsonw.Float (cold /. Float.max warm 1e-9) in
+  let per_workload f =
+    Jsonw.List
+      (List.map
+         (fun ((w : Workload.t), cold, warm) ->
+           Jsonw.Obj (("name", Jsonw.Str w.Workload.name) :: f cold warm))
+         rows)
+  in
+  Suite.write_report ~experiment:"incremental"
+    ~deterministic:
       [
-        ("schema", Jsonw.Str "psd-bench-incremental/1");
         ("population", Jsonw.int Suite.security_population);
         ("config", Jsonw.Str "p0-30");
         ( "workloads",
-          Jsonw.List
-            (List.map
-               (fun ((w : Workload.t), cold, warm) ->
-                 Jsonw.Obj
-                   [
-                     ("name", Jsonw.Str w.Workload.name);
-                     ("cold", run_json cold);
-                     ("warm", run_json warm);
-                     ( "speedup",
-                       Jsonw.Float (cold.wall_s /. Float.max warm.wall_s 1e-9)
-                     );
-                   ])
-               rows) );
+          per_workload (fun cold warm ->
+              [ ("cold", counts_json cold); ("warm", counts_json warm) ]) );
+        ("metrics", Suite.metrics ());
+      ]
+    ~wall_clock:
+      [
+        ( "workloads",
+          per_workload (fun cold warm ->
+              [
+                ("cold_wall_s", Jsonw.Float cold.wall_s);
+                ("warm_wall_s", Jsonw.Float warm.wall_s);
+                ("speedup", speedup cold.wall_s warm.wall_s);
+              ]) );
         ( "totals",
           Jsonw.Obj
             [
               ("cold_wall_s", Jsonw.Float cold_total);
               ("warm_wall_s", Jsonw.Float warm_total);
-              ( "speedup",
-                Jsonw.Float (cold_total /. Float.max warm_total 1e-9) );
+              ("speedup", speedup cold_total warm_total);
             ] );
-        ("metrics", Metrics.dump ());
       ]
-  in
-  let out = !Suite.incremental_out in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Jsonw.to_channel oc json);
-  Format.printf "incremental report written to %s@." out
+    ()

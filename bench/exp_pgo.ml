@@ -1,7 +1,7 @@
-(* The closed PGO loop (BENCH_PR7.json): production-style sampled
-   profiles feeding the diversifier, measured for iterative stability
-   and for the cost of training from a stale, sampled, cross-variant
-   profile instead of a fresh exact one.
+(* The closed PGO loop (pgo-loop.json; reference report BENCH_PR7.json):
+   production-style sampled profiles feeding the diversifier, measured
+   for iterative stability and for the cost of training from a stale,
+   sampled, cross-variant profile instead of a fresh exact one.
 
    Protocol, per workload and profile-guided config:
 
@@ -218,13 +218,7 @@ let run () =
       0.0 all_configs
   in
   let median_delta =
-    match List.map (fun c -> c.stale_delta_pp) all_configs with
-    | [] -> 0.0
-    | ds ->
-        let a = Array.of_list ds in
-        Array.sort compare a;
-        let n = Array.length a in
-        if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+    Stats.median (List.map (fun c -> c.stale_delta_pp) all_configs)
   in
   let over_bar =
     List.length (List.filter (fun c -> c.stale_delta_pp > 0.5) all_configs)
@@ -239,10 +233,9 @@ let run () =
     median_delta worst_delta over_bar
     (List.length all_configs)
     max_iters unconverged (List.length all_configs);
-  let json =
-    Jsonw.Obj
+  Suite.write_report ~experiment:"pgo-loop"
+    ~deterministic:
       [
-        ("schema", Jsonw.Str "psd-bench-pgo/1");
         ("sample_period", Jsonw.int Sim.default_sample_period);
         ("max_iterations", Jsonw.int max_iters);
         ( "workloads",
@@ -260,10 +253,4 @@ let run () =
         ("configs_over_half_pp", Jsonw.int over_bar);
         ("unconverged_configs", Jsonw.int unconverged);
       ]
-  in
-  let out = !Suite.pgo_out in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Jsonw.to_channel oc json);
-  Format.printf "pgo-loop report written to %s@." out
+    ()

@@ -1,8 +1,8 @@
 (* parallel-scaling: wall-clock of the three pooled grids — bench cells,
    population scans, fuzz campaigns — at -j 1/2/4 (and auto when it
    differs), with a determinism check: every parallel run must digest
-   identically to its serial run.  Writes BENCH_PR4.json (see
-   --scaling-out).
+   identically to its serial run.  Writes parallel-scaling.json under
+   --out-dir (reference report: BENCH_PR4.json).
 
    Speedups are honest about the machine: the report records the core
    count, and on a single-core container every speedup is ~1x by
@@ -113,15 +113,6 @@ let fuzz_grid jobs =
       List.map Fuzz.reproducer c.Fuzz.findings,
       c.Fuzz.errors )
 
-let run_json (r : grid_run) =
-  Jsonw.Obj
-    [
-      ("jobs", Jsonw.int r.g_jobs);
-      ("auto", Jsonw.Bool r.g_auto);
-      ("seconds", Jsonw.Float r.g_seconds);
-      ("identical_to_serial", Jsonw.Bool r.g_identical);
-    ]
-
 let run () =
   let cores = Pool.auto_jobs () in
   Format.printf
@@ -165,46 +156,50 @@ let run () =
   if diverged then
     Suite.record_failure ~cell:"parallel-scaling/determinism"
       "parallel run diverged from serial";
-  let json =
-    Jsonw.Obj
+  (* One entry per grid and -j row in both sections; only the timings
+     (and the speedups derived from them) are wall clock. *)
+  let per_grid row =
+    Jsonw.List
+      (List.map
+         (fun (name, tasks, runs) ->
+           let s1 = serial_seconds runs in
+           Jsonw.Obj
+             [
+               ("name", Jsonw.Str name);
+               ("tasks", Jsonw.int tasks);
+               ( "runs",
+                 Jsonw.List
+                   (List.map
+                      (fun r ->
+                        Jsonw.Obj
+                          ([
+                             ("jobs", Jsonw.int r.g_jobs);
+                             ("auto", Jsonw.Bool r.g_auto);
+                           ]
+                          @ row s1 r))
+                      runs) );
+             ])
+         grids)
+  in
+  Suite.write_report ~experiment:"parallel-scaling"
+    ~deterministic:
       [
-        ("schema", Jsonw.Str "psd-bench-scaling/1");
         ("cores", Jsonw.int cores);
         ("backend", Jsonw.Str (Pool.backend_name ()));
         ("workloads", Jsonw.int (List.length prepared));
         ( "grids",
-          Jsonw.List
-            (List.map
-               (fun (name, tasks, runs) ->
-                 let s1 = serial_seconds runs in
-                 Jsonw.Obj
-                   [
-                     ("name", Jsonw.Str name);
-                     ("tasks", Jsonw.int tasks);
-                     ( "runs",
-                       Jsonw.List
-                         (List.map
-                            (fun r ->
-                              match run_json r with
-                              | Jsonw.Obj fields ->
-                                  Jsonw.Obj
-                                    (fields
-                                    @ [
-                                        ( "speedup_vs_serial",
-                                          Jsonw.Float
-                                            (if r.g_seconds > 0.0 then
-                                               s1 /. r.g_seconds
-                                             else 1.0) );
-                                      ])
-                              | j -> j)
-                            runs) );
-                   ])
-               grids) );
+          per_grid (fun _ r ->
+              [ ("identical_to_serial", Jsonw.Bool r.g_identical) ]) );
       ]
-  in
-  let out = !Suite.scaling_out in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Jsonw.to_channel oc json);
-  Format.printf "parallel-scaling report written to %s@." out
+    ~wall_clock:
+      [
+        ( "grids",
+          per_grid (fun s1 r ->
+              [
+                ("seconds", Jsonw.Float r.g_seconds);
+                ( "speedup_vs_serial",
+                  Jsonw.Float
+                    (if r.g_seconds > 0.0 then s1 /. r.g_seconds else 1.0) );
+              ]) );
+      ]
+    ()

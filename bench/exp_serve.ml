@@ -1,5 +1,5 @@
 (* serve: throughput and correctness of the variant-serving daemon
-   (BENCH_PR9.json).
+   (serve.json; reference report BENCH_PR9.json).
 
    Per worker count in the grid, the experiment forks one daemon with a
    *cold* cache state (the child drops every driver cache before
@@ -18,8 +18,8 @@
    do nothing but RPC.
 
    The headline is [warm_cold_ratio] — warm variants/sec over cold
-   variants/sec at -j 1 — which the CI perf gate floors
-   (min_warm_variants_per_sec_ratio in test/perf_baseline.json): if the
+   variants/sec at -j 1 — which the CI perf gate floors (the
+   wall_clock.warm_cold_ratio row of test/perf_baseline.json): if the
    store or the driver memos stop being warm, the ratio collapses
    toward 1 and the gate trips.
 
@@ -178,13 +178,18 @@ let population_at_scale (p : Suite.prepared) ~n =
 
 (* ---- the experiment ---- *)
 
-let replay_json (r : replay) =
+let replay_counts (r : replay) =
+  Jsonw.Obj
+    [
+      ("variants", Jsonw.int r.variants);
+      ("lowering_runs", Jsonw.int r.lowering_runs);
+    ]
+
+let replay_timing (r : replay) =
   Jsonw.Obj
     [
       ("wall_s", Jsonw.Float r.wall_s);
-      ("variants", Jsonw.int r.variants);
       ("variants_per_sec", Jsonw.Float r.vps);
-      ("lowering_runs", Jsonw.int r.lowering_runs);
     ]
 
 let run () =
@@ -232,10 +237,13 @@ let run () =
   List.iter
     (fun (k, count) -> Format.printf "  >=%4d of %d: %6d gadgets@." k n count)
     report.Population.at_least;
-  let json =
-    Jsonw.Obj
+  let per_cell f =
+    Jsonw.List
+      (List.map (fun c -> Jsonw.Obj (("jobs", Jsonw.int c.jobs) :: f c)) cells)
+  in
+  Suite.write_report ~experiment:"serve"
+    ~deterministic:
       [
-        ("schema", Jsonw.Str "psd-bench-serve/1");
         ("config", Jsonw.Str "p0-30");
         ("workloads", Jsonw.List (List.map (fun w -> Jsonw.Str w) workloads));
         ("requests", Jsonw.int requests);
@@ -243,29 +251,20 @@ let run () =
         ("version_space", Jsonw.int version_space);
         ("trace_seed", Jsonw.Str (Int64.to_string trace_seed));
         ( "grid",
-          Jsonw.List
-            (List.map
-               (fun c ->
-                 Jsonw.Obj
-                   [
-                     ("jobs", Jsonw.int c.jobs);
-                     ("cold", replay_json c.cold);
-                     ("warm", replay_json c.warm);
-                     ( "warm_cold_ratio",
-                       Jsonw.Float (c.warm.vps /. Float.max c.cold.vps 1e-9) );
-                     ("digest_mismatches", Jsonw.int c.mismatches);
-                     ( "warm_matches_cold",
-                       Jsonw.Bool (c.cold.digests = c.warm.digests) );
-                     ("shards_used", Jsonw.int c.shards_used);
-                   ])
-               cells) );
-        ("warm_cold_ratio", Jsonw.Float ratio_at_j1);
+          per_cell (fun c ->
+              [
+                ("cold", replay_counts c.cold);
+                ("warm", replay_counts c.warm);
+                ("digest_mismatches", Jsonw.int c.mismatches);
+                ( "warm_matches_cold",
+                  Jsonw.Bool (c.cold.digests = c.warm.digests) );
+                ("shards_used", Jsonw.int c.shards_used);
+              ]) );
         ( "population",
           Jsonw.Obj
             [
               ("workload", Jsonw.Str p.Suite.workload.Workload.name);
               ("n", Jsonw.int report.Population.population);
-              ("wall_s", Jsonw.Float pop_wall);
               ( "at_least",
                 Jsonw.List
                   (List.map
@@ -274,12 +273,19 @@ let run () =
                          [ ("k", Jsonw.int k); ("gadgets", Jsonw.int count) ])
                      report.Population.at_least) );
             ] );
-        ("metrics", Metrics.dump ());
+        ("metrics", Suite.metrics ());
       ]
-  in
-  let out = !Suite.serve_out in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Jsonw.to_channel oc json);
-  Format.printf "serve report written to %s@." out
+    ~wall_clock:
+      [
+        ( "grid",
+          per_cell (fun c ->
+              [
+                ("cold", replay_timing c.cold);
+                ("warm", replay_timing c.warm);
+                ( "warm_cold_ratio",
+                  Jsonw.Float (c.warm.vps /. Float.max c.cold.vps 1e-9) );
+              ]) );
+        ("warm_cold_ratio", Jsonw.Float ratio_at_j1);
+        ("population", Jsonw.Obj [ ("wall_s", Jsonw.Float pop_wall) ]);
+      ]
+    ()

@@ -1,13 +1,14 @@
 (* sim-speedup: the wall-clock differential benchmark of the block-cached
-   execution engine against the interpreter oracle (BENCH_PR8.json).
+   execution engine against the interpreter oracle (sim-speedup.json;
+   reference report BENCH_PR8.json).
 
    Per workload: run the undiversified baseline on the ref input under
    both engines, assert the full observable tuple is identical (status,
    output, retired instructions/NOPs, icache misses, and cycles bit for
    bit), then time [runs] runs of each engine and keep the median wall
    clock.  Speedup = interp median / block median; the headline is the
-   geometric mean across workloads, which the CI perf gate floors
-   (min_block_speedup in test/perf_baseline.json).
+   geometric mean across workloads, which the CI perf gate floors (the
+   wall_clock.geomean_speedup row of test/perf_baseline.json).
 
    Timing is always serial — one run at a time in the parent process,
    whatever --jobs says — because concurrent workers sharing cores would
@@ -31,11 +32,6 @@ let time_once ~engine image ~args =
   let t0 = Unix.gettimeofday () in
   let r = Driver.run_image ~engine image ~args in
   (r, Unix.gettimeofday () -. t0)
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
 
 let check_identical ~what (i : Sim.result) (b : Sim.result) =
   let fail fmt =
@@ -81,7 +77,7 @@ let measure_row (p : Suite.prepared) =
       let rb, _ = time_once ~engine:Sim.Block p.Suite.baseline ~args in
       check_identical ~what:w.Workload.name ri rb;
       let timed engine =
-        median
+        Stats.median
           (List.init runs (fun _ ->
                snd (time_once ~engine p.Suite.baseline ~args)))
       in
@@ -146,49 +142,51 @@ let run () =
         scaled_name
         (List.nth scaled_args 1)
         r.Sim.instructions wall (wall *. geomean));
-  let json =
-    Jsonw.Obj
+  let per_workload f =
+    Jsonw.List
+      (List.map
+         (fun row -> Jsonw.Obj (("name", Jsonw.Str row.name) :: f row))
+         rows)
+  in
+  let scaled_json f =
+    match scaled with None -> Jsonw.Null | Some s -> Jsonw.Obj (f s)
+  in
+  Suite.write_report ~experiment:"sim-speedup"
+    ~deterministic:
       [
-        ("schema", Jsonw.Str "psd-bench-sim-speedup/1");
         ("runs_per_engine", Jsonw.int runs);
         ( "workloads",
-          Jsonw.List
-            (List.map
-               (fun row ->
-                 Jsonw.Obj
-                   [
-                     ("name", Jsonw.Str row.name);
-                     ("instructions", Jsonw.Int row.instructions);
-                     ("interp_wall_s", Jsonw.Float row.interp_s);
-                     ("block_wall_s", Jsonw.Float row.block_s);
-                     ("speedup", Jsonw.Float row.speedup);
-                     ("block_minsn_per_s", Jsonw.Float row.block_minsn_s);
-                   ])
-               rows) );
+          per_workload (fun row ->
+              [ ("instructions", Jsonw.Int row.instructions) ]) );
+        ( "scaled",
+          scaled_json (fun (r, _) ->
+              [
+                ("name", Jsonw.Str scaled_name);
+                ( "args",
+                  Jsonw.List
+                    (List.map (fun a -> Jsonw.int (Int32.to_int a)) scaled_args)
+                );
+                ("instructions", Jsonw.Int r.Sim.instructions);
+                ("cycles", Jsonw.Float r.Sim.cycles);
+              ]) );
+        ("metrics", Suite.metrics ());
+      ]
+    ~wall_clock:
+      [
+        ( "workloads",
+          per_workload (fun row ->
+              [
+                ("interp_wall_s", Jsonw.Float row.interp_s);
+                ("block_wall_s", Jsonw.Float row.block_s);
+                ("speedup", Jsonw.Float row.speedup);
+                ("block_minsn_per_s", Jsonw.Float row.block_minsn_s);
+              ]) );
         ("geomean_speedup", Jsonw.Float geomean);
         ( "scaled",
-          match scaled with
-          | None -> Jsonw.Null
-          | Some (r, wall) ->
-              Jsonw.Obj
-                [
-                  ("name", Jsonw.Str scaled_name);
-                  ( "args",
-                    Jsonw.List
-                      (List.map
-                         (fun a -> Jsonw.int (Int32.to_int a))
-                         scaled_args) );
-                  ("instructions", Jsonw.Int r.Sim.instructions);
-                  ("cycles", Jsonw.Float r.Sim.cycles);
-                  ("block_wall_s", Jsonw.Float wall);
-                  ("est_interp_wall_s", Jsonw.Float (wall *. geomean));
-                ] );
-        ("metrics", Metrics.dump ());
+          scaled_json (fun (_, wall) ->
+              [
+                ("block_wall_s", Jsonw.Float wall);
+                ("est_interp_wall_s", Jsonw.Float (wall *. geomean));
+              ]) );
       ]
-  in
-  let out = !Suite.speedup_out in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Jsonw.to_channel oc json);
-  Format.printf "sim-speedup report written to %s@." out
+    ()

@@ -8,24 +8,21 @@
      dune exec bench/main.exe -- --workloads 429.mcf,470.lbm telemetry
      dune exec bench/main.exe -- --jobs auto telemetry
      dune exec bench/main.exe -- --trace bench.trace telemetry
+     dune exec bench/main.exe -- --out-dir reports telemetry
 
    Experiments: table1 figure4 table2 table3 php-attack heuristic
    ablation micro fuzz-coverage telemetry parallel-scaling incremental
-   pgo-loop serve portfolio.
-   The telemetry experiment writes the machine-readable report (default
-   BENCH_PR2.json, see --out); parallel-scaling writes its own (default
-   BENCH_PR4.json, see --scaling-out); incremental writes the cold/warm
-   rebuild report (default BENCH_PR5.json, see --incremental-out);
-   pgo-loop writes the closed-loop stability report (default
-   BENCH_PR7.json, see --pgo-out); sim-speedup times the block-cached
-   engine against the interpreter oracle (default BENCH_PR8.json, see
-   --speedup-out; timing is serial regardless of --jobs); portfolio
-   writes the transform-portfolio overhead/security Pareto (default
-   BENCH_PR10.json, see --portfolio-out).
-   --jobs N|auto runs each
-   experiment's workload grid on the parallel pool — reports are
-   byte-identical at every -j.  Any failed cell or experiment is
-   reported at the end and makes the exit status nonzero. *)
+   pgo-loop sim-speedup serve portfolio.
+   The report-writing experiments (telemetry, parallel-scaling,
+   incremental, pgo-loop, sim-speedup, serve, portfolio) each write
+   <out-dir>/<experiment>.json in the one psd-bench/1 envelope (see
+   Suite.write_report); --out-dir defaults to bench-out/, which git
+   ignores, so the committed BENCH_PR*.json reference reports are never
+   overwritten.  sim-speedup timing is serial regardless of --jobs.
+   --jobs N|auto runs each experiment's workload grid on the parallel
+   pool — the reports' deterministic sections are byte-identical at
+   every -j.  Any failed cell or experiment is reported at the end and
+   makes the exit status nonzero. *)
 
 let experiments =
   [
@@ -50,9 +47,8 @@ let experiments =
 let usage () =
   Format.printf
     "usage: main.exe [--versions N] [--workloads A,B,..] [--jobs N|auto] \
-     [--trace FILE] [--out FILE] [--scaling-out FILE] [--incremental-out \
-     FILE] [--pgo-out FILE] [--speedup-out FILE] [--serve-out FILE] \
-     [--serve-population N] [--portfolio-out FILE] [experiment...]@.";
+     [--trace FILE] [--out-dir DIR] [--serve-population N] \
+     [experiment...]@.";
   Format.printf "experiments: %s@."
     (String.concat " " (List.map fst experiments));
   exit 1
@@ -89,26 +85,8 @@ let () =
     | "--trace" :: file :: rest ->
         trace_file := Some file;
         parse selected rest
-    | "--out" :: file :: rest ->
-        Suite.telemetry_out := file;
-        parse selected rest
-    | "--scaling-out" :: file :: rest ->
-        Suite.scaling_out := file;
-        parse selected rest
-    | "--incremental-out" :: file :: rest ->
-        Suite.incremental_out := file;
-        parse selected rest
-    | "--pgo-out" :: file :: rest ->
-        Suite.pgo_out := file;
-        parse selected rest
-    | "--speedup-out" :: file :: rest ->
-        Suite.speedup_out := file;
-        parse selected rest
-    | "--serve-out" :: file :: rest ->
-        Suite.serve_out := file;
-        parse selected rest
-    | "--portfolio-out" :: file :: rest ->
-        Suite.portfolio_out := file;
+    | "--out-dir" :: dir :: rest ->
+        Suite.out_dir := dir;
         parse selected rest
     | "--serve-population" :: n :: rest -> (
         match int_of_string_opt n with

@@ -36,32 +36,19 @@ let perf_versions = ref 3
 let selected_workloads = ref Workloads.all
 let workloads () = !selected_workloads
 
-(* Where the telemetry experiment writes its machine-readable report. *)
-let telemetry_out = ref "BENCH_PR2.json"
-
-(* Where the parallel-scaling experiment writes its report. *)
-let scaling_out = ref "BENCH_PR4.json"
-
-(* Where the incremental-build experiment writes its report. *)
-let incremental_out = ref "BENCH_PR5.json"
-
-(* Where the PGO-loop experiment writes its report. *)
-let pgo_out = ref "BENCH_PR7.json"
-
-(* Where the sim-speedup experiment writes its report. *)
-let speedup_out = ref "BENCH_PR8.json"
-
-(* Where the variant-serving experiment writes its report, and how many
-   versions its population-at-scale survivor run builds. *)
-let serve_out = ref "BENCH_PR9.json"
+(* How many versions the serve experiment's population-at-scale
+   survivor run builds. *)
 let serve_population = ref 1000
 
-(* Where the transform-portfolio experiment writes its report. *)
-let portfolio_out = ref "BENCH_PR10.json"
+(* Where every report-writing experiment puts its report (bench's
+   --out-dir flag).  The default is ignored by git, so a full bench run
+   never rewrites the committed reference reports. *)
+let out_dir = ref "bench-out"
 
 (* Worker count for the experiment grids (bench's --jobs flag).  Serial
    by default; the pool's serial path is the reference semantics, so
-   "--jobs 1" and "--jobs N" produce byte-identical reports. *)
+   "--jobs 1" and "--jobs N" produce reports whose deterministic
+   sections are byte-identical. *)
 let jobs = ref (Pool.Jobs 1)
 
 (* Cell failures, accumulated across experiments: an experiment skips
@@ -101,3 +88,54 @@ let texts_of_population p config n =
 let pct x = x *. 100.0
 
 let hr ppf = Format.fprintf ppf "%s@." (String.make 78 '-')
+
+(* The metrics registry for a report's deterministic section, without
+   names left at zero: a pool worker ships back only the counters and
+   histograms that changed, so a name registered but never incremented
+   exists after a serial run and not after a parallel one. *)
+let metrics () =
+  let recorded = function
+    | _, (Jsonw.Int 0L | Jsonw.Obj (("count", Jsonw.Int 0L) :: _)) -> false
+    | _ -> true
+  in
+  match Metrics.dump () with
+  | Jsonw.Obj sections ->
+      Jsonw.Obj
+        (List.map
+           (function
+             | k, Jsonw.Obj kvs -> (k, Jsonw.Obj (List.filter recorded kvs))
+             | kv -> kv)
+           sections)
+  | j -> j
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
+  end
+
+(* The one report envelope, written to <out-dir>/<experiment>.json:
+
+     {"schema":"psd-bench/1","experiment":E,
+      "deterministic":{...},"wall_clock":{...}}
+
+   [deterministic] holds only fields that are byte-identical across runs
+   and at every -j (the perf gate compares these sections between a
+   serial and a parallel run); wall times and everything derived from
+   them go under [wall_clock].  No timestamp, host or job count. *)
+let write_report ~experiment ~deterministic ?(wall_clock = []) () =
+  mkdir_p !out_dir;
+  let path = Filename.concat !out_dir (experiment ^ ".json") in
+  let json =
+    Jsonw.Obj
+      [
+        ("schema", Jsonw.Str "psd-bench/1");
+        ("experiment", Jsonw.Str experiment);
+        ("deterministic", Jsonw.Obj deterministic);
+        ("wall_clock", Jsonw.Obj wall_clock);
+      ]
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      Jsonw.to_channel oc json;
+      output_char oc '\n');
+  Format.printf "%s report written to %s@." experiment path

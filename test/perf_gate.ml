@@ -1,466 +1,247 @@
-(* The CI perf-regression gate.
+(* The CI perf-regression gate: one comparator over a table of rows.
 
-   Checks against bench reports (BENCH*.json):
+     perf_gate --reports DIR --parallel DIR --baseline FILE
+               [--inject-slowdown-pct P] [--write-baseline]
 
-   1. Determinism: the report produced with --jobs auto must be
-      byte-identical to the one produced with --jobs 1.  Any drift means
-      the pool leaked scheduling into an artifact.
-   2. Regression: per config, the median overhead_pct across workloads
-      must stay within a tolerance of the committed baseline snapshot —
-      max(0.05 percentage points, tolerance% of the baseline value,
-      default 2%).  The simulator is deterministic, so the medians are
-      machine-independent and a drift is a code change, not noise.
-      Schema/2 reports additionally carry the baseline binary's
-      sampled-profiling overhead at the default period
-      (baseline.sampling_overhead_pct); its median is gated the same
-      way, so the production-profiling cost cannot creep past its
-      committed baseline unnoticed.
-   3. Engine speedup (with --speedup): the sim-speedup report's geomean
-      block-vs-interp wall-clock speedup must stay at or above the
-      baseline's min_block_speedup key.  Wall clock is machine-dependent
-      where the modeled medians are not, so this one is a *floor*, not a
-      drift band: the committed floor carries enough headroom for
-      machine variance, and only a structural slowdown of the block
-      engine (or a structural speedup of the oracle) can cross it.
+   Reports are bench's psd-bench/1 envelopes, DIR/<experiment>.json.
+   Determinism: a report in both DIR and the --parallel DIR must carry
+   the same "deterministic" section in both, numbers bit for bit, and at
+   least one report must be in both.  Rows: the baseline (schema
+   psd-perf-gate/2) lists {report, path, kind, value}, path dotted into
+   the report's envelope.  A band holds |measured - value| within
+   max(0.05, 2% of |value|), a floor holds measured >= value, a cap
+   measured <= value.  An object value is compared key by key, and a
+   key on only one side fails.  A row whose report or path is absent
+   fails: no check skips itself.
 
-   4. Serve warm-path ratio (with --serve): the serve report's
-      warm-over-cold variants/sec ratio at -j 1 must stay at or above
-      the baseline's min_warm_variants_per_sec_ratio key.  Like the
-      engine speedup this is a wall-clock *floor* with headroom, not a
-      drift band: if the daemon's warm path stops being warm (a cache
-      key regression, an eviction storm), the ratio collapses toward 1
-      and crosses it.
+   --inject-slowdown-pct P moves each measured value in its worse
+   direction first (band and cap x(1+P/100), floor /(1+P/100)).
+   --write-baseline rewrites the band rows' values in place from the
+   reports and carries floor and cap rows over unchanged: floors and
+   caps are policy, edited by hand (DESIGN.md "CI perf-regression
+   gate"). *)
 
-   5. Budgeted overhead (with --portfolio): every budgeted cell of the
-      portfolio report (BENCH_PR10.json schema) must land under its
-      declared budget — per cell, measured max overhead may consume at
-      most the baseline's max_budgeted_overhead_pct percent of the
-      declared budget (100 = exactly the budget).  The simulator is
-      deterministic, so a cell creeping past its budget is a planner or
-      cost-model change, not noise.
+type kind = Band | Floor | Cap
+type row = { report : string; path : string; kind : kind; value : Minijson.t }
 
-   Modes:
+let schema = "psd-perf-gate/2"
+let kinds = [ ("band", Band); ("floor", Floor); ("cap", Cap) ]
+let kind_name k = fst (List.find (fun (_, k') -> k' = k) kinds)
 
-     perf_gate --serial S.json --parallel P.json --baseline B.json
-               [--speedup SP.json] [--serve SV.json] [--portfolio PF.json]
-               [--tolerance-pct T] [--inject-slowdown-pct P]
-     perf_gate --write-baseline --serial S.json [--speedup SP.json]
-               [--serve SV.json] [--portfolio PF.json] -o B.json
+let die fmt =
+  Printf.ksprintf (fun s -> print_endline ("FAIL " ^ s); exit 1) fmt
 
-   --inject-slowdown-pct scales the measured medians (and divides the
-   measured speedup and serve ratio, and inflates the budgeted cells'
-   overheads) before comparing — the gate's own CI self-test proves a
-   10% slowdown, a 30%-slower block engine and a 50%-slower warm serve
-   path are caught, and runtest proves a 10% inflation pushes a
-   near-budget portfolio cell over.
-   --write-baseline regenerates the snapshot after an intentional
-   performance change (see DESIGN.md for the policy); the speedup floor
-   is written with 20% headroom below the measured geomean, the serve
-   ratio floor with 50% headroom below the measured ratio (cold/warm
-   wall clocks vary more across machines than their quotient's
-   structure suggests). *)
+(* The parsed file, or [None] when it does not exist. *)
+let load path =
+  if not (Sys.file_exists path) then None
+  else
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    match Minijson.parse text with
+    | json -> Some json
+    | exception Minijson.Bad msg -> die "%s is not valid JSON: %s" path msg
 
-let usage () =
-  prerr_endline
-    "usage: perf_gate --serial S.json --parallel P.json --baseline B.json\n\
-    \                 [--speedup SP.json] [--serve SV.json] [--portfolio \
-     PF.json]\n\
-    \                 [--tolerance-pct T] [--inject-slowdown-pct P]\n\
-    \       perf_gate --write-baseline --serial S.json [--speedup SP.json] \
-     [--serve SV.json] [--portfolio PF.json] -o B.json";
-  exit 2
+let lookup json path =
+  List.fold_left
+    (fun j key ->
+      match j with
+      | Some (Minijson.Obj kvs) -> List.assoc_opt key kvs
+      | _ -> None)
+    (Some json)
+    (String.split_on_char '.' path)
 
-let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg ->
-    Printf.eprintf "perf_gate: %s\n" msg;
-    exit 2
-
-let median = function
-  | [] -> 0.0
-  | xs ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      if n mod 2 = 1 then a.(n / 2)
-      else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-(* config name -> median overhead_pct across the report's workloads, in
-   first-appearance order. *)
-let medians_of_report json =
-  let order = ref [] in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun w ->
-      List.iter
-        (fun c ->
-          let name = Minijson.(to_str (member "config" c)) in
-          let o = Minijson.(to_num (member "overhead_pct" c)) in
-          if not (Hashtbl.mem tbl name) then order := name :: !order;
-          Hashtbl.replace tbl name
-            (o :: Option.value (Hashtbl.find_opt tbl name) ~default:[]))
-        Minijson.(to_list (member "configs" w)))
-    Minijson.(to_list (member "workloads" json));
-  List.rev_map (fun name -> (name, median (Hashtbl.find tbl name))) !order
-
-(* Median across workloads of the undiversified baseline's
-   sampled-profiling overhead — [None] for schema/1 reports that predate
-   the field. *)
-let sampling_median_of_report json =
-  let vals =
-    List.filter_map
-      (fun w ->
-        match
-          Minijson.(to_num (member "sampling_overhead_pct" (member "baseline" w)))
-        with
-        | v -> Some v
-        | exception Minijson.Bad _ -> None)
-      Minijson.(to_list (member "workloads" json))
+let rows_of_baseline path =
+  let json =
+    match load path with Some j -> j | None -> die "baseline %s absent" path
   in
-  match vals with [] -> None | vs -> Some (median vs)
+  let str k r = Minijson.(to_str (member k r)) in
+  let row r =
+    match List.assoc_opt (str "kind" r) kinds with
+    | Some kind ->
+        let value = Minijson.member "value" r in
+        { report = str "report" r; path = str "path" r; kind; value }
+    | None -> raise (Minijson.Bad ("unknown kind " ^ str "kind" r))
+  in
+  try
+    if str "schema" json <> schema then
+      raise (Minijson.Bad ("schema is not " ^ schema));
+    List.map row Minijson.(to_list (member "rows" json))
+  with Minijson.Bad msg -> die "baseline %s: %s" path msg
 
-let parse_report path text =
-  match Minijson.parse text with
-  | json -> json
-  | exception Minijson.Bad msg ->
-      Printf.printf "FAIL %s is not valid JSON: %s\n" path msg;
-      exit 1
+(* (ok, detail) of a measured value against its baseline value. *)
+let rec judge ~scale kind measured base =
+  match (measured, base) with
+  | Minijson.Num m, Minijson.Num b ->
+      let m = if kind = Floor then m /. scale else m *. scale in
+      let allowed = Float.max 0.05 (0.02 *. Float.abs b) in
+      let ok =
+        match kind with
+        | Band -> Float.abs (m -. b) <= allowed
+        | Floor -> m >= b
+        | Cap -> m <= b
+      in
+      let op =
+        match (kind, ok) with
+        | Floor, true -> ">="
+        | Floor, false -> "<"
+        | _, true -> "<="
+        | _, false -> ">"
+      in
+      ( ok,
+        match kind with
+        | Band ->
+            Printf.sprintf "%.3f (baseline %.3f, drift %.3f %s %.3f)" m b
+              (Float.abs (m -. b)) op allowed
+        | Floor | Cap ->
+            Printf.sprintf "%.3f %s %s %.3f" m op (kind_name kind) b )
+  | Minijson.Obj ms, Minijson.Obj bs ->
+      let extra = List.filter (fun (k, _) -> not (List.mem_assoc k bs)) ms in
+      let parts =
+        List.map
+          (fun (k, b) ->
+            match List.assoc_opt k ms with
+            | Some m ->
+                let ok, d = judge ~scale kind m b in
+                (ok, k ^ " " ^ d)
+            | None -> (false, k ^ " absent from report"))
+          bs
+        @ List.map (fun (k, _) -> (false, k ^ " absent from baseline")) extra
+      in
+      (List.for_all fst parts, String.concat "; " (List.map snd parts))
+  | _ -> (false, "report and baseline values differ in shape")
 
-(* geomean_speedup of a sim-speedup report (BENCH_PR8.json). *)
-let speedup_of_report json =
-  match Minijson.(to_num (member "geomean_speedup" json)) with
-  | v -> v
-  | exception Minijson.Bad msg ->
-      Printf.printf "FAIL speedup report: %s\n" msg;
-      exit 1
+(* The first path at which two JSON values differ, numbers bit for bit. *)
+let rec first_diff path a b =
+  let bits = Int64.bits_of_float in
+  match (a, b) with
+  | Minijson.Num x, Minijson.Num y when Int64.equal (bits x) (bits y) -> None
+  | Minijson.Obj xs, Minijson.Obj ys when List.map fst xs = List.map fst ys ->
+      List.find_map
+        (fun ((k, x), (_, y)) -> first_diff (path ^ "." ^ k) x y)
+        (List.combine xs ys)
+  | Minijson.Arr xs, Minijson.Arr ys when List.length xs = List.length ys ->
+      List.find_map Fun.id
+        (List.mapi
+           (fun i (x, y) -> first_diff (Printf.sprintf "%s[%d]" path i) x y)
+           (List.combine xs ys))
+  | Minijson.(Null | Bool _ | Str _), _ when a = b -> None
+  | _ -> Some path
 
-(* warm_cold_ratio of a serve report (BENCH_PR9.json). *)
-let serve_ratio_of_report json =
-  match Minijson.(to_num (member "warm_cold_ratio" json)) with
-  | v -> v
-  | exception Minijson.Bad msg ->
-      Printf.printf "FAIL serve report: %s\n" msg;
-      exit 1
+let reports_in dir =
+  match Sys.readdir dir with
+  | files ->
+      List.sort compare
+        (List.filter
+           (fun f -> Filename.check_suffix f ".json")
+           (Array.to_list files))
+  | exception Sys_error _ -> []
 
-(* The budgeted cells of a portfolio report (BENCH_PR10.json):
-   (workload/config, declared budget pct, measured max overhead pct).
-   Cells without a budget_pct field are unbudgeted and not gated. *)
-let budgeted_cells_of_report json =
-  match
-    List.concat_map
-      (fun w ->
-        let wname = Minijson.(to_str (member "name" w)) in
-        List.filter_map
-          (fun c ->
-            match Minijson.(to_num (member "budget_pct" c)) with
-            | budget ->
-                Some
-                  ( wname ^ "/" ^ Minijson.(to_str (member "config" c)),
-                    budget,
-                    Minijson.(to_num (member "overhead_max_pct" c)) )
-            | exception Minijson.Bad _ -> None)
-          Minijson.(to_list (member "configs" w)))
-      Minijson.(to_list (member "workloads" json))
-  with
-  | cells -> cells
-  | exception Minijson.Bad msg ->
-      Printf.printf "FAIL portfolio report: %s\n" msg;
-      exit 1
+(* Baseline numbers: six decimals, trailing zeros dropped down to one. *)
+let rec show = function
+  | Minijson.Num f ->
+      let s = Printf.sprintf "%.6f" f in
+      let n = ref (String.length s) in
+      while s.[!n - 1] = '0' && s.[!n - 2] <> '.' do decr n done;
+      String.sub s 0 !n
+  | Minijson.Obj kvs ->
+      let field (k, v) = Printf.sprintf "%S: %s" k (show v) in
+      "{" ^ String.concat ", " (List.map field kvs) ^ "}"
+  | _ -> invalid_arg "perf_gate: baseline values are numbers or objects"
 
-let write_baseline ~out ~sampling ~speedup ~serve ~portfolio medians =
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "{\n  \"schema\": \"psd-perf-gate-baseline/1\",\n";
-      (match sampling with
-      | None -> ()
-      | Some s ->
-          Printf.fprintf oc "  \"median_sampling_overhead_pct\": %.6f,\n" s);
-      (match speedup with
-      | None -> ()
-      | Some g ->
-          (* The floor, not the measurement: 20% headroom under the
-             measured geomean absorbs machine-to-machine wall-clock
-             variance. *)
-          Printf.fprintf oc "  \"min_block_speedup\": %.1f,\n" (0.8 *. g));
-      (match serve with
-      | None -> ()
-      | Some r ->
-          (* 50% headroom: the cold and warm wall clocks are both
-             machine-dependent, so their ratio gets the widest band. *)
-          Printf.fprintf oc "  \"min_warm_variants_per_sec_ratio\": %.1f,\n"
-            (Float.max 1.1 (0.5 *. r)));
-      (* The cap is the contract itself, not a measurement: a budgeted
-         cell may consume at most its whole declared budget. *)
-      if portfolio then
-        output_string oc "  \"max_budgeted_overhead_pct\": 100.0,\n";
-      output_string oc "  \"median_overhead_pct\": {\n";
-      List.iteri
-        (fun i (name, m) ->
-          Printf.fprintf oc "    %S: %.6f%s\n" name m
-            (if i = List.length medians - 1 then "" else ","))
-        medians;
-      output_string oc "  }\n}\n");
-  Printf.printf "baseline written to %s (%d configs)\n" out
-    (List.length medians)
+let write_baseline path rows =
+  let line r =
+    Printf.sprintf
+      "    {\"report\": %S, \"path\": %S, \"kind\": %S, \"value\": %s}"
+      r.report r.path (kind_name r.kind) (show r.value)
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "{\n  \"schema\": %S,\n  \"rows\": [\n%s\n  ]\n}\n"
+        schema
+        (String.concat ",\n" (List.map line rows)));
+  Printf.printf "baseline written to %s (%d rows)\n" path (List.length rows)
+
+let usage =
+  "usage: perf_gate --reports DIR --parallel DIR --baseline FILE \
+   [--inject-slowdown-pct P] [--write-baseline]"
 
 let () =
-  let serial = ref None
-  and parallel = ref None
-  and baseline = ref None
-  and speedup_file = ref None
-  and serve_file = ref None
-  and portfolio_file = ref None
-  and out = ref None
-  and tolerance = ref 2.0
-  and inject = ref 0.0
-  and write_mode = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--serial" :: v :: rest ->
-        serial := Some v;
-        parse rest
-    | "--parallel" :: v :: rest ->
-        parallel := Some v;
-        parse rest
-    | "--baseline" :: v :: rest ->
-        baseline := Some v;
-        parse rest
-    | "--speedup" :: v :: rest ->
-        speedup_file := Some v;
-        parse rest
-    | "--serve" :: v :: rest ->
-        serve_file := Some v;
-        parse rest
-    | "--portfolio" :: v :: rest ->
-        portfolio_file := Some v;
-        parse rest
-    | "-o" :: v :: rest ->
-        out := Some v;
-        parse rest
-    | "--tolerance-pct" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some t when t > 0.0 -> tolerance := t
-        | _ -> usage ());
-        parse rest
-    | "--inject-slowdown-pct" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some p -> inject := p
-        | None -> usage ());
-        parse rest
-    | "--write-baseline" :: rest ->
-        write_mode := true;
-        parse rest
-    | _ -> usage ()
+  let reports = ref "" and parallel = ref "" and baseline = ref "" in
+  let inject = ref 0.0 and write = ref false in
+  Arg.parse
+    [
+      ("--reports", Arg.Set_string reports, "DIR  reports under test");
+      ("--parallel", Arg.Set_string parallel, "DIR  same reports at -j auto");
+      ("--baseline", Arg.Set_string baseline, "FILE  the row table");
+      ("--inject-slowdown-pct", Arg.Set_float inject, "P  self-test slowdown");
+      ("--write-baseline", Arg.Set write, " rewrite the band rows in place");
+    ]
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    usage;
+  let missing = !reports = "" || !baseline = "" in
+  if missing || (!parallel = "" && not !write) then begin
+    prerr_endline usage;
+    exit 2
+  end;
+  let rows = rows_of_baseline !baseline in
+  let measured r =
+    let file = Filename.concat !reports (r.report ^ ".json") in
+    match Option.map (fun j -> lookup j r.path) (load file) with
+    | None -> Error (Printf.sprintf "report %s absent" file)
+    | Some None -> Error (Printf.sprintf "path absent from %s" file)
+    | Some (Some v) -> Ok v
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  let serial_path = match !serial with Some p -> p | None -> usage () in
-  let serial_text = read_file serial_path in
-  let serial_json = parse_report serial_path serial_text in
-  let scale m = m *. (1.0 +. (!inject /. 100.0)) in
-  let medians =
-    List.map (fun (name, m) -> (name, scale m)) (medians_of_report serial_json)
-  in
-  let sampling = Option.map scale (sampling_median_of_report serial_json) in
-  (* An injected slowdown of the block engine *divides* its speedup. *)
-  let speedup =
-    Option.map
-      (fun path ->
-        speedup_of_report (parse_report path (read_file path))
-        /. (1.0 +. (!inject /. 100.0)))
-      !speedup_file
-  in
-  (* So does an injected slowdown of the serve daemon's warm path. *)
-  let serve =
-    Option.map
-      (fun path ->
-        serve_ratio_of_report (parse_report path (read_file path))
-        /. (1.0 +. (!inject /. 100.0)))
-      !serve_file
-  in
-  (* An injected slowdown inflates every budgeted cell's measured
-     overhead, pushing near-budget cells over the cap. *)
-  let portfolio =
-    Option.map
-      (fun path ->
-        List.map
-          (fun (cell, budget, overhead) -> (cell, budget, scale overhead))
-          (budgeted_cells_of_report (parse_report path (read_file path))))
-      !portfolio_file
-  in
-  if !write_mode then begin
-    match !out with
-    | Some out ->
-        write_baseline ~out ~sampling ~speedup ~serve
-          ~portfolio:(portfolio <> None) medians
-    | None -> usage ()
-  end
+  if !write then
+    write_baseline !baseline
+      (List.map
+         (fun r ->
+           match (r.kind, measured r) with
+           | Band, Ok v -> { r with value = v }
+           | Band, Error e -> die "cannot rewrite %s %s: %s" r.report r.path e
+           | (Floor | Cap), _ -> r)
+         rows)
   else begin
-    let parallel_path = match !parallel with Some p -> p | None -> usage () in
-    let baseline_path = match !baseline with Some p -> p | None -> usage () in
     let failed = ref false in
-    let fail fmt = Printf.ksprintf (fun s -> failed := true; print_string ("FAIL " ^ s ^ "\n")) fmt in
-    (* Check 1: parallel report byte-identical to serial. *)
-    let parallel_text = read_file parallel_path in
-    ignore (parse_report parallel_path parallel_text);
-    if String.equal serial_text parallel_text then
-      Printf.printf "ok   parallel report byte-identical to serial (%d bytes)\n"
-        (String.length serial_text)
-    else
-      fail "parallel report %s differs from serial %s — pool nondeterminism"
-        parallel_path serial_path;
-    (* Check 2: per-config median overheads within tolerance of the
-       committed baseline. *)
-    let base_json = parse_report baseline_path (read_file baseline_path) in
-    let base =
-      match Minijson.member "median_overhead_pct" base_json with
-      | Minijson.Obj kvs ->
-          List.map (function
-            | (k, Minijson.Num v) -> (k, v)
-            | (k, _) ->
-                Printf.printf "FAIL baseline %s: %s is not a number\n"
-                  baseline_path k;
-                exit 1)
-            kvs
-      | _ | (exception Minijson.Bad _) ->
-          Printf.printf "FAIL baseline %s: missing median_overhead_pct\n"
-            baseline_path;
-          exit 1
+    let check ok fmt =
+      Printf.ksprintf
+        (fun s ->
+          if not ok then failed := true;
+          print_endline ((if ok then "ok   " else "FAIL ") ^ s))
+        fmt
     in
+    let par = reports_in !parallel in
+    let common = List.filter (fun f -> List.mem f par) (reports_in !reports) in
+    if common = [] then
+      check false "no report in both %s and %s to compare" !reports !parallel;
     List.iter
-      (fun (name, m) ->
-        match List.assoc_opt name base with
-        | None -> fail "config %s measured but absent from baseline" name
-        | Some b ->
-            let allowed = Float.max 0.05 (!tolerance /. 100.0 *. Float.abs b) in
-            let drift = Float.abs (m -. b) in
-            if drift <= allowed then
-              Printf.printf
-                "ok   %-12s median overhead %+.3f%% (baseline %+.3f%%, drift \
-                 %.3fpp <= %.3fpp)\n"
-                name m b drift allowed
-            else
-              fail
-                "%s median overhead %+.3f%% drifted %.3fpp from baseline \
-                 %+.3f%% (allowed %.3fpp)"
-                name m drift b allowed)
-      medians;
+      (fun f ->
+        let det dir =
+          Option.bind (load (Filename.concat dir f)) (fun j ->
+              lookup j "deterministic")
+        in
+        match (det !reports, det !parallel) with
+        | Some a, Some b -> (
+            match first_diff "deterministic" a b with
+            | None ->
+                check true "%s: deterministic section identical in %s and %s"
+                  f !reports !parallel
+            | Some p ->
+                check false
+                  "%s: %s differs between %s and %s (pool nondeterminism)" f
+                  p !reports !parallel)
+        | _ -> check false "%s: no deterministic section" f)
+      common;
+    let scale = 1.0 +. (!inject /. 100.0) in
     List.iter
-      (fun (name, _) ->
-        if not (List.mem_assoc name medians) then
-          fail "config %s in baseline but missing from report" name)
-      base;
-    (* Check 3 (schema/2 reports): the baseline binary's median
-       sampled-profiling overhead at the default period, gated exactly
-       like the per-config overheads. *)
-    (match sampling with
-    | None -> ()
-    | Some s -> (
-        match
-          Minijson.(to_num (member "median_sampling_overhead_pct" base_json))
-        with
-        | b ->
-            let allowed =
-              Float.max 0.05 (!tolerance /. 100.0 *. Float.abs b)
-            in
-            let drift = Float.abs (s -. b) in
-            if drift <= allowed then
-              Printf.printf
-                "ok   %-12s median overhead %+.3f%% (baseline %+.3f%%, drift \
-                 %.3fpp <= %.3fpp)\n"
-                "sampling" s b drift allowed
-            else
-              fail
-                "sampling median overhead %+.3f%% drifted %.3fpp from \
-                 baseline %+.3f%% (allowed %.3fpp)"
-                s drift b allowed
-        | exception Minijson.Bad _ ->
-            fail
-              "sampled-profiling overhead measured but \
-               median_sampling_overhead_pct absent from baseline %s"
-              baseline_path));
-    (* Check 4 (with --speedup): the block engine's geomean wall-clock
-       speedup over the interpreter oracle must stay above the floor. *)
-    (match speedup with
-    | None -> ()
-    | Some g -> (
-        match Minijson.(to_num (member "min_block_speedup" base_json)) with
-        | floor ->
-            if g >= floor then
-              Printf.printf
-                "ok   block engine geomean speedup %.1fx >= floor %.1fx\n" g
-                floor
-            else
-              fail
-                "block engine geomean speedup %.1fx fell below the %.1fx \
-                 floor"
-                g floor
-        | exception Minijson.Bad _ ->
-            fail "speedup measured but min_block_speedup absent from baseline %s"
-              baseline_path));
-    (* Check 5 (with --serve): the daemon's warm-over-cold throughput
-       ratio must stay above the floor — below it, the warm path is no
-       longer warm. *)
-    (match serve with
-    | None -> ()
-    | Some r -> (
-        match
-          Minijson.(to_num (member "min_warm_variants_per_sec_ratio" base_json))
-        with
-        | floor ->
-            if r >= floor then
-              Printf.printf
-                "ok   serve warm/cold throughput ratio %.1fx >= floor %.1fx\n"
-                r floor
-            else
-              fail
-                "serve warm/cold throughput ratio %.1fx fell below the %.1fx \
-                 floor"
-                r floor
-        | exception Minijson.Bad _ ->
-            fail
-              "serve ratio measured but min_warm_variants_per_sec_ratio \
-               absent from baseline %s"
-              baseline_path));
-    (* Check 6 (with --portfolio): every budgeted cell must land under
-       its declared budget — utilization capped at
-       max_budgeted_overhead_pct percent of the budget. *)
-    (match portfolio with
-    | None -> ()
-    | Some cells -> (
-        match
-          Minijson.(to_num (member "max_budgeted_overhead_pct" base_json))
-        with
-        | cap ->
-            let worst = ref ("", 0.0) in
-            List.iter
-              (fun (cell, budget, overhead) ->
-                let util = overhead /. budget *. 100.0 in
-                if util > snd !worst then worst := (cell, util);
-                if util > cap then
-                  fail
-                    "budgeted cell %s measured %+.3f%% against a %.4g%% \
-                     budget (%.1f%% of budget > %.1f%% cap)"
-                    cell overhead budget util cap)
-              cells;
-            if List.for_all
-                 (fun (_, budget, overhead) ->
-                   overhead /. budget *. 100.0 <= cap)
-                 cells
-            then
-              Printf.printf
-                "ok   %d budgeted cell(s) under budget (worst %s at %.1f%% \
-                 of budget, cap %.1f%%)\n"
-                (List.length cells) (fst !worst) (snd !worst) cap
-        | exception Minijson.Bad _ ->
-            fail
-              "budgeted cells measured but max_budgeted_overhead_pct absent \
-               from baseline %s"
-              baseline_path));
+      (fun r ->
+        let ok, detail =
+          match measured r with
+          | Ok v -> judge ~scale r.kind v r.value
+          | Error e -> (false, e)
+        in
+        check ok "%s %s (%s): %s" r.report r.path (kind_name r.kind) detail)
+      rows;
     if !failed then begin
       print_endline
-        "perf gate FAILED — if the change is intentional, regenerate \
+        "perf gate FAILED — if the change is intentional, refresh \
          test/perf_baseline.json with --write-baseline (see DESIGN.md)";
       exit 1
     end
