@@ -130,7 +130,7 @@ let run () =
         ( "workloads",
           per_workload (fun cold warm ->
               [ ("cold", counts_json cold); ("warm", counts_json warm) ]) );
-        ("metrics", Suite.metrics ());
+        ("metrics", Metrics.dump ());
       ]
     ~wall_clock:
       [

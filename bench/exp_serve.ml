@@ -97,7 +97,6 @@ type cell = {
   cold : replay;
   warm : replay;
   mismatches : int;  (* vs the serial oracle *)
-  shards_used : int;
 }
 
 let measure ~reqs jobs =
@@ -118,19 +117,8 @@ let measure ~reqs jobs =
           (* Untimed oracle pass: every digest, at this -j, against a
              serial in-process build. *)
           let oracle = Sclient.replay ~verify:true fd reqs in
-          let stats = Sclient.stats fd in
           Sclient.shutdown fd;
-          {
-            jobs;
-            cold;
-            warm;
-            mismatches = oracle.Sclient.digest_mismatches;
-            shards_used =
-              List.length
-                (List.filter
-                   (fun (s : Store.shard_stats) -> s.Store.entries > 0)
-                   stats.Sproto.shards);
-          }))
+          { jobs; cold; warm; mismatches = oracle.Sclient.digest_mismatches }))
 
 let check_cell (c : cell) =
   let cell = Printf.sprintf "serve/-j%d" c.jobs in
@@ -206,16 +194,16 @@ let run () =
     requests
     (requests * versions_per_request);
   Suite.hr Format.std_formatter;
-  Format.printf "%-6s %12s %12s %10s %12s %8s@." "jobs" "cold-v/s" "warm-v/s"
-    "ratio" "warm-lowers" "shards";
+  Format.printf "%-6s %12s %12s %10s %12s@." "jobs" "cold-v/s" "warm-v/s"
+    "ratio" "warm-lowers";
   let cells =
     List.map
       (fun jobs ->
         let c = measure ~reqs jobs in
         check_cell c;
-        Format.printf "%-6d %12.1f %12.1f %9.1fx %12d %8d@." c.jobs c.cold.vps
+        Format.printf "%-6d %12.1f %12.1f %9.1fx %12d@." c.jobs c.cold.vps
           c.warm.vps (c.warm.vps /. Float.max c.cold.vps 1e-9)
-          c.warm.lowering_runs c.shards_used;
+          c.warm.lowering_runs;
         c)
       jobs_grid
   in
@@ -258,7 +246,6 @@ let run () =
                 ("digest_mismatches", Jsonw.int c.mismatches);
                 ( "warm_matches_cold",
                   Jsonw.Bool (c.cold.digests = c.warm.digests) );
-                ("shards_used", Jsonw.int c.shards_used);
               ]) );
         ( "population",
           Jsonw.Obj
@@ -273,7 +260,7 @@ let run () =
                          [ ("k", Jsonw.int k); ("gadgets", Jsonw.int count) ])
                      report.Population.at_least) );
             ] );
-        ("metrics", Suite.metrics ());
+        ("metrics", Metrics.dump ());
       ]
     ~wall_clock:
       [

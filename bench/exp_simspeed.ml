@@ -169,7 +169,7 @@ let run () =
                 ("instructions", Jsonw.Int r.Sim.instructions);
                 ("cycles", Jsonw.Float r.Sim.cycles);
               ]) );
-        ("metrics", Suite.metrics ());
+        ("metrics", Metrics.dump ());
       ]
     ~wall_clock:
       [

@@ -259,6 +259,6 @@ let run () =
         ("median_overhead_pct", Jsonw.Obj median_overhead);
         ( "median_sampling_overhead_pct",
           median (fun (_, _, sampling, _) -> sampling) );
-        ("metrics", Suite.metrics ());
+        ("metrics", Metrics.dump ());
       ]
     ()

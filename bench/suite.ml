@@ -89,25 +89,6 @@ let pct x = x *. 100.0
 
 let hr ppf = Format.fprintf ppf "%s@." (String.make 78 '-')
 
-(* The metrics registry for a report's deterministic section, without
-   names left at zero: a pool worker ships back only the counters and
-   histograms that changed, so a name registered but never incremented
-   exists after a serial run and not after a parallel one. *)
-let metrics () =
-  let recorded = function
-    | _, (Jsonw.Int 0L | Jsonw.Obj (("count", Jsonw.Int 0L) :: _)) -> false
-    | _ -> true
-  in
-  match Metrics.dump () with
-  | Jsonw.Obj sections ->
-      Jsonw.Obj
-        (List.map
-           (function
-             | k, Jsonw.Obj kvs -> (k, Jsonw.Obj (List.filter recorded kvs))
-             | kv -> kv)
-           sections)
-  | j -> j
-
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);

@@ -1146,15 +1146,7 @@ let serve_client_cmd =
                  errors@."
                 s.Sproto.requests s.Sproto.built_variants s.Sproto.shed
                 s.Sproto.errors;
-              List.iteri
-                (fun i (sh : Store.shard_stats) ->
-                  if sh.Store.entries > 0 || sh.Store.hits > 0 then
-                    Format.printf
-                      "  shard %2d: %d entries, %d hits, %d misses, %d \
-                       evictions@."
-                      i sh.Store.entries sh.Store.hits sh.Store.misses
-                      sh.Store.evicts)
-                s.Sproto.shards
+              Format.printf "  store: %d entries@." s.Sproto.store_entries
             end;
             if shutdown then
               try Sclient.shutdown fd with Failure msg -> die "%s" msg))

@@ -26,14 +26,14 @@ let ir_digest_of (irf : Ir.func) =
 
 (* Lower one optimized function to a relocatable object, reusing a
    stored artifact when the function's full provenance (IR digest ×
-   pipeline × object-format version; config "-"/seed 0 — lowering is
+   pipeline × object-format version — lowering is
    diversification-independent) has been lowered before.  Only a miss
    runs isel/liveness/regalloc/emit (and thus records machine-stage
    cctx stats and bumps the machine.<stage>.runs counters). *)
 let lower_func ~cctx ~descr (irf : Ir.func) =
   let ir_digest = ir_digest_of irf in
   let pipeline = Pipeline.descr_to_string descr in
-  Store.find_or_lower ~ir_digest ~pipeline ~config:"-" ~seed:0L (fun () ->
+  Memo.find_or_add Store.objects (Store.key ~ir_digest ~pipeline) (fun () ->
       let asm = Stages.func ~cctx irf in
       Objfile.of_asm ~ir_digest ~pipeline ~arity:(List.length irf.Ir.params)
         asm)
@@ -105,28 +105,22 @@ let compile ?(opt = Pipeline.O2) ?passes ?(verify_each = false) ~name src =
 (* ---- shared artifact caches (the evaluation harness recompiles each
    workload across many experiments; everything keys off cache_key) ---- *)
 
-let compile_cache : (string, compiled) Hashtbl.t = Hashtbl.create 32
-let profile_cache : (string, Profile.t) Hashtbl.t = Hashtbl.create 32
-let baseline_cache : (string, Link.image) Hashtbl.t = Hashtbl.create 32
+(* Every lookup lands in the metrics registry as a hit or a miss, so a
+   bench dump shows exactly how much recompilation the caches saved. *)
+let compile_cache : (string, compiled) Memo.t =
+  Memo.create ~metric:"driver.compile_cache" ()
+
+let profile_cache : (string, Profile.t) Memo.t =
+  Memo.create ~metric:"driver.profile_cache" ()
+
+let baseline_cache : (string, Link.image) Memo.t =
+  Memo.create ~metric:"driver.baseline_cache" ()
 
 let clear_caches ?(store = true) () =
-  Hashtbl.reset compile_cache;
-  Hashtbl.reset profile_cache;
-  Hashtbl.reset baseline_cache;
-  if store then Store.clear ()
-
-let memo ~metric tbl key build =
-  (* Every lookup lands in the metrics registry as a hit or a miss, so a
-     bench dump shows exactly how much recompilation the caches saved. *)
-  match Hashtbl.find_opt tbl key with
-  | Some v ->
-      Metrics.incr (Metrics.counter (metric ^ ".hit"));
-      v
-  | None ->
-      Metrics.incr (Metrics.counter (metric ^ ".miss"));
-      let v = build () in
-      Hashtbl.replace tbl key v;
-      v
+  Memo.clear compile_cache;
+  Memo.clear profile_cache;
+  Memo.clear baseline_cache;
+  if store then Memo.clear Store.objects
 
 let compile_cached ?(opt = Pipeline.O2) ?passes ?(verify_each = false) ~name
     src =
@@ -134,7 +128,7 @@ let compile_cached ?(opt = Pipeline.O2) ?passes ?(verify_each = false) ~name
     match passes with Some d -> d | None -> Pipeline.of_level opt
   in
   let key = cache_key_of ~descr ~verify_each ~name src in
-  memo ~metric:"driver.compile_cache" compile_cache key (fun () ->
+  Memo.find_or_add compile_cache key (fun () ->
       compile ~opt ?passes ~verify_each ~name src)
 
 let train c ~args =
@@ -149,8 +143,7 @@ let train_cached c ~args =
   let key =
     c.cache_key ^ "|" ^ String.concat "," (List.map Int32.to_string args)
   in
-  memo ~metric:"driver.profile_cache" profile_cache key (fun () ->
-      train c ~args)
+  Memo.find_or_add profile_cache key (fun () -> train c ~args)
 
 let link_baseline c =
   let image, dt =
@@ -173,8 +166,7 @@ let link_baseline c =
   image
 
 let link_baseline_cached c =
-  memo ~metric:"driver.baseline_cache" baseline_cache c.cache_key (fun () ->
-      link_baseline c)
+  Memo.find_or_add baseline_cache c.cache_key (fun () -> link_baseline c)
 
 let diversify_linked c ~config ~profile ~version =
   let cname = Config.name config in

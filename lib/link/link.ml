@@ -53,22 +53,16 @@ let layout_globals globals =
    relocatable objects, memoized per arity: every link of every variant
    composes the same undiversified runtime objects, exactly as the
    paper's binaries reuse the stock crt0/libc objects. *)
-let runtime_table : (int, Objfile.func_obj list) Hashtbl.t = Hashtbl.create 4
+let runtime_table : (int, Objfile.func_obj list) Memo.t = Memo.create ()
 
 let runtime_objects ~main_arity =
-  match Hashtbl.find_opt runtime_table main_arity with
-  | Some objs -> objs
-  | None ->
-      let objs =
-        List.map
-          (fun (f : Asm.func) ->
-            Objfile.of_asm
-              ~arity:(if f.Asm.name = Libc.start_symbol then main_arity else 0)
-              f)
-          (Libc.start ~main:"main" ~main_arity :: Libc.funcs)
-      in
-      Hashtbl.replace runtime_table main_arity objs;
-      objs
+  Memo.find_or_add runtime_table main_arity (fun () ->
+      List.map
+        (fun (f : Asm.func) ->
+          Objfile.of_asm
+            ~arity:(if f.Asm.name = Libc.start_symbol then main_arity else 0)
+            f)
+        (Libc.start ~main:"main" ~main_arity :: Libc.funcs))
 
 let link_objects ?expect_main_arity ?runtime ~objects ~globals () =
   let main_arity =

@@ -1,150 +1,12 @@
-(* Content-addressed function-artifact store.  Keys are the full
-   provenance of a lowered function; values are relocatable objects.
+(* Content-addressed function-artifact store: one bounded memo from the
+   full provenance of a lowered function to its relocatable object.  The
+   population/bench grids sweep many configs over the same 19 workloads,
+   so the working set must not grow with the number of experiment cells. *)
 
-   Sharded: keys hash onto [shard_count] independent shards, each with
-   its own table, LRU clock and mutex.  The population/bench grids sweep
-   many configs over the same 19 workloads and must hold the working set
-   without growing with the number of experiment cells (bounded LRU);
-   the serve daemon additionally hits the store from concurrent request
-   handlers, which must not serialize on one table or one lock — each
-   request's keys spread over the shards, and two handlers contend only
-   when their keys land on the same shard.
+let capacity = 8192
 
-   Eviction is per shard: the capacity is divided evenly and each shard
-   evicts its own least-recently-used entry at its own bound.  Shard
-   choice is a pure function of the key, so every run distributes (and
-   therefore evicts) identically — no artifact depends on timing. *)
+let objects : (string, Objfile.func_obj) Memo.t =
+  Memo.create ~capacity ~metric:"obj.store" ()
 
-let shard_count = 16
-let default_capacity = 8192
-
-type entry = { obj : Objfile.func_obj; mutable last_use : int }
-
-type shard = {
-  lock : Lock.t;
-  tbl : (string, entry) Hashtbl.t;
-  mutable tick : int;
-  (* plain per-shard tallies (not Metrics): the serve daemon's stats
-     endpoint reports them per shard without flooding the global
-     registry with [shard_count] counter names *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evicts : int;
-}
-
-let shards =
-  Array.init shard_count (fun _ ->
-      {
-        lock = Lock.create ();
-        tbl = Hashtbl.create 64;
-        tick = 0;
-        hits = 0;
-        misses = 0;
-        evicts = 0;
-      })
-
-(* Per-shard capacity: the store-wide bound divided evenly, rounded up
-   so the total never undershoots the requested capacity. *)
-let capacity = ref default_capacity
-let shard_capacity () = max 1 ((!capacity + shard_count - 1) / shard_count)
-
-let key ~ir_digest ~pipeline ~config ~seed =
-  Printf.sprintf "v%d|%s|%s|%s|%Ld" Objfile.format_version ir_digest pipeline
-    config seed
-
-let shard_of_key k = Hashtbl.hash k mod shard_count
-let shard_of k = shards.(shard_of_key k)
-
-let lookup k =
-  let s = shard_of k in
-  Lock.protect s.lock (fun () ->
-      s.tick <- s.tick + 1;
-      match Hashtbl.find_opt s.tbl k with
-      | Some e ->
-          e.last_use <- s.tick;
-          s.hits <- s.hits + 1;
-          Metrics.incr (Metrics.counter "obj.store.hit");
-          Some e.obj
-      | None ->
-          s.misses <- s.misses + 1;
-          Metrics.incr (Metrics.counter "obj.store.miss");
-          None)
-
-(* Caller holds the shard lock. *)
-let evict_lru s =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some (_, best) when best <= e.last_use -> acc
-        | _ -> Some (k, e.last_use))
-      s.tbl None
-  in
-  match victim with
-  | Some (k, _) ->
-      Hashtbl.remove s.tbl k;
-      s.evicts <- s.evicts + 1;
-      Metrics.incr (Metrics.counter "obj.store.evict")
-  | None -> ()
-
-let insert k obj =
-  let s = shard_of k in
-  Lock.protect s.lock (fun () ->
-      s.tick <- s.tick + 1;
-      if not (Hashtbl.mem s.tbl k) then begin
-        if Hashtbl.length s.tbl >= shard_capacity () then evict_lru s;
-        Hashtbl.replace s.tbl k { obj; last_use = s.tick }
-      end)
-
-let length () =
-  Array.fold_left
-    (fun n s -> n + Lock.protect s.lock (fun () -> Hashtbl.length s.tbl))
-    0 shards
-
-let set_capacity n =
-  if n < 1 then invalid_arg "Store.set_capacity";
-  capacity := n;
-  Array.iter
-    (fun s ->
-      Lock.protect s.lock (fun () ->
-          while Hashtbl.length s.tbl > shard_capacity () do
-            evict_lru s
-          done))
-    shards
-
-let get_capacity () = !capacity
-
-let clear () =
-  Array.iter
-    (fun s ->
-      Lock.protect s.lock (fun () ->
-          Hashtbl.reset s.tbl;
-          s.tick <- 0;
-          s.hits <- 0;
-          s.misses <- 0;
-          s.evicts <- 0))
-    shards
-
-type shard_stats = { entries : int; hits : int; misses : int; evicts : int }
-
-let stats () =
-  Array.to_list
-    (Array.map
-       (fun s ->
-         Lock.protect s.lock (fun () ->
-             {
-               entries = Hashtbl.length s.tbl;
-               hits = s.hits;
-               misses = s.misses;
-               evicts = s.evicts;
-             }))
-       shards)
-
-let find_or_lower ~ir_digest ~pipeline ~config ~seed lower =
-  let k = key ~ir_digest ~pipeline ~config ~seed in
-  match lookup k with
-  | Some o -> o
-  | None ->
-      let o = lower () in
-      insert k o;
-      o
+let key ~ir_digest ~pipeline =
+  Printf.sprintf "v%d|%s|%s" Objfile.format_version ir_digest pipeline

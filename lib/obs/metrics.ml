@@ -4,8 +4,9 @@ type histogram = { hname : string; mutable values : float list; mutable n : int 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 32
 
-(* Guards every registry mutation and consistent multi-value reads; see
-   Lock's doc comment for why the registry needs one. *)
+(* Guards every registry mutation and consistent multi-value reads.
+   Never contended: pool workers are forked processes with their
+   own registry (see Lock). *)
 let lock = Lock.create ()
 
 let counter name =
@@ -70,32 +71,32 @@ let snapshot () =
 let rec take n l =
   if n <= 0 then [] else match l with [] -> [] | x :: tl -> x :: take (n - 1) tl
 
+(* A name registered after [since] ships even at zero, so the parent's
+   registry ends up with the same names as a serial run. *)
 let delta ~since =
   Lock.protect lock (fun () ->
       let base_c = since.s_counters and base_h = since.s_histograms in
       let s_counters =
         Hashtbl.fold
           (fun k c acc ->
-            let base =
-              Option.value (List.assoc_opt k base_c) ~default:0L
-            in
-            let d = Int64.sub c.count base in
-            if Int64.equal d 0L then acc else (k, d) :: acc)
+            match List.assoc_opt k base_c with
+            | None -> (k, c.count) :: acc
+            | Some base ->
+                let d = Int64.sub c.count base in
+                if Int64.equal d 0L then acc else (k, d) :: acc)
           counters []
       in
       let s_histograms =
         Hashtbl.fold
           (fun k h acc ->
-            let base_n =
-              match List.assoc_opt k base_h with
-              | Some vs -> List.length vs
-              | None -> 0
-            in
-            (* New observations are exactly the prefix the base has not
-               seen (prepend-only list, no reset in between). *)
-            match take (h.n - base_n) h.values with
-            | [] -> acc
-            | fresh -> (k, fresh) :: acc)
+            match List.assoc_opt k base_h with
+            | None -> (k, h.values) :: acc
+            | Some vs -> (
+                (* New observations are exactly the prefix the base has
+                   not seen (prepend-only list, no reset in between). *)
+                match take (h.n - List.length vs) h.values with
+                | [] -> acc
+                | fresh -> (k, fresh) :: acc))
           histograms []
       in
       { s_counters; s_histograms })

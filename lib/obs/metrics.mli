@@ -4,8 +4,7 @@
     misses, simulator faults and cache misses, NOP bytes per
     configuration) register by name on first use and accumulate for the
     life of the process; {!dump_json} is the single machine-readable sink
-    — the bench suite writes it into [BENCH_PR2.json], the
-    perf-trajectory record every future PR appends to.
+    — the bench suite writes it into its reports.
 
     Names are dotted paths ([driver.compile_cache.hit],
     [sim.icache_misses]).  Output is sorted by name, so dumps are stable
@@ -56,9 +55,10 @@ val snapshot : unit -> snapshot
     copied. *)
 
 val delta : since:snapshot -> snapshot
-(** Everything recorded after [since] was taken: counter increments and
-    fresh histogram observations.  Only valid if {!reset} has not run in
-    between. *)
+(** Everything recorded after [since] was taken: counter increments,
+    fresh histogram observations, and every name first registered after
+    [since], even one still at zero.  Only valid if {!reset} has not run
+    in between. *)
 
 val merge : snapshot -> unit
 (** Add a (delta) snapshot into the registry: counters by addition,

@@ -17,10 +17,11 @@ let t0 = ref 0.0
 let events : event list ref = ref []  (* reverse chronological *)
 let n_events = ref 0
 
-(* Guards the collected-event buffer against concurrent recorders (see
-   Lock).  [on]/[t0] are read unlocked: a
-   racy read of [on] only means a span near the enable/disable edge may
-   be kept or dropped, which start/stop semantics allow anyway. *)
+(* Guards the collected-event buffer.  Never contended: pool
+   workers are forked processes with their own buffer (see Lock).
+   [on]/[t0] are read unlocked: were a recorder ever to race an
+   enable/disable, a span near the edge would be kept or dropped, which
+   start/stop semantics allow anyway. *)
 let lock = Lock.create ()
 
 let enabled () = !on

@@ -71,7 +71,7 @@ let shutdown fd =
 (* ---- seeded request traces ---- *)
 
 (* A trace request re-visits version windows on purpose: revisits are
-   where warm-path bugs (stale cache keys, shard eviction races) would
+   where warm-path bugs (stale cache keys, eviction) would
    show up, and they are what a production rotation actually does. *)
 let trace ~seed ~workloads ~config ~requests ~versions_per_request
     ~version_space ~want_images =

@@ -1,6 +1,6 @@
 (* The variant-serving daemon: diversity as a service.
 
-   One process owns the warm artifact state — the sharded
+   One process owns the warm artifact state — the
    content-addressed `Store`, the driver's program-level memos, trained
    profiles — and serves freshly-seeded variant images over a Unix or
    TCP socket.  The event loop is deliberately simple and deterministic:
@@ -123,7 +123,7 @@ let stats_reply ~id : Sproto.response =
       built_variants = counter_value "serve.built_variants";
       shed = counter_value "serve.shed";
       errors = counter_value "serve.errors";
-      shards = Store.stats ();
+      store_entries = Memo.length Store.objects;
       metrics_json = Metrics.dump_json ();
     }
 

@@ -1,6 +1,6 @@
 (** The variant-serving daemon.
 
-    One long-running process owns the warm lowering state — the sharded
+    One long-running process owns the warm lowering state — the
     content-addressed {!Store}, the driver's program-level memos, the
     trained profiles — and answers {!Sproto.Build} requests with
     freshly-seeded variant images.  Requests are admitted into a

@@ -18,7 +18,7 @@
    rejected at four bytes, not after swallowing it. *)
 
 let magic = "PSDSRV"
-let version = 1
+let version = 2
 
 (* Images for a whole population request fit comfortably; anything
    bigger than this is a protocol violation, not a workload. *)
@@ -62,7 +62,7 @@ type stats = {
   built_variants : int64;
   shed : int64;
   errors : int64;
-  shards : Store.shard_stats list;
+  store_entries : int;
   metrics_json : string;
 }
 

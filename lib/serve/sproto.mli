@@ -13,6 +13,8 @@
 
 val magic : string
 val version : int
+(** Bumped whenever a marshalled message changes shape, so a skewed
+    peer fails with the version error instead of misreading a record. *)
 
 val default_max_frame : int
 (** 64 MiB — far above any real population response, far below a
@@ -56,7 +58,7 @@ type stats = {
   built_variants : int64;
   shed : int64;
   errors : int64;
-  shards : Store.shard_stats list;
+  store_entries : int;  (** artifacts in the daemon's {!Store} *)
   metrics_json : string;
 }
 

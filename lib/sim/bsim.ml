@@ -542,7 +542,6 @@ type cache = {
   tag1 : int array;
   line2 : int array; (* line of the last byte iff it differs, else -1 *)
   tag2 : int array;
-  mutable last_use : int; (* LRU clock for the global cache *)
 }
 
 let dummy_op : st -> unit = fun _ -> assert false
@@ -619,46 +618,19 @@ let build (image : Link.image) (model : Timing.model) : cache =
     tag1;
     line2;
     tag2;
-    last_use = 0;
   }
 
-(* The global cache, keyed on (text digest, timing model) and guarded by
-   a lock so the opt-in domain pool backend shares it safely.  No
-   metrics are emitted here on purpose: hit/miss totals depend on which
-   worker process ran which task, and the perf gate byte-compares merged
-   telemetry across -j levels. *)
-
-let cache_capacity = 32
-let cache_lock = Lock.create ()
-let caches : (string * Timing.model, cache) Hashtbl.t = Hashtbl.create 16
-let cache_tick = ref 0
+(* The global cache, keyed on (text digest, timing model) and bounded
+   to the 32 most recently used images.  No metrics are emitted here on
+   purpose: hit/miss totals depend on which worker process ran which
+   task, and the perf gate byte-compares merged telemetry across -j
+   levels. *)
+let caches : (string * Timing.model, cache) Memo.t =
+  Memo.create ~capacity:32 ()
 
 let cache_for (image : Link.image) (model : Timing.model) : cache =
-  let key = (Digest.string image.text, model) in
-  Lock.protect cache_lock (fun () ->
-      incr cache_tick;
-      match Hashtbl.find_opt caches key with
-      | Some c ->
-          c.last_use <- !cache_tick;
-          c
-      | None ->
-          let c = build image model in
-          c.last_use <- !cache_tick;
-          if Hashtbl.length caches >= cache_capacity then begin
-            let victim =
-              Hashtbl.fold
-                (fun k c acc ->
-                  match acc with
-                  | Some (_, best) when best.last_use <= c.last_use -> acc
-                  | _ -> Some (k, c))
-                caches None
-            in
-            match victim with
-            | Some (k, _) -> Hashtbl.remove caches k
-            | None -> ()
-          end;
-          Hashtbl.add caches key c;
-          c)
+  Memo.find_or_add caches (Digest.string image.text, model) (fun () ->
+      build image model)
 
 let decoded c = c.decoded
 

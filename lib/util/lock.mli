@@ -1,11 +1,12 @@
 (** A plain mutual-exclusion lock.
 
-    The observability registries ({!Metrics}, {!Trace}) are global mutable
-    state, so every mutation goes through one of these: any caller that
-    records from several domains or threads at once stays safe.  The
-    worker pool forks processes, so today the lock is never contended;
-    its uncontended cost is a few nanoseconds, far below the cost of the
-    instrumented operations themselves. *)
+    The process-wide registries and caches ({!Metrics}, {!Trace},
+    {!Memo}) are global mutable state, and every mutation goes through
+    one of these.  Nothing in the toolchain shares them between threads:
+    the worker pool forks processes, each with its own copy, and the
+    serve daemon is a single-threaded select loop.  So the lock is never
+    contended, and its uncontended cost is a few nanoseconds, far below
+    the cost of the operations it guards. *)
 
 type t
 

@@ -88,8 +88,8 @@ let () =
         ( "store",
           Jsonw.Obj
             [
-              ("entries", Jsonw.int (Store.length ()));
-              ("capacity", Jsonw.int (Store.get_capacity ()));
+              ("entries", Jsonw.int (Memo.length Store.objects));
+              ("capacity", Jsonw.int Store.capacity);
               ("hit_total", Jsonw.Int (counter "obj.store.hit"));
               ("miss_total", Jsonw.Int (counter "obj.store.miss"));
               ("evict_total", Jsonw.Int (counter "obj.store.evict"));

@@ -248,65 +248,41 @@ let test_perturb_one_function_relowers_one () =
     (Int64.to_int (Int64.sub (counter "obj.store.hit") hits0))
 
 let test_store_eviction () =
-  let saved = Store.get_capacity () in
+  let store = Store.objects in
   Fun.protect
     ~finally:(fun () ->
-      Store.set_capacity saved;
-      Store.clear ())
+      Memo.set_capacity store Store.capacity;
+      Memo.clear store)
     (fun () ->
-      Store.clear ();
-      (* Eviction is per shard, so pin the LRU behaviour on keys that
-         provably share a shard: capacity = 2 entries per shard, three
-         same-shard keys, the least recently *used* one must go. *)
-      Store.set_capacity (2 * Store.shard_count);
-      let key sym =
-        Store.key ~ir_digest:sym ~pipeline:"-" ~config:"-" ~seed:0L
-      in
-      let same_shard =
-        let target = Store.shard_of_key (key "s0") in
-        let rec collect acc i =
-          if List.length acc = 3 then List.rev acc
-          else
-            let sym = Printf.sprintf "s%d" i in
-            collect
-              (if Store.shard_of_key (key sym) = target then sym :: acc
-               else acc)
-              (i + 1)
-        in
-        collect [] 0
-      in
-      let a, b, c =
-        match same_shard with
-        | [ a; b; c ] -> (a, b, c)
-        | _ -> assert false
-      in
+      Memo.clear store;
+      (* Capacity 2, three keys: the least recently *used* one must go. *)
+      Memo.set_capacity store 2;
+      let key sym = Store.key ~ir_digest:sym ~pipeline:"-" in
       let dummy sym =
         Objfile.of_asm ~arity:0
           { Asm.name = sym; items = [ Asm.Label 0; Asm.Ins Insn.Ret ] }
       in
       let put sym =
-        ignore
-          (Store.find_or_lower ~ir_digest:sym ~pipeline:"-" ~config:"-"
-             ~seed:0L (fun () -> dummy sym))
+        ignore (Memo.find_or_add store (key sym) (fun () -> dummy sym))
       in
       let ev0 = counter "obj.store.evict" in
-      put a;
-      put b;
-      ignore (Store.lookup (key a)) (* touch a: b becomes the shard's LRU *);
-      put c;
-      Alcotest.(check int) "shard bounded at its capacity" 2 (Store.length ());
+      put "a";
+      put "b";
+      ignore (Memo.find store (key "a")) (* touch a: b becomes the LRU *);
+      put "c";
+      Alcotest.(check int) "bounded at its capacity" 2 (Memo.length store);
       Alcotest.(check int)
         "one eviction counted" 1
         (Int64.to_int (Int64.sub (counter "obj.store.evict") ev0));
       Alcotest.(check bool)
         "LRU victim gone" true
-        (Store.lookup (key b) = None);
+        (Memo.find store (key "b") = None);
       Alcotest.(check bool)
         "recently-used entry kept" true
-        (Store.lookup (key a) <> None);
+        (Memo.find store (key "a") <> None);
       Alcotest.(check bool)
         "newest entry kept" true
-        (Store.lookup (key c) <> None))
+        (Memo.find store (key "c") <> None))
 
 (* ---------------- equivalence suite ---------------- *)
 

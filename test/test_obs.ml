@@ -1,5 +1,5 @@
 (* Observability-layer tests: the monotonic clock, the tracer, the
-   metrics registry, and — the load-bearing property — that runtime
+   metrics registry, the memo table, and — the load-bearing property — that runtime
    profiles are a lossless decomposition of the simulator's whole-run
    counters (per-function sums equal Sim.result totals, per-block sums
    equal per-function totals) across workloads and configurations.  All
@@ -108,6 +108,91 @@ let test_driver_cache_metrics () =
     (Metrics.counter_value (Metrics.counter "driver.compile_cache.miss"));
   Alcotest.(check int64) "two hits" 2L
     (Metrics.counter_value (Metrics.counter "driver.compile_cache.hit"))
+
+let test_pool_ships_zero_registrations () =
+  (* Tasks that register a counter and a histogram but record nothing
+     leave the same registry under a two-worker pool as in-process. *)
+  let tasks =
+    List.init 4 (fun i () ->
+        ignore (Metrics.counter "obs.test.zero_counter");
+        ignore (Metrics.histogram "obs.test.zero_hist");
+        i)
+  in
+  let dump_under jobs =
+    Metrics.reset ();
+    List.iter
+      (function Pool.Done _ -> () | _ -> Alcotest.fail "task failed")
+      (Pool.run ~jobs tasks);
+    Metrics.dump_json ()
+  in
+  (* Parallel first: a serial run registers the names in this process
+     and would hide a worker that fails to ship them. *)
+  let parallel = dump_under (Pool.Jobs 2) in
+  let serial = dump_under (Pool.Jobs 1) in
+  Metrics.reset ();
+  Alcotest.(check string) "-j 2 registry equals serial" serial parallel
+
+(* ------------------------------------------------------------------ *)
+(* Memo. *)
+
+let registered name =
+  match Metrics.dump () with
+  | Jsonw.Obj sections -> (
+      match List.assoc_opt "counters" sections with
+      | Some (Jsonw.Obj kvs) -> List.mem_assoc name kvs
+      | _ -> false)
+  | _ -> false
+
+let test_memo_bounded_lru () =
+  let m = Memo.create ~capacity:2 ~metric:"obs.test.memo_lru" () in
+  let add k = ignore (Memo.find_or_add m k (fun () -> k * 10)) in
+  add 1;
+  add 2;
+  ignore (Memo.find m 1) (* touch 1: 2 becomes the LRU *);
+  add 3;
+  Alcotest.(check int) "bounded at capacity" 2 (Memo.length m);
+  Alcotest.(check (option int)) "LRU evicted" None (Memo.find m 2);
+  Alcotest.(check (option int)) "touched key kept" (Some 10) (Memo.find m 1);
+  Alcotest.(check (option int)) "newest kept" (Some 30) (Memo.find m 3);
+  Alcotest.(check int64) "one eviction counted" 1L
+    (Metrics.counter_value (Metrics.counter "obs.test.memo_lru.evict"))
+
+let test_memo_unbounded () =
+  let m = Memo.create ~metric:"obs.test.memo_unbounded" () in
+  for k = 1 to 1000 do
+    ignore (Memo.find_or_add m k (fun () -> -k))
+  done;
+  Alcotest.(check int) "nothing evicted" 1000 (Memo.length m);
+  Alcotest.(check (option int)) "first key kept" (Some (-1)) (Memo.find m 1);
+  Alcotest.(check bool) "misses counted" true
+    (registered "obs.test.memo_unbounded.miss");
+  Alcotest.(check bool) "no evict name registered" false
+    (registered "obs.test.memo_unbounded.evict")
+
+let test_memo_raising_thunk () =
+  let m = Memo.create () in
+  (match Memo.find_or_add m "k" (fun () -> failwith "boom") with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "the thunk's exception must propagate");
+  Alcotest.(check int) "no entry left" 0 (Memo.length m);
+  Alcotest.(check int) "a later call computes" 7
+    (Memo.find_or_add m "k" (fun () -> 7));
+  (* The thunk runs outside the lock, so it may use the table itself. *)
+  Alcotest.(check int) "re-entrant thunk" 8
+    (Memo.find_or_add m "j" (fun () ->
+         Memo.find_or_add m "k" (fun () -> 0) + 1))
+
+let test_memo_clear () =
+  let m = Memo.create ~capacity:4 () in
+  let runs = ref 0 in
+  let get k = Memo.find_or_add m k (fun () -> incr runs; k) in
+  ignore (get 1);
+  ignore (get 2);
+  Memo.clear m;
+  Alcotest.(check int) "empty after clear" 0 (Memo.length m);
+  Alcotest.(check (option int)) "entry gone" None (Memo.find m 1);
+  ignore (get 1);
+  Alcotest.(check int) "recomputed after clear" 3 !runs
 
 (* ------------------------------------------------------------------ *)
 (* JSON sinks round-trip through the independent parser. *)
@@ -226,6 +311,14 @@ let suite =
           test_metrics_counters;
         Alcotest.test_case "driver cache hit/miss metrics" `Quick
           test_driver_cache_metrics;
+        Alcotest.test_case "pool ships zero-valued registrations" `Quick
+          test_pool_ships_zero_registrations;
+        Alcotest.test_case "memo bounded LRU" `Quick test_memo_bounded_lru;
+        Alcotest.test_case "memo unbounded never evicts" `Quick
+          test_memo_unbounded;
+        Alcotest.test_case "memo raising thunk leaves no entry" `Quick
+          test_memo_raising_thunk;
+        Alcotest.test_case "memo clear" `Quick test_memo_clear;
         Alcotest.test_case "Cctx.to_json is well-formed" `Quick
           test_cctx_json_well_formed;
         Alcotest.test_case "runtime profile sums (workloads x configs)" `Slow

@@ -341,7 +341,7 @@ let test_custom_pipeline_matches_o2 () =
 let test_pass_stats_accounting () =
   (* Per-stage stats record work actually performed, so a function served
      by the artifact store leaves no machine rows — compile cold. *)
-  Store.clear ();
+  Memo.clear Store.objects;
   let c = Driver.compile ~name:"stats-test" opt_demo_src in
   let stats = Cctx.stats c.Driver.cctx in
   let ir_stats =

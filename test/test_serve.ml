@@ -59,6 +59,16 @@ let test_error_taxonomy () =
    Bytes.set skewed 6 '\xEE';
    check_fails ~matching:"version" "version skew" (fun () ->
        Sproto.request_of_frame ~src:"peer" (Bytes.to_string skewed)));
+  (* A peer one protocol version behind: its frame is well-formed and
+     digest-clean, and must still fail on the version alone. *)
+  (let v1 =
+     Frame.to_string ~magic:Sproto.magic ~version:(Sproto.version - 1)
+       ~payload:(Marshal.to_string sample_request [])
+   in
+   check_fails
+     ~matching:(Printf.sprintf "version %d," (Sproto.version - 1))
+     "previous protocol version" (fun () ->
+       Sproto.request_of_frame ~src:"peer" v1));
   (let corrupt = Bytes.of_string good in
    let mid = 10 + ((Bytes.length corrupt - 10) / 2) in
    Bytes.set corrupt mid
