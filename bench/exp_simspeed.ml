@@ -10,6 +10,13 @@
    geometric mean across workloads, which the CI perf gate floors (the
    wall_clock.geomean_speedup row of test/perf_baseline.json).
 
+   The same rows time the IR interpreter ([Interp.run], the engine behind
+   every training run) on the same ref input, after checking that its
+   return value and output equal the simulator's.  IR wall time over
+   block-engine wall time, geometric mean across workloads, is
+   wall_clock.ir_over_block_geomean; the perf gate caps it at 1.0, so
+   training cannot fall back to tree-walker speed (about 2.7) unnoticed.
+
    Timing is always serial — one run at a time in the parent process,
    whatever --jobs says — because concurrent workers sharing cores would
    corrupt the wall-clock readings.  The identity checks don't care, but
@@ -28,10 +35,13 @@ let runs = 3
 let scaled_name = "470.lbm"
 let scaled_args = [ 71l; 500l ]
 
-let time_once ~engine image ~args =
+let time f =
   let t0 = Unix.gettimeofday () in
-  let r = Driver.run_image ~engine image ~args in
+  let r = f () in
   (r, Unix.gettimeofday () -. t0)
+
+let time_once ~engine image ~args =
+  time (fun () -> Driver.run_image ~engine image ~args)
 
 let check_identical ~what (i : Sim.result) (b : Sim.result) =
   let fail fmt =
@@ -58,11 +68,25 @@ let check_identical ~what (i : Sim.result) (b : Sim.result) =
 type row = {
   name : string;
   instructions : int64;
+  ir_steps : int64;
   interp_s : float;
   block_s : float;
+  ir_s : float;
   speedup : float;
+  ir_over_block : float;
   block_minsn_s : float;  (* block engine throughput, M insns/s *)
 }
+
+let time_ir (p : Suite.prepared) ~args =
+  time (fun () -> Driver.run_ir p.Suite.compiled ~args)
+
+let check_ir ~what (ir : Interp.result) (b : Sim.result) =
+  if ir.Interp.ret <> b.Sim.status then
+    failwith
+      (Printf.sprintf "sim-speedup: %s: IR status %ld, simulator %ld" what
+         ir.Interp.ret b.Sim.status);
+  if ir.Interp.output <> b.Sim.output then
+    failwith (Printf.sprintf "sim-speedup: %s: IR output differs" what)
 
 let measure_row (p : Suite.prepared) =
   let w = p.Suite.workload in
@@ -76,19 +100,26 @@ let measure_row (p : Suite.prepared) =
       let ri, _ = time_once ~engine:Sim.Interp p.Suite.baseline ~args in
       let rb, _ = time_once ~engine:Sim.Block p.Suite.baseline ~args in
       check_identical ~what:w.Workload.name ri rb;
+      let rir, _ = time_ir p ~args in
+      check_ir ~what:w.Workload.name rir rb;
+      let median_of run =
+        Stats.median (List.init runs (fun _ -> snd (run ())))
+      in
       let timed engine =
-        Stats.median
-          (List.init runs (fun _ ->
-               snd (time_once ~engine p.Suite.baseline ~args)))
+        median_of (fun () -> time_once ~engine p.Suite.baseline ~args)
       in
       let interp_s = timed Sim.Interp in
       let block_s = timed Sim.Block in
+      let ir_s = median_of (fun () -> time_ir p ~args) in
       {
         name = w.Workload.name;
         instructions = ri.Sim.instructions;
+        ir_steps = rir.Interp.steps;
         interp_s;
         block_s;
+        ir_s;
         speedup = interp_s /. block_s;
+        ir_over_block = ir_s /. block_s;
         block_minsn_s = Int64.to_float rb.Sim.instructions /. block_s /. 1e6;
       })
 
@@ -111,16 +142,16 @@ let run () =
     runs;
   Suite.hr Format.std_formatter;
   let prepared = List.map Suite.prepared (Suite.workloads ()) in
-  Format.printf "%-16s %12s %10s %10s %8s %10s@." "workload" "insns"
-    "interp-s" "block-s" "speedup" "Minsn/s";
+  Format.printf "%-16s %12s %10s %10s %8s %10s %10s %8s@." "workload" "insns"
+    "interp-s" "block-s" "speedup" "Minsn/s" "ir-s" "ir/block";
   let rows =
     List.filter_map
       (fun p ->
         match measure_row p with
         | row ->
-            Format.printf "%-16s %12Ld %10.3f %10.4f %7.1fx %10.1f@." row.name
-              row.instructions row.interp_s row.block_s row.speedup
-              row.block_minsn_s;
+            Format.printf "%-16s %12Ld %10.3f %10.4f %7.1fx %10.1f %10.4f %8.2f@."
+              row.name row.instructions row.interp_s row.block_s row.speedup
+              row.block_minsn_s row.ir_s row.ir_over_block;
             Some row
         | exception e ->
             Suite.record_failure
@@ -131,7 +162,11 @@ let run () =
   in
   Suite.hr Format.std_formatter;
   let geomean = Stats.geomean_ratio (List.map (fun r -> r.speedup) rows) in
-  Format.printf "%-16s %52.1fx@." "Geometric Mean" geomean;
+  let ir_over_block =
+    Stats.geomean_ratio (List.map (fun r -> r.ir_over_block) rows)
+  in
+  Format.printf "%-16s %52.1fx %20.2f@." "Geometric Mean" geomean
+    ir_over_block;
   let scaled = run_scaled () in
   (match scaled with
   | None -> Format.printf "(scaled run skipped: %s not selected)@." scaled_name
@@ -157,7 +192,10 @@ let run () =
         ("runs_per_engine", Jsonw.int runs);
         ( "workloads",
           per_workload (fun row ->
-              [ ("instructions", Jsonw.Int row.instructions) ]) );
+              [
+                ("instructions", Jsonw.Int row.instructions);
+                ("ir_steps", Jsonw.Int row.ir_steps);
+              ]) );
         ( "scaled",
           scaled_json (fun (r, _) ->
               [
@@ -180,8 +218,11 @@ let run () =
                 ("block_wall_s", Jsonw.Float row.block_s);
                 ("speedup", Jsonw.Float row.speedup);
                 ("block_minsn_per_s", Jsonw.Float row.block_minsn_s);
+                ("ir_wall_s", Jsonw.Float row.ir_s);
+                ("ir_over_block", Jsonw.Float row.ir_over_block);
               ]) );
         ("geomean_speedup", Jsonw.Float geomean);
+        ("ir_over_block_geomean", Jsonw.Float ir_over_block);
         ( "scaled",
           scaled_json (fun (_, wall) ->
               [

@@ -14,8 +14,23 @@
     be 4-aligned.  This mirrors the machine backend's layout exactly —
     same global addresses, same bounds, same argv contents — so address
     arithmetic, and in particular which accesses trap, behaves
-    identically (see the trap-parity notes in DESIGN.md). *)
+    identically (see the trap-parity notes in DESIGN.md).
 
+    Execution model: each {!run} first compiles the module — every
+    function to an array of blocks, every label to a block index, every
+    callee to a function record or a builtin, every global and stack
+    slot to its address — and every instruction and terminator to a
+    closure over the frame's temps.  Temps and memory words are native
+    [int]s in sign-extended 32-bit form; memory pages are allocated on
+    first store.  Steps are counted and checked against the fuel one
+    instruction (or terminator) at a time, never per block, so a trap —
+    also one raised in a callee mid-block — fires after exactly the step
+    a plain statement-by-statement reading of the IR reaches. *)
+
+(** Execution counts.  They are kept in plain counters during the run
+    and copied into these tables once, when it ends (normally or through
+    [exit]); only non-zero counts appear, and the tables' iteration order
+    is unspecified. *)
 type counts = {
   blocks : (string * Ir.label, int64) Hashtbl.t;
       (** executions of each basic block, keyed by (function, label) *)
@@ -44,7 +59,8 @@ val run :
   ?fuel:int64 -> ?mem_words:int -> Ir.modul -> entry:string ->
   args:int32 list -> result
 (** [run m ~entry ~args] executes [entry] with [args].  [fuel] bounds the
-    step count (default [2^40]); exceeding it raises {!Trap}.
+    step count (default [2^40]); exceeding it raises {!Trap}.  A [fuel]
+    above [max_int] is clamped to [max_int] (in effect unbounded).
     [mem_words] sizes the address space (default 1 Mi words = 4 MiB).
     Raises [Invalid_argument] if [args] exceeds {!argv_words} (the
     simulator rejects the same programs). *)

@@ -3,9 +3,14 @@ type t = { counts : (string * Ir.label, int64) Hashtbl.t }
 let empty = { counts = Hashtbl.create 1 }
 let of_block_counts counts = { counts = Hashtbl.copy counts }
 
+(* The interpreter builds a fresh table per run; the profile takes it
+   over instead of copying it. *)
 let collect ?fuel m ~entry ~args =
-  let r = Interp.run ?fuel m ~entry ~args in
-  of_block_counts r.Interp.counts.blocks
+  { counts = (Interp.run ?fuel m ~entry ~args).Interp.counts.blocks }
+
+let add counts k v =
+  let old = Option.value (Hashtbl.find_opt counts k) ~default:0L in
+  Hashtbl.replace counts k (Int64.add old v)
 
 let merge ?(weight = 1.0) a b =
   if weight < 0.0 then invalid_arg "Profile.merge: negative weight";
@@ -17,18 +22,18 @@ let merge ?(weight = 1.0) a b =
   Hashtbl.iter
     (fun k v ->
       let v = scale v in
-      if Int64.compare v 0L > 0 then
-        let old = Option.value (Hashtbl.find_opt counts k) ~default:0L in
-        Hashtbl.replace counts k (Int64.add old v))
+      if Int64.compare v 0L > 0 then add counts k v)
     b.counts;
   { counts }
 
 let fold f t acc = Hashtbl.fold (fun k v acc -> f k v acc) t.counts acc
 
 let collect_many ?fuel m ~entry ~args_list =
-  List.fold_left
-    (fun acc args -> merge acc (collect ?fuel m ~entry ~args))
-    empty args_list
+  let counts = Hashtbl.create 64 in
+  List.iter
+    (fun args -> Hashtbl.iter (add counts) (collect ?fuel m ~entry ~args).counts)
+    args_list;
+  { counts }
 
 let block_count t ~func label =
   Option.value (Hashtbl.find_opt t.counts (func, label)) ~default:0L

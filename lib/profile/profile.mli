@@ -11,6 +11,7 @@ type t
 
 val empty : t
 val of_block_counts : (string * Ir.label, int64) Hashtbl.t -> t
+(** A profile of a copy of the table; the caller keeps the original. *)
 
 val collect :
   ?fuel:int64 -> Ir.modul -> entry:string -> args:int32 list -> t

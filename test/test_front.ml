@@ -257,6 +257,173 @@ let test_fuel () =
   | exception Interp.Trap _ -> ()
   | _ -> Alcotest.fail "expected fuel exhaustion"
 
+(* Exact trap messages and edge semantics of the interpreter. *)
+
+let trap_msg ?fuel ?(args = []) m =
+  match Interp.run ?fuel m ~entry:"main" ~args with
+  | exception Interp.Trap msg -> msg
+  | _ -> Alcotest.fail "expected a trap"
+
+let check_trap msg expected ?fuel ?args m =
+  Alcotest.(check string) msg expected (trap_msg ?fuel ?args m)
+
+let test_fuel_exact () =
+  let spin = Minic.compile_exn "int main() { while (1) { } return 0; }" in
+  check_trap "fuel message" "fuel exhausted after 1001 steps" ~fuel:1000L spin;
+  let sum =
+    Minic.compile_exn
+      "int main(int n) { int s = 0; while (n > 0) { s = s + n; n = n - 1; } \
+       return s; }"
+  in
+  let r = Interp.run sum ~entry:"main" ~args:[ 6l ] in
+  let r' = Interp.run ~fuel:Int64.max_int sum ~entry:"main" ~args:[ 6l ] in
+  Alcotest.(check int32) "max fuel runs" 21l r'.Interp.ret;
+  Alcotest.(check int64) "max fuel: same steps" r.Interp.steps r'.Interp.steps
+
+let test_division_traps () =
+  let m = Minic.compile_exn "int main(int a, int b) { return a / b; }" in
+  check_trap "x/0" "division error in main (7 div 0)" ~args:[ 7l; 0l ] m;
+  check_trap "INT_MIN/-1" "division error in main (-2147483648 div -1)"
+    ~args:[ Int32.min_int; -1l ] m;
+  let m = Minic.compile_exn "int main(int a, int b) { return a % b; }" in
+  check_trap "x%0" "division error in main (-5 rem 0)" ~args:[ -5l; 0l ] m;
+  check_trap "INT_MIN%-1" "division error in main (-2147483648 rem -1)"
+    ~args:[ Int32.min_int; -1l ] m
+
+(* Shift counts are masked to 5 bits; the count comes from an argument
+   so constant folding cannot decide it. *)
+let test_shift_masking () =
+  let shl = Minic.compile_exn "int main(int a, int n) { return a << n; }" in
+  let sar = Minic.compile_exn "int main(int a, int n) { return a >> n; }" in
+  List.iter
+    (fun (n, masked) ->
+      let ret m a =
+        (Interp.run m ~entry:"main" ~args:[ a; n ]).Interp.ret
+      in
+      Alcotest.(check int32)
+        (Printf.sprintf "3 << %ld" n)
+        (Int32.shift_left 3l masked) (ret shl 3l);
+      Alcotest.(check int32)
+        (Printf.sprintf "-256 >> %ld" n)
+        (Int32.shift_right (-256l) masked)
+        (ret sar (-256l)))
+    [ (32l, 0); (33l, 1); (-1l, 31) ]
+
+let test_call_depth () =
+  check_trap "depth" "call stack overflow in f"
+    (Minic.compile_exn
+       "int f(int n) { return f(n + 1); } int main() { return f(0); }")
+
+(* Hand-built modules: the frontend rejects these calls. *)
+let call_module ?(callee = []) name nargs =
+  let b = Builder.create ~name:"main" ~n_params:0 in
+  Builder.emit b (Ir.Call (None, name, List.init nargs (fun i -> Ir.Const (Int32.of_int i))));
+  Builder.terminate b (Ir.Ret (Some (Ir.Const 0l)));
+  { Ir.funcs = Builder.finish b :: callee; globals = [] }
+
+let test_call_traps () =
+  check_trap "unknown builtin" "unknown builtin nope/1" (call_module "nope" 1);
+  check_trap "builtin arity" "unknown builtin print_int/2"
+    (call_module "print_int" 2);
+  let f =
+    let b = Builder.create ~name:"f" ~n_params:1 in
+    Builder.terminate b (Ir.Ret (Some (Ir.Temp 0)));
+    Builder.finish b
+  in
+  check_trap "arity" "f called with 2 args (expected 1)"
+    (call_module ~callee:[ f ] "f" 2)
+
+let test_exit_counts () =
+  let r =
+    run
+      {|
+      int main() {
+        for (int i = 0; i < 10; i = i + 1) {
+          print_int(i);
+          if (i == 2) exit(40 + i);
+        }
+        return 0;
+      }
+      |}
+  in
+  Alcotest.(check int32) "exit code" 42l r.Interp.ret;
+  Alcotest.(check string) "output so far" "0\n1\n2\n" r.Interp.output;
+  let calls name =
+    Option.value (Hashtbl.find_opt r.Interp.counts.calls name) ~default:0L
+  in
+  Alcotest.(check (list int64)) "calls so far" [ 1L; 3L; 1L ]
+    (List.map calls [ "main"; "print_int"; "exit" ]);
+  Alcotest.(check bool) "blocks counted" true
+    (Hashtbl.fold (fun _ v acc -> acc || v = 3L) r.Interp.counts.blocks false);
+  Alcotest.(check bool) "edges counted" true
+    (Hashtbl.length r.Interp.counts.edges > 0)
+
+let edge_operands = [ 0l; 1l; -1l; Int32.min_int; Int32.max_int ]
+
+let binops = Ir.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr; Sar ]
+let relops = Ir.[ Eq; Ne; Lt; Le; Gt; Ge ]
+
+(* main(a, b) computing [body a b] into a fresh temp and returning it. *)
+let op_module body =
+  let b = Builder.create ~name:"main" ~n_params:2 in
+  let t = Builder.fresh_temp b in
+  body b t (Ir.Temp 0) (Ir.Temp 1);
+  Builder.terminate b (Ir.Ret (Some (Ir.Temp t)));
+  { Ir.funcs = [ Builder.finish b ]; globals = [] }
+
+let test_op_table () =
+  List.iter
+    (fun op ->
+      let m = op_module (fun b t x y -> Builder.emit b (Ir.Bin (op, t, x, y))) in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun c ->
+              let what = Printf.sprintf "%ld %s %ld" a (Ir.binop_name op) c in
+              match (Ir.eval_binop op a c, op) with
+              | Some v, _ ->
+                  Alcotest.(check int32) what v
+                    (Interp.run m ~entry:"main" ~args:[ a; c ]).Interp.ret
+              | None, (Ir.Div | Ir.Rem) ->
+                  check_trap what
+                    (Printf.sprintf "division error in main (%s)" what)
+                    ~args:[ a; c ] m
+              | None, _ ->
+                  Alcotest.(check int32) what
+                    (Option.get (Ir.eval_binop op a (Int32.logand c 31l)))
+                    (Interp.run m ~entry:"main" ~args:[ a; c ]).Interp.ret)
+            edge_operands)
+        edge_operands)
+    binops;
+  List.iter
+    (fun rel ->
+      let cmp = op_module (fun b t x y -> Builder.emit b (Ir.Cmp (rel, t, x, y))) in
+      let cbr =
+        op_module (fun b t x y ->
+            let l1 = Builder.fresh_label b and l2 = Builder.fresh_label b in
+            let join = Builder.fresh_label b in
+            Builder.terminate b (Ir.Cbr (rel, x, y, l1, l2));
+            List.iter
+              (fun (l, v) ->
+                Builder.start_block b l;
+                Builder.emit b (Ir.Copy (t, Ir.Const v));
+                Builder.terminate b (Ir.Jmp join))
+              [ (l1, 1l); (l2, 0l) ];
+            Builder.start_block b join)
+      in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun c ->
+              let what = Printf.sprintf "%ld %s %ld" a (Ir.relop_name rel) c in
+              let expected = if Ir.eval_relop rel a c then 1l else 0l in
+              let ret m = (Interp.run m ~entry:"main" ~args:[ a; c ]).Interp.ret in
+              Alcotest.(check int32) (what ^ " (cmp)") expected (ret cmp);
+              Alcotest.(check int32) (what ^ " (cbr)") expected (ret cbr))
+            edge_operands)
+        edge_operands)
+    relops
+
 (* ---------------- frontend errors ---------------- *)
 
 let test_sema_errors () =
@@ -357,4 +524,14 @@ let suite =
       ] );
     ( "front.profile-oracle",
       [ Alcotest.test_case "block/edge counts" `Quick test_block_counts ] );
+    ( "front.interp",
+      [
+        Alcotest.test_case "fuel exact" `Quick test_fuel_exact;
+        Alcotest.test_case "division traps" `Quick test_division_traps;
+        Alcotest.test_case "shift masking" `Quick test_shift_masking;
+        Alcotest.test_case "call depth" `Quick test_call_depth;
+        Alcotest.test_case "call traps" `Quick test_call_traps;
+        Alcotest.test_case "exit keeps counts" `Quick test_exit_counts;
+        Alcotest.test_case "op table" `Quick test_op_table;
+      ] );
   ]
