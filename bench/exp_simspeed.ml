@@ -40,8 +40,15 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let time_once ~engine image ~args =
-  time (fun () -> Driver.run_image ~engine image ~args)
+(* Both implementations are timed through one call shape: the oracle
+   ([~reference:true], Sim.Reference) and the block engine behind
+   Sim.run. *)
+let time_once ~reference image ~args =
+  let run = if reference then Sim.Reference.run_outcome else Sim.run_outcome in
+  time (fun () ->
+      match run image ~args with
+      | Sim.Finished r -> r
+      | Sim.Faulted { fault_msg; _ } -> raise (Sim.Fault fault_msg))
 
 let check_identical ~what (i : Sim.result) (b : Sim.result) =
   let fail fmt =
@@ -97,19 +104,19 @@ let measure_row (p : Suite.prepared) =
       (* Warm-up runs double as the identity check; the block run also
          builds (or re-finds) the image's block cache, so the timed runs
          below measure steady-state execution, not decode. *)
-      let ri, _ = time_once ~engine:Sim.Interp p.Suite.baseline ~args in
-      let rb, _ = time_once ~engine:Sim.Block p.Suite.baseline ~args in
+      let ri, _ = time_once ~reference:true p.Suite.baseline ~args in
+      let rb, _ = time_once ~reference:false p.Suite.baseline ~args in
       check_identical ~what:w.Workload.name ri rb;
       let rir, _ = time_ir p ~args in
       check_ir ~what:w.Workload.name rir rb;
       let median_of run =
         Stats.median (List.init runs (fun _ -> snd (run ())))
       in
-      let timed engine =
-        median_of (fun () -> time_once ~engine p.Suite.baseline ~args)
+      let timed ~reference =
+        median_of (fun () -> time_once ~reference p.Suite.baseline ~args)
       in
-      let interp_s = timed Sim.Interp in
-      let block_s = timed Sim.Block in
+      let interp_s = timed ~reference:true in
+      let block_s = timed ~reference:false in
       let ir_s = median_of (fun () -> time_ir p ~args) in
       {
         name = w.Workload.name;
@@ -132,7 +139,9 @@ let run_scaled () =
   | None -> None (* --workloads excluded it; skip the scaled cell *)
   | Some w ->
       let p = Suite.prepared w in
-      let r, wall = time_once ~engine:Sim.Block p.Suite.baseline ~args:scaled_args in
+      let r, wall =
+        time_once ~reference:false p.Suite.baseline ~args:scaled_args
+      in
       Some (r, wall)
 
 let run () =

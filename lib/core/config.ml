@@ -16,7 +16,6 @@ type passes = {
 }
 
 let nop_only = { nop = true; sched = false; regperm = false; subst = false }
-let all_passes = { nop = true; sched = true; regperm = true; subst = true }
 
 type t = {
   strategy : strategy;
@@ -46,8 +45,6 @@ let profiled ?(seed = 0L) ?(shape = Heuristic.Logarithmic) ?(scope = `Program)
   if pmin < 0.0 || pmax > 1.0 || pmin > pmax then
     invalid_arg "Config.profiled: invalid range";
   { off with strategy = Profiled { pmin; pmax; shape; scope }; seed }
-
-let with_passes t passes = { t with passes }
 
 let with_budget t pct =
   if pct <= 0.0 then invalid_arg "Config.with_budget: budget must be positive";

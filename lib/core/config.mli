@@ -30,9 +30,6 @@ type passes = {
 val nop_only : passes
 (** The default pass set: NOP insertion alone — the paper's diversifier. *)
 
-val all_passes : passes
-(** Every transform in the portfolio. *)
-
 type t = {
   strategy : strategy;
   use_xchg : bool;  (** enable the two bus-locking XCHG candidates *)
@@ -57,7 +54,6 @@ val profiled :
   ?seed:int64 -> ?shape:Heuristic.shape -> ?scope:[ `Program | `Function ] ->
   pmin:float -> pmax:float -> unit -> t
 
-val with_passes : t -> passes -> t
 val with_budget : t -> float -> t
 (** [with_budget t pct] enables budgeted mode at [pct] percent overhead.
     Raises [Invalid_argument] on a non-positive budget. *)

@@ -171,44 +171,6 @@ let nop_pass =
   }
 
 let registry = [ sched_pass; regperm_pass; subst_pass; nop_pass ]
-let names = List.map (fun p -> p.pname) registry
-let find n = List.find_opt (fun p -> p.pname = n) registry
-
-let descr_of_passes (p : Config.passes) =
-  List.filter_map
-    (fun pass -> if pass.enabled p then Some pass.pname else None)
-    registry
-
-let passes_of_descr descr =
-  let none =
-    { Config.nop = false; sched = false; regperm = false; subst = false }
-  in
-  List.fold_left
-    (fun acc n ->
-      match acc with
-      | Error _ -> acc
-      | Ok p -> (
-          match n with
-          | "sched" -> Ok { p with Config.sched = true }
-          | "regperm" -> Ok { p with Config.regperm = true }
-          | "subst" -> Ok { p with Config.subst = true }
-          | "nop" -> Ok { p with Config.nop = true }
-          | _ ->
-              Error
-                (Printf.sprintf "unknown divpass %S (known: %s)" n
-                   (String.concat ", " names))))
-    (Ok none) descr
-
-let descr_to_string p =
-  match descr_of_passes p with
-  | [] -> "none"
-  | l -> String.concat "," l
-
-let descr_of_string s =
-  if s = "none" then
-    Ok { Config.nop = false; sched = false; regperm = false; subst = false }
-  else passes_of_descr (String.split_on_char ',' s)
-
 let run_all ctx funcs =
   let funcs, rev_stats =
     List.fold_left

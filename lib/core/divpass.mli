@@ -6,8 +6,7 @@
     intra-block instruction-scheduling randomization ([sched]),
     register-assignment permutation ([regperm]), equivalent-instruction
     substitution ([subst]) and NOP insertion ([nop]), each togglable
-    through {!Config.passes} and each with a parseable descriptor à la
-    {!Pipeline.descr}.
+    through {!Config.passes} (spelled as {!Config.of_spec} suffixes).
 
     {b Seeding.}  Every pass draws from its own independent RNG stream:
     [Rng.of_labels seed [prog; Config.base_name config; version;
@@ -55,25 +54,6 @@ type pass = {
 
 val registry : pass list
 (** All known passes, in run order: [sched; regperm; subst; nop]. *)
-
-val names : string list
-(** Registry pass names, in run order. *)
-
-val find : string -> pass option
-
-val descr_of_passes : Config.passes -> string list
-(** Enabled pass names, registry order. *)
-
-val passes_of_descr : string list -> (Config.passes, string) result
-(** Inverse of {!descr_of_passes}; unknown names produce an [Error]
-    naming the offender and the known passes. *)
-
-val descr_to_string : Config.passes -> string
-(** Comma-separated enabled passes, e.g. ["sched,subst,nop"].  The empty
-    set prints ["none"]. *)
-
-val descr_of_string : string -> (Config.passes, string) result
-(** Inverse of {!descr_to_string} (also accepts ["none"]). *)
 
 val run_all : ctx -> Asm.func list -> Asm.func list * report
 (** Run every enabled pass in registry order. *)

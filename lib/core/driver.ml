@@ -10,7 +10,7 @@ type compiled = {
 }
 
 let modul_size (m : Ir.modul) =
-  List.fold_left (fun n f -> n + Pipeline.ir_size f) 0 m.Ir.funcs
+  List.fold_left (fun n f -> n + Ir.size f) 0 m.Ir.funcs
 
 let cache_key_of ~descr ~verify_each ~name src =
   Printf.sprintf "%s|%s|%b|%s" name
@@ -176,41 +176,20 @@ let diversify_linked c ~config ~profile ~version =
         ("version", string_of_int version) ]
     (fun () ->
       (* Every enabled diversity pass (see Divpass) over the whole
-         program, each under its own independent RNG stream, with
-         per-pass cctx/metrics accounting. *)
+         program, each under its own independent RNG stream.  The
+         per-variant account is the returned report; only the
+         process-wide diversify.* metrics are recorded here. *)
       let ctx = { Divpass.prog = c.name; config; profile; version } in
-      let funcs = ref c.asm and report = ref [] in
+      let funcs, report = Divpass.run_all ctx c.asm in
       List.iter
-        (fun (pass : Divpass.pass) ->
-          if pass.Divpass.enabled config.Config.passes then begin
-            let (out, s), dt =
-              Cctx.timed (fun () -> pass.Divpass.run ctx !funcs)
-            in
-            funcs := out;
-            report := s :: !report;
-            Cctx.record c.cctx
-              {
-                Cctx.stage = "diversify";
-                (* The historical cctx name for the paper's pass. *)
-                pass =
-                  (if s.Divpass.pass = "nop" then "nop-insert"
-                   else s.Divpass.pass);
-                func = "*";
-                time_s = dt;
-                items_before = s.Divpass.seen;
-                items_after = s.Divpass.seen + max 0 s.Divpass.changed;
-                bytes = s.Divpass.bytes_added;
-                changed = s.Divpass.changed > 0;
-              };
-            if s.Divpass.pass <> "nop" then
-              Metrics.incr
-                ~by:(Int64.of_int s.Divpass.changed)
-                (Metrics.counter
-                   (Printf.sprintf "diversify.%s.changed.%s" s.Divpass.pass
-                      cname))
-          end)
-        Divpass.registry;
-      let report = List.rev !report in
+        (fun (s : Divpass.stats) ->
+          if s.Divpass.pass <> "nop" then
+            Metrics.incr
+              ~by:(Int64.of_int s.Divpass.changed)
+              (Metrics.counter
+                 (Printf.sprintf "diversify.%s.changed.%s" s.Divpass.pass
+                    cname)))
+        report;
       let nop = Divpass.nop_stats report in
       Metrics.incr
         ~by:(Int64.of_int nop.Divpass.changed)
@@ -229,7 +208,7 @@ let diversify_linked c ~config ~profile ~version =
             Objfile.of_asm ~ir_digest:o.Objfile.meta.Objfile.ir_digest
               ~pipeline:o.Objfile.meta.Objfile.pipeline
               ~arity:o.Objfile.meta.Objfile.arity f)
-          c.objects !funcs
+          c.objects funcs
       in
       let image =
         Link.link_objects ~expect_main_arity:c.main_arity ~objects
@@ -243,9 +222,9 @@ let population c ~config ~profile ~n =
 
 let run_ir c ~args = Interp.run c.modul ~entry:"main" ~args
 
-let run_image ?fuel ?profile ?sample_period ?engine image ~args =
+let run_image ?fuel ?profile ?sample_period image ~args =
   Trace.with_span "simulate" (fun () ->
-      Sim.run ?fuel ?profile ?sample_period ?engine image ~args)
+      Sim.run ?fuel ?profile ?sample_period image ~args)
 
 let record_profile ?fuel ?(sample_period = Sim.default_sample_period) ?config
     ?seed image ~workload ~args =

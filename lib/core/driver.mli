@@ -6,13 +6,15 @@
     register allocation → symbolic assembly → {b NOP insertion} → layout
     and linking against the fixed runtime.
 
-    Every stage runs through the {!Cctx.t} carried by the compiled
-    program: the frontend, each IR pass run (with its fixpoint
-    iterations), each machine-lowering stage, linking, and the
-    NOP-insertion pass itself — which registers under the ["diversify"]
-    stage, immediately before layout, exactly where the paper places it
-    (§4).  [compiled.cctx] is therefore a complete per-stage account of
-    where compile time and code size went.
+    Every compile-time stage runs through the {!Cctx.t} carried by the
+    compiled program: the frontend, each IR pass run (with its fixpoint
+    iterations), each machine-lowering stage and the baseline link.
+    [compiled.cctx] is therefore a per-stage account of where compile
+    time and code size went.  Diversification — NOP insertion
+    immediately before layout, exactly where the paper places it (§4) —
+    runs once per variant, so its account is the {!Divpass.report} each
+    {!diversify_linked} call returns, not a record in the shared
+    context.
 
     The profiling round-trip mirrors §3.1: compile once, run the program
     on a training input under the instrumented (reference) interpreter,
@@ -96,11 +98,11 @@ val diversify_linked :
     Each diversified function is then wrapped as a relocatable object
     and {!Link.link_objects} composes them with the memoized runtime
     objects: lowering always comes from {!compiled.objects}, so a build
-    performs only the diversity passes and the relink.  Records one
-    ["diversify"]-stage stat per enabled pass into the compilation
-    context (the NOP pass keeps its historical ["nop-insert"] name).
-    The resulting images are pinned, whole, by
-    [test/golden_nop_digests.json]. *)
+    performs only the diversity passes and the relink.  Leaves
+    [compiled.cctx] untouched: the per-variant account is the returned
+    report, and only the process-wide [diversify.*] counters and the
+    [diversify.nop_bytes.<config>] histogram are updated.  The resulting
+    images are pinned, whole, by [test/golden_nop_digests.json]. *)
 
 val population :
   compiled ->
@@ -119,15 +121,13 @@ val run_image :
   ?fuel:int64 ->
   ?profile:bool ->
   ?sample_period:int ->
-  ?engine:Sim.engine ->
   Link.image ->
   args:int32 list ->
   Sim.result
-(** Execute a linked binary under the CPU simulator.  [profile] collects
-    the per-offset runtime {!Sim.exec_profile} (see {!Simprof});
-    [sample_period] additionally records a cycle-sampled
-    {!Sim.sample_profile} (see {!Sprof}); [engine] selects the execution
-    engine (default: the block-cached engine; [Interp] is the oracle). *)
+(** Execute a linked binary under the CPU simulator ({!Sim.run}).
+    [profile] collects the per-offset runtime {!Sim.exec_profile} (see
+    {!Simprof}); [sample_period] additionally records a cycle-sampled
+    {!Sim.sample_profile} (see {!Sprof}). *)
 
 val record_profile :
   ?fuel:int64 ->

@@ -336,9 +336,3 @@ let parse src =
     | tok -> error st "expected declaration, found %s" (Lexer.show_token tok)
   in
   toplevel [] []
-
-let parse_expr src =
-  let st = { toks = Lexer.tokenize src } in
-  let e = parse_expression st in
-  expect st Lexer.EOF "end of input";
-  e

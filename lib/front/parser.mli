@@ -9,6 +9,3 @@ exception Error of string * Ast.pos
 val parse : string -> Ast.program
 (** Parse a full translation unit.  Raises {!Error} or {!Lexer.Error} on
     malformed input. *)
-
-val parse_expr : string -> Ast.expr
-(** Parse a single expression (for tests and the REPL-ish tooling). *)

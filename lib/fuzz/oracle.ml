@@ -129,8 +129,9 @@ let run_interp (c : Driver.compiled) ~args =
   | exception Interp.Trap msg ->
       (Trapped { cls = classify msg; msg }, None)
 
-let run_sim ~engine image ~args =
-  match Sim.run_outcome ~fuel:sim_fuel ~profile:true ~engine image ~args with
+let run_sim ~reference image ~args =
+  let run = if reference then Sim.Reference.run_outcome else Sim.run_outcome in
+  match run ~fuel:sim_fuel ~profile:true image ~args with
   | Sim.Finished r -> (Halted { ret = r.status; output = r.output }, Sim.Finished r)
   | Sim.Faulted f ->
       ( Trapped { cls = classify f.fault_msg; msg = f.fault_msg },
@@ -335,11 +336,11 @@ let check ?(levels = levels_all) ?(configs = default_configs)
           | None -> ());
           let baseline = Driver.link_baseline c in
           incr runs;
-          let os, rs = run_sim ~engine:Sim.Interp baseline ~args in
+          let os, rs = run_sim ~reference:true baseline ~args in
           record_cmp ~left:("interp@" ^ ln) ~right:("sim@" ^ ln) oi os
             (exact oi os);
           incr runs;
-          let ob, rbk = run_sim ~engine:Sim.Block baseline ~args in
+          let ob, rbk = run_sim ~reference:false baseline ~args in
           record_cmp ~left:("sim@" ^ ln) ~right:("block-sim@" ^ ln) os ob
             (engines_agree rs rbk);
           (* Diversified variants must be observationally identical to
@@ -357,13 +358,13 @@ let check ?(levels = levels_all) ?(configs = default_configs)
                   Driver.diversify_linked c ~config ~profile ~version
                 in
                 incr runs;
-                let od, rd = run_sim ~engine:Sim.Interp image ~args in
+                let od, rd = run_sim ~reference:true image ~args in
                 let right =
                   Printf.sprintf "sim@%s/%s/v%d" ln cname version
                 in
                 record_cmp ~left:("sim@" ^ ln) ~right os od (exact os od);
                 incr runs;
-                let _odb, rdb = run_sim ~engine:Sim.Block image ~args in
+                let _odb, rdb = run_sim ~reference:false image ~args in
                 record_cmp ~left:right
                   ~right:(Printf.sprintf "block-sim@%s/%s/v%d" ln cname version)
                   od _odb

@@ -6,8 +6,8 @@ type report = { population : int; at_least : (int * int) list }
    polymorphic-compare hash of the AST.  Within one version, each pair
    counts once.  Pure data out, so the pool can run one version per
    task. *)
-let section_keys ?params text =
-  let gadgets = Finder.scan ?params text in
+let section_keys text =
+  let gadgets = Finder.scan text in
   let seen = Hashtbl.create 256 in
   List.iter
     (fun (g : Finder.t) ->
@@ -43,12 +43,12 @@ let of_keys ~thresholds keyed_sections =
   in
   { population = List.length keyed_sections; at_least }
 
-let analyze ?params ?(jobs = Pool.Jobs 1) ~thresholds sections =
+let analyze ?(jobs = Pool.Jobs 1) ~thresholds sections =
   let keyed =
     List.map
       (function
         | Pool.Done keys -> keys
         | o -> failwith ("Population.analyze: " ^ Pool.outcome_to_string o))
-      (Pool.map ~jobs (fun text -> section_keys ?params text) sections)
+      (Pool.map ~jobs section_keys sections)
   in
   of_keys ~thresholds keyed

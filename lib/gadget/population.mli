@@ -14,9 +14,9 @@ type report = {
       (** (k, number of (offset, gadget) pairs present in ≥ k versions) *)
 }
 
-val section_keys : ?params:Finder.params -> string -> (int * string) list
-(** One version's distinct (offset, normalized-sequence rendering) pairs,
-    sorted — the per-version scan that {!analyze} fans out and
+val section_keys : string -> (int * string) list
+(** One version's distinct (offset, normalized-sequence rendering) pairs
+    under the default {!Finder.params}, sorted — the per-version scan that {!analyze} fans out and
     {!of_keys} merges.  Plain data, so a {!Pool} task can ship it across
     a process boundary. *)
 
@@ -25,7 +25,6 @@ val of_keys : thresholds:int list -> (int * string) list list -> report
     distinct pairs appearing in at least [k] of the versions. *)
 
 val analyze :
-  ?params:Finder.params ->
   ?jobs:Pool.jobs ->
   thresholds:int list ->
   string list ->

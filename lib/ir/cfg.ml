@@ -7,7 +7,6 @@ type t = {
   succs : Ir.label list IMap.t;
   preds : Ir.label list IMap.t;
   reach : ISet.t;
-  rpo : Ir.label list;
 }
 
 let dedup xs =
@@ -37,27 +36,22 @@ let of_func (f : Ir.func) =
           (Option.value (IMap.find_opt b.Ir.label succs) ~default:[]))
       IMap.empty f.blocks
   in
-  (* DFS postorder from the entry, then reverse. *)
+  (* DFS from the entry. *)
   let visited = ref ISet.empty in
-  let post = ref [] in
   let rec dfs l =
     if not (ISet.mem l !visited) then begin
       visited := ISet.add l !visited;
-      List.iter dfs (Option.value (IMap.find_opt l succs) ~default:[]);
-      post := l :: !post
+      List.iter dfs (Option.value (IMap.find_opt l succs) ~default:[])
     end
   in
   dfs entry;
-  { entry; order; succs; preds; reach = !visited; rpo = !post }
+  { entry; order; succs; preds; reach = !visited }
 
 let entry t = t.entry
-let labels t = t.order
 let succs t l = Option.value (IMap.find_opt l t.succs) ~default:[]
 let preds t l = Option.value (IMap.find_opt l t.preds) ~default:[]
 
 let edges t =
   List.concat_map (fun l -> List.map (fun s -> (l, s)) (succs t l)) t.order
 
-let reverse_postorder t = t.rpo
 let reachable t l = ISet.mem l t.reach
-let num_blocks t = List.length t.order

@@ -7,8 +7,6 @@ type t
 
 val of_func : Ir.func -> t
 val entry : t -> Ir.label
-val labels : t -> Ir.label list
-(** All block labels, in function (layout) order. *)
 
 val succs : t -> Ir.label -> Ir.label list
 val preds : t -> Ir.label -> Ir.label list
@@ -17,9 +15,4 @@ val edges : t -> (Ir.label * Ir.label) list
 (** All CFG edges (src, dst), deduplicated, in deterministic order.  A
     [Cbr] with both arms equal contributes one edge. *)
 
-val reverse_postorder : t -> Ir.label list
-(** RPO from the entry; unreachable blocks are excluded. *)
-
 val reachable : t -> Ir.label -> bool
-
-val num_blocks : t -> int

@@ -403,8 +403,10 @@ let counts fns callees =
   Hashtbl.iter (fun name k -> add c.calls name k.ncalls) callees;
   c
 
-let run ?(fuel = Int64.shift_left 1L 40) ?(mem_words = 1 lsl 20) modul ~entry
-    ~args =
+(* The address space: 1 Mi words = 4 MiB. *)
+let mem_words = 1 lsl 20
+
+let run ?(fuel = Int64.shift_left 1L 40) modul ~entry ~args =
   if List.length args > argv_words then
     invalid_arg "Interp.run: too many arguments";
   let st =

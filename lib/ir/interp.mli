@@ -56,11 +56,10 @@ val argv_words : int
     depend on psd_link). *)
 
 val run :
-  ?fuel:int64 -> ?mem_words:int -> Ir.modul -> entry:string ->
-  args:int32 list -> result
+  ?fuel:int64 -> Ir.modul -> entry:string -> args:int32 list -> result
 (** [run m ~entry ~args] executes [entry] with [args].  [fuel] bounds the
     step count (default [2^40]); exceeding it raises {!Trap}.  A [fuel]
     above [max_int] is clamped to [max_int] (in effect unbounded).
-    [mem_words] sizes the address space (default 1 Mi words = 4 MiB).
+    The address space is 1 Mi words (4 MiB).
     Raises [Invalid_argument] if [args] exceeds {!argv_words} (the
     simulator rejects the same programs). *)

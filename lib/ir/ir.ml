@@ -92,6 +92,9 @@ let map_term_labels f = function
 let find_block func label = List.find (fun b -> b.label = label) func.blocks
 let find_func m name = List.find (fun f -> String.equal f.name name) m.funcs
 
+let size f =
+  List.fold_left (fun n b -> n + 1 + List.length b.instrs) 0 f.blocks
+
 let eval_binop op a b =
   let open Int32 in
   match op with
@@ -199,9 +202,3 @@ let pp_func ppf f =
       List.iter (fun i -> Format.fprintf ppf "  %a@." pp_instr i) b.instrs;
       Format.fprintf ppf "  %a@." pp_term b.term)
     f.blocks
-
-let pp_modul ppf m =
-  List.iter
-    (fun g -> Format.fprintf ppf "global %s[%d]@." g.gname g.size_words)
-    m.globals;
-  List.iter (fun f -> Format.fprintf ppf "@.%a" pp_func f) m.funcs

@@ -109,6 +109,11 @@ val find_block : func -> label -> block
 (** Raises [Not_found] if no block carries the label. *)
 
 val find_func : modul -> string -> func
+
+val size : func -> int
+(** Instruction count plus one per block terminator — the unit the
+    per-pass size deltas are measured in. *)
+
 val eval_binop : binop -> int32 -> int32 -> int32 option
 (** Constant evaluation; [None] for division by zero (or
     [min_int / -1]) and for shift counts outside 0-31, which the
@@ -122,4 +127,3 @@ val pp_operand : Format.formatter -> operand -> unit
 val pp_instr : Format.formatter -> instr -> unit
 val pp_term : Format.formatter -> terminator -> unit
 val pp_func : Format.formatter -> func -> unit
-val pp_modul : Format.formatter -> modul -> unit

@@ -307,5 +307,3 @@ let lmax =
 
 let funcs =
   [ print_int; put_char; exit_; wmemcpy; wmemset; wmemcmp; wsum; labs_; lmin; lmax ]
-
-let names = start_symbol :: List.map (fun (f : Asm.func) -> f.name) funcs

@@ -32,6 +32,3 @@ val funcs : Asm.func list
     [put_char], [exit], and the word-wise utility routines ([wmemcpy],
     [wmemset], [wmemcmp], [wsum], [labs_], [lmin], [lmax]) that real
     binaries drag in and that contribute the surviving-gadget floor. *)
-
-val names : string list
-(** Names of everything provided (including the entry stub's symbol). *)

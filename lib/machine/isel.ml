@@ -124,5 +124,3 @@ let func (f : Ir.func) : Mir.func =
     slots = f.slots;
     next_virt = ctx.next_virt;
   }
-
-let modul (m : Ir.modul) = List.map func m.funcs

@@ -9,4 +9,3 @@
     virtual registers at function entry. *)
 
 val func : Ir.func -> Mir.func
-val modul : Ir.modul -> Mir.func list

@@ -85,27 +85,6 @@ let successors = function
   | Tjmp l -> [ l ]
   | Tjcc (_, _, _, l1, l2) -> if l1 = l2 then [ l1 ] else [ l1; l2 ]
 
-let map_regs f insn =
-  let g = f in
-  let mop = function R r -> R (g r) | I _ as i -> i in
-  let addr = function Areg r -> Areg (g r) | a -> a in
-  match insn with
-  | Mov (d, s) -> Mov (g d, mop s)
-  | Load (d, a) -> Load (g d, addr a)
-  | Store (a, s) -> Store (addr a, mop s)
-  | Alu (op, d, s) -> Alu (op, g d, mop s)
-  | Imul (d, s) -> Imul (g d, mop s)
-  | Neg d -> Neg (g d)
-  | Not d -> Not (g d)
-  | Shift (sh, d, s) -> Shift (sh, g d, mop s)
-  | Div { dst; dividend; divisor; want_rem } ->
-      Div { dst = g dst; dividend = mop dividend; divisor = mop divisor; want_rem }
-  | Set (rel, d, a, b) -> Set (rel, g d, mop a, mop b)
-  | Lea_slot (d, s) -> Lea_slot (g d, s)
-  | Lea_global (d, s) -> Lea_global (g d, s)
-  | Call { dst; callee; args } ->
-      Call { dst = Option.map g dst; callee; args = List.map mop args }
-
 let pp_reg ppf = function
   | Virt v -> Format.fprintf ppf "v%d" v
   | Phys r -> Format.fprintf ppf "%%%s" (Reg.name r)
@@ -163,13 +142,3 @@ let pp_mterm ppf t =
   | Tjmp l -> p "jmp L%d" l
   | Tjcc (rel, a, b, l1, l2) ->
       p "j.%s %a, %a ? L%d : L%d" (Ir.relop_name rel) pp_mop a pp_mop b l1 l2
-
-let pp_func ppf f =
-  Format.fprintf ppf "mfunc %s (%d params, %d virts):@." f.name f.n_params
-    f.next_virt;
-  List.iter
-    (fun b ->
-      Format.fprintf ppf "L%d:@." b.label;
-      List.iter (fun i -> Format.fprintf ppf "  %a@." pp_minsn i) b.insns;
-      Format.fprintf ppf "  %a@." pp_mterm b.term)
-    f.blocks

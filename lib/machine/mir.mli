@@ -72,9 +72,3 @@ val uses : minsn -> reg list
 val term_uses : mterm -> reg list
 
 val successors : mterm -> Ir.label list
-
-val map_regs : (reg -> reg) -> minsn -> minsn
-(** Rewrite every register occurrence (used by the allocator to apply its
-    assignment). *)
-
-val pp_func : Format.formatter -> func -> unit

@@ -1,39 +1,30 @@
-let ir_size (f : Ir.func) =
-  List.fold_left
-    (fun n (b : Ir.block) -> n + 1 + List.length b.Ir.instrs)
-    0 f.blocks
-
 let mir_size (f : Mir.func) =
   List.fold_left
     (fun n (b : Mir.block) -> n + 1 + List.length b.Mir.insns)
     0 f.blocks
 
 let record cctx ~pass ~func ~before ~after ~bytes ~changed dt =
-  match cctx with
-  | None -> ()
-  | Some c ->
-      Cctx.record c
-        {
-          Cctx.stage = "machine";
-          pass;
-          func;
-          time_s = dt;
-          items_before = before;
-          items_after = after;
-          bytes;
-          changed;
-        }
+  Cctx.record cctx
+    {
+      Cctx.stage = "machine";
+      pass;
+      func;
+      time_s = dt;
+      items_before = before;
+      items_after = after;
+      bytes;
+      changed;
+    }
 
 (* Process-wide stage-run counters: the store-backed driver's warm-build
    guarantee ("a warm rebuild runs zero isel/liveness/regalloc") is
-   asserted on these, so they count every run whether or not a cctx is
-   attached. *)
+   asserted on these, process-wide rather than per compilation. *)
 let count_stage pass =
   Metrics.incr (Metrics.counter ("machine." ^ pass ^ ".runs"))
 
-let func ?cctx (irf : Ir.func) : Asm.func =
+let func ~cctx (irf : Ir.func) : Asm.func =
   let name = irf.Ir.name in
-  let irn = ir_size irf in
+  let irn = Ir.size irf in
   count_stage "isel";
   let mf, dt = Cctx.timed (fun () -> Isel.func irf) in
   let mirn = mir_size mf in
@@ -54,5 +45,3 @@ let func ?cctx (irf : Ir.func) : Asm.func =
     ~after:(List.length asm.Asm.items)
     ~bytes:(Asm.func_size asm) ~changed:true dt;
   asm
-
-let modul ?cctx (m : Ir.modul) = List.map (func ?cctx) m.funcs

@@ -2,8 +2,8 @@
 
     Instruction selection, liveness analysis, register allocation and
     expansion to symbolic assembly — the same work {!Emit.compile_func}
-    performs — but each stage timed and recorded into an optional
-    compilation context, under the ["machine"] stage label:
+    performs — but each stage timed and recorded into the compilation
+    context, under the ["machine"] stage label:
 
     - ["isel"]: IR size in, MIR size out;
     - ["liveness"]: MIR size (no rewrite);
@@ -16,8 +16,5 @@
     [machine.<stage>.runs] counter in {!Metrics} — the counters the
     artifact store's warm-rebuild guarantees are asserted on. *)
 
-val func : ?cctx:Cctx.t -> Ir.func -> Asm.func
+val func : cctx:Cctx.t -> Ir.func -> Asm.func
 (** Lower one optimized IR function to symbolic assembly. *)
-
-val modul : ?cctx:Cctx.t -> Ir.modul -> Asm.func list
-(** Lower every function of a module, in order. *)

@@ -33,8 +33,6 @@ let of_asm ?(ir_digest = no_digest) ?(pipeline = no_digest) ~arity
 
 let code_size o = String.length o.code
 
-let find_opt unit sym = List.find_opt (fun o -> o.sym = sym) unit.funcs
-
 let magic = "PSDOBJCT"
 
 let save unit path =

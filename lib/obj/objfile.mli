@@ -53,7 +53,6 @@ val of_asm :
 (** Assemble one symbolic function into a relocatable object. *)
 
 val code_size : func_obj -> int
-val find_opt : t -> string -> func_obj option
 
 val save : t -> string -> unit
 (** Write a unit ([magic | version | payload | digest], see {!Frame}). *)

@@ -24,8 +24,6 @@ let n_events = ref 0
    start/stop semantics allow anyway. *)
 let lock = Lock.create ()
 
-let enabled () = !on
-
 let start () =
   Lock.protect lock (fun () ->
       events := [];

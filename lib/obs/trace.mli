@@ -18,8 +18,6 @@ type span
 (** An open span, returned by {!begin_span} and consumed by {!end_span}.
     While the tracer is disabled, spans are inert placeholders. *)
 
-val enabled : unit -> bool
-
 val start : unit -> unit
 (** Enable collection, dropping any previously collected events. *)
 

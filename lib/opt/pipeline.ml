@@ -78,11 +78,6 @@ let descr_equal a b =
        (fun (p : Pass.t) (q : Pass.t) -> String.equal p.name q.name)
        a.passes b.passes
 
-let ir_size (f : Ir.func) =
-  List.fold_left
-    (fun n (b : Ir.block) -> n + 1 + List.length b.Ir.instrs)
-    0 f.blocks
-
 let verify_func ~known_funcs ~pass (f : Ir.func) =
   match Verify.check_func ~known_funcs f with
   | [] -> ()
@@ -96,7 +91,7 @@ let verify_func ~known_funcs ~pass (f : Ir.func) =
                  errs)))
 
 let run_pass ?cctx ~verify_each ~known_funcs (p : Pass.t) (f : Ir.func) =
-  let before = ir_size f in
+  let before = Ir.size f in
   let changed, dt = Cctx.timed (fun () -> p.run f) in
   (match cctx with
   | Some c ->
@@ -107,7 +102,7 @@ let run_pass ?cctx ~verify_each ~known_funcs (p : Pass.t) (f : Ir.func) =
           func = f.Ir.name;
           time_s = dt;
           items_before = before;
-          items_after = ir_size f;
+          items_after = Ir.size f;
           bytes = 0;
           changed;
         }
@@ -135,10 +130,7 @@ let run ?cctx ?(verify_each = false) d (m : Ir.modul) =
   List.iter (run_func ?cctx ~verify_each ~known_funcs d) m.funcs;
   m
 
-let optimize_func ?(level = O2) (f : Ir.func) =
-  run_func ~verify_each:false ~known_funcs:[] (of_level level) f
-
-let optimize ?(level = O2) ?(check = true) (m : Ir.modul) =
-  let m = run (of_level level) m in
-  if check then Verify.check_exn m;
+let optimize (m : Ir.modul) =
+  let m = run (of_level O2) m in
+  Verify.check_exn m;
   m

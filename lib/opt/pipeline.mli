@@ -52,20 +52,13 @@ val descr_of_string : string -> (descr, string) result
 val descr_equal : descr -> descr -> bool
 (** Structural equality (pass names and round bound). *)
 
-val ir_size : Ir.func -> int
-(** Instruction count plus one per block terminator — the unit the
-    per-pass size deltas are measured in. *)
-
 val run : ?cctx:Cctx.t -> ?verify_each:bool -> descr -> Ir.modul -> Ir.modul
 (** Run the description over every function, in place.  With [cctx],
     each pass run records a ["ir"]-stage stat.  With [verify_each],
     every function is re-checked ({!Verify.check_func}) after every pass
     run and a [Failure] names the offending pass. *)
 
-val optimize_func : ?level:level -> Ir.func -> unit
-(** Optimize one function in place (default [O2]). *)
-
-val optimize : ?level:level -> ?check:bool -> Ir.modul -> Ir.modul
-(** Optimize every function in place and return the module.  With
-    [check] (default [true]), re-verifies the module after optimizing and
-    raises [Failure] if a pass broke structural invariants. *)
+val optimize : Ir.modul -> Ir.modul
+(** Run the [-O2] pipeline over every function in place, re-verify the
+    module, and return it.  Raises [Failure] if a pass broke structural
+    invariants. *)

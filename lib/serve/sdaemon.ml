@@ -383,7 +383,7 @@ let listen_socket cfg =
       Unix.listen fd 64;
       fd
 
-let run ?(on_ready = fun () -> ()) cfg =
+let run cfg =
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
   | exception Invalid_argument _ -> ());
@@ -397,7 +397,6 @@ let run ?(on_ready = fun () -> ()) cfg =
     }
   in
   cfg.log (Printf.sprintf "listening on %s" (addr_to_string cfg.addr));
-  on_ready ();
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close st.listen_fd with Unix.Unix_error _ -> ());

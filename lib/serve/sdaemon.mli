@@ -44,8 +44,8 @@ val default_cfg : addr -> cfg
 (** jobs 1, queue cap 64, batch 16, 30 s timeout, 64 MiB frames, 4096
     variants per request, silent log. *)
 
-val run : ?on_ready:(unit -> unit) -> cfg -> unit
-(** Bind, listen (replacing a stale Unix socket file), call [on_ready],
+val run : cfg -> unit
+(** Bind, listen (replacing a stale Unix socket file), log the address,
     and serve until a {!Sproto.Shutdown} arrives; requests admitted
     before the shutdown are still answered.  The socket file is removed
     on exit.  Raises [Unix.Unix_error] if the address cannot be

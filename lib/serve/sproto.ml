@@ -73,9 +73,6 @@ type response =
   | Error_reply of { id : int; message : string }
   | Bye of { id : int }
 
-let request_id = function
-  | Build { id; _ } | Stats { id } | Shutdown { id } -> id
-
 let response_id = function
   | Built { id; _ }
   | Stats_reply { id; _ }

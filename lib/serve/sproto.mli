@@ -69,7 +69,6 @@ type response =
   | Error_reply of { id : int; message : string }
   | Bye of { id : int }
 
-val request_id : request -> int
 val response_id : response -> int
 
 val encode_request : request -> string

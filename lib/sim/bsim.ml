@@ -1,6 +1,6 @@
 (* The block-cached execution engine.
 
-   The reference interpreter in [Sim] re-derives everything per retired
+   The reference interpreter in [Sim.Reference] re-derives everything per retired
    instruction: it re-matches the decoded instruction, recomputes its
    [Timing] cost, re-tests NOP candidacy (a deep structural comparison
    against the Table-1 list), divides to find icache lines, and carries
@@ -803,22 +803,21 @@ let exec_to_outcome cache st : outcome =
   | () -> Simcore.finished (finish st)
   | exception Fault msg -> Faulted { fault_msg = msg; partial = finish st }
 
-(* Argument validation lives in [Sim.run], the single dispatch point for
-   both engines. *)
-let run_outcome ?(model = Timing.default) ~fuel ?profile ?sample_period
-    (image : Link.image) ~args : outcome =
-  let cache = cache_for image model in
-  let st = make_state ?profile ?sample_period ~fuel image model in
+(* Argument validation lives in [Sim.run]. *)
+let run_outcome ~fuel ?profile ?sample_period (image : Link.image) ~args :
+    outcome =
+  let cache = cache_for image Timing.default in
+  let st = make_state ?profile ?sample_period ~fuel image Timing.default in
   init_data st image;
   let argv = Int32.to_int (Link.argv_address image) lsr 2 in
   List.iteri (fun i v -> st.mem.(argv + i) <- Int32.to_int v) args;
   st.regs.(Reg.encode Reg.ESP) <- stack_top_i - 16;
   exec_to_outcome cache st
 
-let run_at_outcome ?(model = Timing.default) ~fuel ?profile
-    ?(stack_image = []) (image : Link.image) ~start_offset : outcome =
-  let cache = cache_for image model in
-  let st = make_state ?profile ~fuel image model in
+let run_at_outcome ~fuel ?(stack_image = []) (image : Link.image)
+    ~start_offset : outcome =
+  let cache = cache_for image Timing.default in
+  let st = make_state ~fuel image Timing.default in
   init_data st image;
   let esp = stack_top_i - (16 + (4 * List.length stack_image)) in
   st.regs.(Reg.encode Reg.ESP) <- esp;

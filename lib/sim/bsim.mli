@@ -1,5 +1,5 @@
-(** The block-cached execution engine (the fast path behind
-    {!Sim.run}'s [Block] engine).
+(** The block-cached execution engine behind {!Sim.run} — the
+    simulator's one production path.
 
     [.text] is pre-decoded once into a cache of per-offset entries — a
     compiled closure, the flattened {!Timing} cost, the NOP-candidacy
@@ -7,14 +7,15 @@
     block-offset tables and swept over every remaining offset (so
     {!Sim.run_at} gadget entries are covered).  Caches are keyed on
     (text digest, timing model) and kept in a small process-wide LRU, so
-    population grids and the PGO loop decode each image once.
+    population grids and the PGO loop decode each image once.  Runs use
+    {!Timing.default}.
 
     Every observable — cycles (bit for bit: float additions happen in
     the interpreter's exact order), fault messages and the retired
     counts at the faulting instruction, [exec_profile] and
-    [sample_profile] arrays — is byte-identical to the reference
-    interpreter.  Use {!Sim.run} rather than this module directly; it
-    owns argument validation and engine dispatch. *)
+    [sample_profile] arrays — is byte-identical to {!Sim.Reference}.
+    Use {!Sim.run} rather than this module directly; it owns argument
+    validation. *)
 
 type cache
 
@@ -24,12 +25,11 @@ val cache_for : Link.image -> Timing.model -> cache
 
 val decoded : cache -> (Insn.t * int) option array
 (** The cache's decode memo — one [(insn, length)] per decodable text
-    offset.  The interpreter borrows this array instead of rebuilding a
+    offset.  {!Sim.Reference} borrows this array instead of rebuilding a
     per-run memo; physical equality across calls witnesses the
     decode-once guarantee. *)
 
 val run_outcome :
-  ?model:Timing.model ->
   fuel:int64 ->
   ?profile:bool ->
   ?sample_period:int ->
@@ -40,9 +40,7 @@ val run_outcome :
     ({!Sim.run} does this). *)
 
 val run_at_outcome :
-  ?model:Timing.model ->
   fuel:int64 ->
-  ?profile:bool ->
   ?stack_image:int32 list ->
   Link.image ->
   start_offset:int ->

@@ -1,17 +1,17 @@
-(* The simulator front door: one validated entry point, two execution
-   engines.
+(* The simulator front door.
 
-   [Interp] is the seed fetch-decode-execute interpreter, kept verbatim
-   below as the trusted differential oracle: an independent second
-   implementation, so it catches engine bugs that a pinned fixture
-   cannot.  [Block] is the block-cached engine in [Bsim]:
-   decode-once/execute-many over pre-compiled per-offset entries,
-   byte-identical observables, roughly an order of magnitude faster —
-   and the default.  The decode memo is
-   owned by the block cache and shared with the interpreter, so repeated
-   runs of one image pay decode cost once regardless of engine.  Both
-   engines hand a completed run to [Simcore.finished], which records the
-   sim.* metrics, so the metrics are the same whichever engine ran. *)
+   [run] and friends validate their arguments and execute on the
+   block-cached engine in [Bsim] (decode-once/execute-many over
+   pre-compiled per-offset entries) — the one production path.
+
+   [Reference] is the seed fetch-decode-execute interpreter, kept
+   verbatim below as the trusted differential oracle: an independent
+   second implementation, so it catches engine bugs that a pinned
+   fixture cannot.  It validates exactly as [run] does and borrows the
+   block cache's decode memo, so repeated runs of one image decode each
+   offset once whichever implementation executes.  Both hand a completed
+   run to [Simcore.finished], which records the sim.* metrics, so the
+   metrics are the same whichever one ran. *)
 
 type exec_profile = Simcore.exec_profile = {
   insn_counts : int64 array;
@@ -46,16 +46,6 @@ type outcome = Simcore.outcome =
 exception Fault = Simcore.Fault
 
 let fault fmt = Simcore.fault fmt
-
-type engine = Interp | Block
-
-let default_engine = Block
-let engine_name = function Interp -> "interp" | Block -> "block"
-
-let engine_of_string = function
-  | "interp" -> Some Interp
-  | "block" -> Some Block
-  | _ -> None
 
 type state = {
   regs : int32 array; (* indexed by Reg.encode *)
@@ -460,8 +450,8 @@ let step st =
       end);
   exec_insn st i len
 
-let make_state ?(model = Timing.default) ?(profile = false) ?sample_period
-    ~fuel (image : Link.image) =
+let make_state ?(profile = false) ?sample_period ~fuel (image : Link.image) =
+  let model = Timing.default in
   let prof =
     if not profile then None
     else
@@ -500,7 +490,7 @@ let make_state ?(model = Timing.default) ?(profile = false) ?sample_period
     eip = image.entry;
     (* The decode memo belongs to the (shared, LRU'd) block cache:
        repeated runs of one image — population grids, the PGO loop —
-       decode each offset once, whichever engine executes. *)
+       decode each offset once, whichever implementation executes. *)
     decoded = Bsim.decoded (Bsim.cache_for image model);
     out = Buffer.create 256;
     model;
@@ -557,63 +547,66 @@ let interp_exec st : outcome =
 
 let default_fuel = Int64.shift_left 1L 40
 
-let run_outcome ?model ?(fuel = default_fuel) ?profile ?sample_period
-    ?(engine = Block) (image : Link.image) ~args =
+let check_run (image : Link.image) ~args ~sample_period =
   if List.length args > Libc.argv_words then
     invalid_arg "Sim.run: too many arguments";
   if List.length args <> image.main_arity then
     invalid_arg
       (Printf.sprintf "Sim.run: main expects %d args, got %d" image.main_arity
          (List.length args));
-  (match sample_period with
+  match sample_period with
   | Some p when p <= 0 -> invalid_arg "Sim: sample_period must be positive"
-  | _ -> ());
-  match engine with
-  | Block -> Bsim.run_outcome ?model ~fuel ?profile ?sample_period image ~args
-  | Interp ->
-      let st = make_state ?model ?profile ?sample_period ~fuel image in
-      init_data st image;
-      (* Write the arguments where the entry stub looks for them. *)
-      let argv = Int32.to_int (Link.argv_address image) lsr 2 in
-      List.iteri (fun i v -> st.mem.(argv + i) <- v) args;
-      reg_set st Reg.ESP (Int32.sub Link.stack_top 16l);
-      interp_exec st
+  | _ -> ()
 
-let run ?model ?fuel ?profile ?sample_period ?engine (image : Link.image)
-    ~args =
-  match run_outcome ?model ?fuel ?profile ?sample_period ?engine image ~args
-  with
-  | Finished r -> r
-  | Faulted { fault_msg; _ } -> raise (Fault fault_msg)
-
-let run_at_outcome ?model ?(fuel = default_fuel) ?profile ?stack_image
-    ?(engine = Block) (image : Link.image) ~start_offset =
+let check_run_at (image : Link.image) ~start_offset =
   if start_offset < 0 || start_offset >= String.length image.text then
-    invalid_arg "Sim.run_at: start offset outside text";
-  match engine with
-  | Block ->
-      Bsim.run_at_outcome ?model ~fuel ?profile ?stack_image image
-        ~start_offset
-  | Interp ->
-      let stack_image = Option.value stack_image ~default:[] in
-      let st = make_state ?model ?profile ~fuel image in
-      init_data st image;
-      let esp =
-        Int32.sub Link.stack_top
-          (Int32.of_int (16 + (4 * List.length stack_image)))
-      in
-      reg_set st Reg.ESP esp;
-      List.iteri
-        (fun i v -> st.mem.((Int32.to_int esp lsr 2) + i) <- v)
-        stack_image;
-      st.eip <- start_offset;
-      interp_exec st
+    invalid_arg "Sim.run_at: start offset outside text"
 
-let run_at ?model ?fuel ?profile ?stack_image ?engine (image : Link.image)
-    ~start_offset =
-  match
-    run_at_outcome ?model ?fuel ?profile ?stack_image ?engine image
-      ~start_offset
-  with
+let result_of = function
   | Finished r -> r
   | Faulted { fault_msg; _ } -> raise (Fault fault_msg)
+
+let run_outcome ?(fuel = default_fuel) ?profile ?sample_period
+    (image : Link.image) ~args =
+  check_run image ~args ~sample_period;
+  Bsim.run_outcome ~fuel ?profile ?sample_period image ~args
+
+let run ?fuel ?profile ?sample_period image ~args =
+  result_of (run_outcome ?fuel ?profile ?sample_period image ~args)
+
+let run_at_outcome ?(fuel = default_fuel) ?stack_image (image : Link.image)
+    ~start_offset =
+  check_run_at image ~start_offset;
+  Bsim.run_at_outcome ~fuel ?stack_image image ~start_offset
+
+let run_at ?fuel ?stack_image image ~start_offset =
+  result_of (run_at_outcome ?fuel ?stack_image image ~start_offset)
+
+module Reference = struct
+  let run_outcome ?(fuel = default_fuel) ?profile ?sample_period
+      (image : Link.image) ~args =
+    check_run image ~args ~sample_period;
+    let st = make_state ?profile ?sample_period ~fuel image in
+    init_data st image;
+    (* Write the arguments where the entry stub looks for them. *)
+    let argv = Int32.to_int (Link.argv_address image) lsr 2 in
+    List.iteri (fun i v -> st.mem.(argv + i) <- v) args;
+    reg_set st Reg.ESP (Int32.sub Link.stack_top 16l);
+    interp_exec st
+
+  let run_at_outcome ?(fuel = default_fuel) ?(stack_image = [])
+      (image : Link.image) ~start_offset =
+    check_run_at image ~start_offset;
+    let st = make_state ~fuel image in
+    init_data st image;
+    let esp =
+      Int32.sub Link.stack_top
+        (Int32.of_int (16 + (4 * List.length stack_image)))
+    in
+    reg_set st Reg.ESP esp;
+    List.iteri
+      (fun i v -> st.mem.((Int32.to_int esp lsr 2) + i) <- v)
+      stack_image;
+    st.eip <- start_offset;
+    interp_exec st
+end

@@ -9,16 +9,16 @@
     Syscalls ([INT 0x80]): EAX=1 exits with status EBX; EAX=4 writes the
     low byte of EBX to the output buffer.
 
-    Two engines execute the same machine: the [Block] engine (default)
-    runs from a pre-decoded block cache ({!Bsim}: decode-once/
-    execute-many, flattened per-insn costs, native-int machine state),
-    and [Interp] is the original fetch-decode-execute interpreter, kept
-    as the trusted differential oracle.  Their observables — cycles (bit
-    for bit), fault messages, profiles, sampled recordings — are
-    byte-identical; the equivalence suite and the fuzz oracle lattice
-    enforce it.  The decode memo is owned by the shared block cache, so
-    repeated runs of one image decode each offset once under either
-    engine. *)
+    {!run} and its variants execute on the block-cached engine
+    ({!Bsim}: decode-once/execute-many, flattened per-insn costs,
+    native-int machine state) under {!Timing.default} — the one
+    production path.  {!Reference} is the original fetch-decode-execute
+    interpreter, kept only as the trusted differential oracle.  Their
+    observables — cycles (bit for bit), fault messages, profiles, sampled
+    recordings — are byte-identical; the equivalence suite and the fuzz
+    oracle lattice enforce it.  The decode memo is owned by the shared
+    block cache, so repeated runs of one image decode each offset once
+    under either. *)
 
 type exec_profile = Simcore.exec_profile = {
   insn_counts : int64 array;
@@ -81,22 +81,10 @@ exception Fault of string
     unaligned, division error, control transfer outside text, stack
     overflow, or fuel exhaustion. *)
 
-type engine =
-  | Interp  (** the seed interpreter — the differential oracle *)
-  | Block  (** the block-cached engine (default) *)
-
-val default_engine : engine
-val engine_name : engine -> string
-
-val engine_of_string : string -> engine option
-(** ["interp"] / ["block"]. *)
-
 val run :
-  ?model:Timing.model ->
   ?fuel:int64 ->
   ?profile:bool ->
   ?sample_period:int ->
-  ?engine:engine ->
   Link.image ->
   args:int32 list ->
   result
@@ -109,32 +97,26 @@ val run :
     off.  [sample_period] (off by default) additionally records a PC
     sample every that many retired cycles into a {!sample_profile},
     charging {!Timing.model.sample_cost} cycles per sample to the run —
-    production-style profiling with a modeled overhead.  [engine]
-    selects the execution engine (default [Block]); results are
-    byte-identical either way.  Raises [Invalid_argument] if
-    [sample_period <= 0]. *)
+    production-style profiling with a modeled overhead.  Raises
+    [Invalid_argument] if [args] does not match [main]'s arity or
+    [sample_period <= 0], and {!Fault} if the run traps. *)
 
 val run_outcome :
-  ?model:Timing.model ->
   ?fuel:int64 ->
   ?profile:bool ->
   ?sample_period:int ->
-  ?engine:engine ->
   Link.image ->
   args:int32 list ->
   outcome
 (** Like {!run}, but a trap returns [Faulted] carrying the partial
     counters at the faulting instruction instead of raising — the
-    trap-parity tests compare these across engines.  Successful-run
-    metrics are recorded exactly as {!run} does; faulted runs bump only
-    [sim.faults], matching {!run}'s behavior. *)
+    trap-parity tests compare these against {!Reference}.
+    Successful-run metrics are recorded exactly as {!run} does; faulted
+    runs bump only [sim.faults], matching {!run}'s behavior. *)
 
 val run_at :
-  ?model:Timing.model ->
   ?fuel:int64 ->
-  ?profile:bool ->
   ?stack_image:int32 list ->
-  ?engine:engine ->
   Link.image ->
   start_offset:int ->
   result
@@ -142,15 +124,36 @@ val run_at :
     attacker-controlled stack image (values placed on the stack top,
     first element at ESP — the ROP-chain entry point used by the attack
     experiments).  Execution ends at the exit syscall, at [Hlt], or on a
-    fault. *)
+    fault.  Raises [Invalid_argument] if [start_offset] is outside
+    [.text]. *)
 
 val run_at_outcome :
-  ?model:Timing.model ->
   ?fuel:int64 ->
-  ?profile:bool ->
   ?stack_image:int32 list ->
-  ?engine:engine ->
   Link.image ->
   start_offset:int ->
   outcome
 (** {!run_at}, trap-as-value. *)
+
+(** The reference fetch-decode-execute interpreter: the differential
+    oracle the block engine is checked against (the fuzz oracle
+    lattice, the engine-parity tests and the sim-speedup bench).  Same
+    argument validation and defaults as {!run_outcome} and
+    {!run_at_outcome}, same observables, roughly an order of magnitude
+    slower. *)
+module Reference : sig
+  val run_outcome :
+    ?fuel:int64 ->
+    ?profile:bool ->
+    ?sample_period:int ->
+    Link.image ->
+    args:int32 list ->
+    outcome
+
+  val run_at_outcome :
+    ?fuel:int64 ->
+    ?stack_image:int32 list ->
+    Link.image ->
+    start_offset:int ->
+    outcome
+end

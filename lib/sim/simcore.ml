@@ -1,6 +1,6 @@
-(* Types and faults shared by the two execution engines: the reference
-   interpreter ([Sim]'s original loop, kept as the differential oracle)
-   and the block-cached engine ([Bsim]).  Both must produce these exact
+(* Types and faults shared by the simulator's two implementations: the
+   block-cached engine ([Bsim], the production path) and the reference
+   interpreter ([Sim.Reference], kept as the differential oracle).  Both must produce these exact
    records byte for byte — the equivalence suite compares them field by
    field, cycles included. *)
 

@@ -1,6 +1,7 @@
-(** Result types and the fault exception shared by both execution
-    engines (the reference interpreter in {!Sim} and the block-cached
-    engine in {!Bsim}).  {!Sim} re-exports all of these with type
+(** Result types and the fault exception shared by the simulator's two
+    implementations: the block-cached engine ({!Bsim}, behind
+    {!Sim.run}) and the reference interpreter ({!Sim.Reference}, the
+    differential oracle).  {!Sim} re-exports all of these with type
     equations, so client code never needs this module directly. *)
 
 type exec_profile = {

@@ -155,8 +155,6 @@ let of_result image (r : Sim.result) =
   | Some p -> of_exec image p
   | None -> invalid_arg "Simprof.of_result: run was not profiled"
 
-let find t fname = List.find_opt (fun r -> r.fname = fname) t.rows
-
 let locator (image : Link.image) =
   let syms, blocks_of = layout_tables image in
   fun off ->

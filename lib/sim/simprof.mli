@@ -51,9 +51,6 @@ val of_result : Link.image -> Sim.result -> t
 (** [of_exec] on the result's profile.  Raises [Invalid_argument] if the
     run was not started with [~profile:true]. *)
 
-val find : t -> string -> func_row option
-(** Row of a function, if it executed at all. *)
-
 val locator : Link.image -> int -> string * Ir.label * bool
 (** [locator image] precomputes the image's layout tables and returns a
     total function from text offset to (function, block label,

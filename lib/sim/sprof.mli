@@ -109,6 +109,10 @@ val materially_drifted : previous:Profile.t -> t -> bool
     what lets the closed PGO loop reach a fixed point instead of
     redeploying on noise. *)
 
+val magic : string
+(** ["PSDPROF"], the first bytes of every file {!save} writes — how a
+    caller tells a recording from a text {!Profile} before loading. *)
+
 val save : t -> string -> unit
 (** Write in the PSDPROF format: {!Frame} magic ["PSDPROF"], version 1,
     marshaled payload with rows in sorted order (byte-stable for equal

@@ -28,7 +28,6 @@ type t = {
 let create ?(verify_each = false) cname =
   { cname; cverify_each = verify_each; recorded = [] }
 
-let name t = t.cname
 let verify_each t = t.cverify_each
 
 let timed f =

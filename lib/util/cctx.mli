@@ -15,8 +15,9 @@
 
 type stat = {
   stage : string;
-      (** pipeline layer: ["front"], ["ir"], ["machine"], ["link"] or
-          ["diversify"] *)
+      (** pipeline layer: ["front"], ["ir"], ["machine"] or ["link"] —
+          compile-time stages only; a variant's diversity passes report
+          through [Divpass.report] instead *)
   pass : string;  (** pass or stage name, e.g. ["constfold"], ["regalloc"] *)
   func : string;  (** function the run applied to; ["*"] for whole-module *)
   time_s : float;  (** wall-clock seconds for this run *)
@@ -43,7 +44,6 @@ val create : ?verify_each:bool -> string -> t
     [verify_each] records the caller's intent to re-verify the IR after
     every pass; the pass manager consults it via {!verify_each}. *)
 
-val name : t -> string
 val verify_each : t -> bool
 
 val timed : (unit -> 'a) -> 'a * float

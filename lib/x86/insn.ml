@@ -76,20 +76,6 @@ let is_terminator = function
   | Ret | Ret_imm _ | Jmp_rel _ | Jmp_rel8 _ | Jmp_rm _ | Hlt -> true
   | _ -> false
 
-let writes_memory = function
-  | Mov_rm_r (Mem _, _)
-  | Mov_rm_imm (Mem _, _)
-  | Alu_rm_r (_, Mem _, _)
-  | Alu_rm_imm (_, Mem _, _)
-  | Neg (Mem _)
-  | Not (Mem _)
-  | Shift_imm (_, Mem _, _)
-  | Shift_cl (_, Mem _)
-  | Xchg_rm_r (Mem _, _)
-  | Push_r _ | Push_imm _ | Call_rel _ | Call_rm _ ->
-      true
-  | _ -> false
-
 let alu_name = function
   | Add -> "add"
   | Or -> "or"

@@ -95,10 +95,6 @@ val is_terminator : t -> bool
 (** Ends a basic block: unconditional transfers, returns, halt (but not
     calls, which fall through). *)
 
-val writes_memory : t -> bool
-(** Conservative: does the instruction write to a [Mem] operand or push to
-    the stack? *)
-
 val pp : Format.formatter -> t -> unit
 (** AT&T-flavoured assembly-like rendering for diagnostics, e.g.
     [mov %esp, %esp], [lea 0x4(%esi), %edi]. *)

@@ -45,15 +45,5 @@ let name = function
 
 let name8 = function AL -> "al" | CL -> "cl" | DL -> "dl" | BL -> "bl"
 let all = [ EAX; ECX; EDX; EBX; ESP; EBP; ESI; EDI ]
-let allocatable = [ EAX; ECX; EDX; EBX; ESI; EDI ]
-let caller_saved = [ EAX; ECX; EDX ]
-let callee_saved = [ EBX; ESI; EDI ]
-
-let to_r8 = function
-  | EAX -> Some AL
-  | ECX -> Some CL
-  | EDX -> Some DL
-  | EBX -> Some BL
-  | ESP | EBP | ESI | EDI -> None
 
 let of_r8 = function AL -> EAX | CL -> ECX | DL -> EDX | BL -> EBX

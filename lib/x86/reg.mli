@@ -28,19 +28,5 @@ val name8 : r8 -> string
 val all : t list
 (** All eight registers in encoding order. *)
 
-val allocatable : t list
-(** Registers available to the register allocator: everything except [ESP]
-    and [EBP], which are reserved for the stack and frame pointers. *)
-
-val caller_saved : t list
-(** Clobbered across calls under our calling convention
-    (EAX, ECX, EDX). *)
-
-val callee_saved : t list
-(** Preserved across calls (EBX, ESI, EDI). *)
-
-val to_r8 : t -> r8 option
-(** Low byte of a register, when addressable without REX (EAX-EBX). *)
-
 val of_r8 : r8 -> t
 (** The 32-bit register containing an 8-bit register. *)

@@ -291,6 +291,30 @@ let test_population () =
   let distinct = List.sort_uniq compare texts in
   Alcotest.(check int) "all distinct" 5 (List.length distinct)
 
+(* A variant's account is its Divpass report: building variants must not
+   grow the memoized, shared compilation's context, while the
+   process-wide NOP counter still sees every inserted NOP. *)
+let test_variants_leave_cctx () =
+  let c = compile hot_loop_src in
+  let profile = Driver.train c ~args:[ 10l ] in
+  let config = List.assoc "p0-30" Config.paper_configs in
+  let counter =
+    Metrics.counter ("diversify.nops_inserted." ^ Config.name config)
+  in
+  let stats0 = List.length (Cctx.stats c.Driver.cctx) in
+  let counter0 = Metrics.counter_value counter in
+  let inserted = ref 0 in
+  for version = 1 to 50 do
+    let _, report = Driver.diversify_linked c ~config ~profile ~version in
+    inserted := !inserted + (Divpass.nop_stats report).Divpass.changed
+  done;
+  Alcotest.(check int) "cctx records unchanged" stats0
+    (List.length (Cctx.stats c.Driver.cctx));
+  Alcotest.(check bool) "some NOPs inserted" true (!inserted > 0);
+  Alcotest.(check int64) "counter grew by the reports' NOPs"
+    (Int64.of_int !inserted)
+    (Int64.sub (Metrics.counter_value counter) counter0)
+
 let test_config_names () =
   Alcotest.(check (list string)) "paper configuration names"
     [ "p50"; "p30"; "p25-50"; "p10-50"; "p0-30" ]
@@ -352,6 +376,8 @@ let suite =
           test_inserted_are_candidates;
         Alcotest.test_case "basic-block shifting" `Quick test_bb_shift;
         Alcotest.test_case "population" `Quick test_population;
+        Alcotest.test_case "variants leave the cctx alone" `Quick
+          test_variants_leave_cctx;
         Alcotest.test_case "config names" `Quick test_config_names;
         Alcotest.test_case "config names injective" `Quick
           test_config_name_injective;

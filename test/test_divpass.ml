@@ -346,40 +346,7 @@ let test_subst_rules () =
       Dec_r Reg.EDX;
     ]
 
-(* ---- pass-descriptor and config-spec grammars ---- *)
-
-let all_pass_sets =
-  List.concat_map
-    (fun nop ->
-      List.concat_map
-        (fun sched ->
-          List.concat_map
-            (fun regperm ->
-              List.map
-                (fun subst -> { Config.nop; sched; regperm; subst })
-                [ false; true ])
-            [ false; true ])
-        [ false; true ])
-    [ false; true ]
-
-let test_descr_roundtrip () =
-  List.iter
-    (fun p ->
-      let s = Divpass.descr_to_string p in
-      (match Divpass.descr_of_string s with
-      | Ok p' -> Alcotest.(check bool) ("descr " ^ s) true (p = p')
-      | Error e -> Alcotest.fail e);
-      match Divpass.passes_of_descr (Divpass.descr_of_passes p) with
-      | Ok p' -> Alcotest.(check bool) ("list " ^ s) true (p = p')
-      | Error e -> Alcotest.fail e)
-    all_pass_sets;
-  (match Divpass.descr_of_string "sched,bogus" with
-  | Error e ->
-      Alcotest.(check bool) "names the offender" true (contains_sub e "bogus")
-  | Ok _ -> Alcotest.fail "bogus descriptor accepted");
-  Alcotest.(check string) "empty set prints none" "none"
-    (Divpass.descr_to_string
-       { Config.nop = false; sched = false; regperm = false; subst = false })
+(* ---- the config-spec grammar ---- *)
 
 let test_spec_errors () =
   (match Config.of_spec "zzz" with
@@ -485,8 +452,6 @@ let suite =
       ] );
     ( "divpass.grammar",
       [
-        Alcotest.test_case "pass descriptors round-trip" `Quick
-          test_descr_roundtrip;
         Alcotest.test_case "spec errors name the offender" `Quick
           test_spec_errors;
         QCheck_alcotest.to_alcotest prop_spec_roundtrip;

@@ -335,8 +335,8 @@ let test_custom_pipeline_matches_o2 () =
   let rc = Interp.run mc ~entry:"main" ~args:[] in
   Alcotest.(check int32) "same result" r2.Interp.ret rc.Interp.ret;
   Alcotest.(check int) "same optimized size"
-    (List.fold_left (fun n f -> n + Pipeline.ir_size f) 0 m2.Ir.funcs)
-    (List.fold_left (fun n f -> n + Pipeline.ir_size f) 0 mc.Ir.funcs)
+    (List.fold_left (fun n f -> n + Ir.size f) 0 m2.Ir.funcs)
+    (List.fold_left (fun n f -> n + Ir.size f) 0 mc.Ir.funcs)
 
 let test_pass_stats_accounting () =
   (* Per-stage stats record work actually performed, so a function served
@@ -384,7 +384,7 @@ let test_pass_stats_accounting () =
           (* and the recorded final size is the function's actual size *)
           Alcotest.(check int)
             (f.Ir.name ^ ": final size matches the module")
-            (Pipeline.ir_size f) last.Cctx.items_after)
+            (Ir.size f) last.Cctx.items_after)
     c.Driver.modul.Ir.funcs;
   (* machine stages recorded once per function, with emitted bytes *)
   let emits =

@@ -1,8 +1,9 @@
 (* The block-cached engine's differential test wall.
 
-   The block engine (Bsim) re-implements the simulator's semantics for
-   speed, so every observable it produces is checked against the
-   fetch-decode interpreter — the oracle — over:
+   The block engine (Bsim, behind Sim.run) re-implements the simulator's
+   semantics for speed, so every observable it produces is checked
+   against the fetch-decode interpreter — the oracle, Sim.Reference —
+   over:
 
    - the full workload grid: 19 workloads × (baseline + 5 paper configs
      × 3 seeds), each run with the execution-profile hook on and cycle
@@ -22,6 +23,18 @@
 
 let sample_period = 101
 let seeds = [ 0; 1; 2 ]
+
+(* The two implementations through one call shape: [~reference:true] is
+   the oracle, [~reference:false] the production block engine. *)
+let run_outcome ~reference =
+  if reference then Sim.Reference.run_outcome else Sim.run_outcome
+
+let run_at_outcome ~reference =
+  if reference then Sim.Reference.run_at_outcome else Sim.run_at_outcome
+
+let result_of what = function
+  | Sim.Finished r -> r
+  | Sim.Faulted f -> Alcotest.failf "%s: faulted (%s)" what f.fault_msg
 
 (* ---------------- full-tuple equality ---------------- *)
 
@@ -121,12 +134,13 @@ let test_workload_grid (w : Workload.t) () =
   List.iter
     (fun (label, image) ->
       let what = w.Workload.name ^ "/" ^ label in
-      let run engine =
-        Sim.run ~engine ~profile:true ~sample_period image
-          ~args:w.Workload.train_args
+      let run ~reference =
+        result_of what
+          (run_outcome ~reference ~profile:true ~sample_period image
+             ~args:w.Workload.train_args)
       in
-      let ri = run Sim.Interp in
-      let rb = run Sim.Block in
+      let ri = run ~reference:true in
+      let rb = run ~reference:false in
       check_results_equal what ri rb;
       (* The production recording built from each run must also be
          byte-identical — the whole PGO loop sits on top of it. *)
@@ -165,11 +179,11 @@ let test_corpus_trap_parity () =
         (fun level ->
           let c = Driver.compile ~opt:level ~name:file src in
           let image = Driver.link_baseline c in
-          let run engine =
-            Sim.run_outcome ~engine ~fuel:trap_fuel ~profile:true image ~args
+          let run ~reference =
+            run_outcome ~reference ~fuel:trap_fuel ~profile:true image ~args
           in
-          let oi = run Sim.Interp in
-          let ob = run Sim.Block in
+          let oi = run ~reference:true in
+          let ob = run ~reference:false in
           (match oi with Sim.Faulted _ -> incr faulted | _ -> ());
           check_outcomes_equal
             (Printf.sprintf "%s@%s" file (Oracle.level_name level))
@@ -189,15 +203,16 @@ let test_fuel_exhaustion_parity () =
   let w = Workloads.find "470.lbm" in
   let _, baseline = prepared w in
   let full =
-    Sim.run ~engine:Sim.Interp baseline ~args:w.Workload.train_args
+    result_of "full run"
+      (Sim.Reference.run_outcome baseline ~args:w.Workload.train_args)
   in
   let fuel = Int64.div full.Sim.instructions 2L in
-  let run engine =
-    Sim.run_outcome ~engine ~fuel ~profile:true baseline
+  let run ~reference =
+    run_outcome ~reference ~fuel ~profile:true baseline
       ~args:w.Workload.train_args
   in
-  let oi = run Sim.Interp in
-  let ob = run Sim.Block in
+  let oi = run ~reference:true in
+  let ob = run ~reference:false in
   check_outcomes_equal "fuel exhaustion" oi ob;
   match oi with
   | Sim.Faulted { fault_msg; partial } ->
@@ -223,13 +238,13 @@ let test_run_at_parity () =
   let offsets = List.init 64 (fun i -> i * (tlen - 1) / 63) in
   List.iter
     (fun start_offset ->
-      let run engine =
-        Sim.run_at_outcome ~engine ~fuel:50_000L
+      let run ~reference =
+        run_at_outcome ~reference ~fuel:50_000L
           ~stack_image:[ 0x20l; 0x40l; 0x60l ] baseline ~start_offset
       in
       check_outcomes_equal
         (Printf.sprintf "run_at offset %d" start_offset)
-        (run Sim.Interp) (run Sim.Block))
+        (run ~reference:true) (run ~reference:false))
     offsets
 
 (* ---------------- decode memo ownership ---------------- *)
@@ -243,8 +258,8 @@ let test_decode_memo_shared () =
   (* And a fresh run through the public API keeps using it (no per-run
      rebuild): the cache is keyed on text digest, so re-linking the same
      program still hits. *)
-  let (_ : Sim.result) =
-    Sim.run ~engine:Sim.Interp baseline ~args:w.Workload.train_args
+  let (_ : Sim.outcome) =
+    Sim.Reference.run_outcome baseline ~args:w.Workload.train_args
   in
   let d3 = Bsim.decoded (Bsim.cache_for baseline Timing.default) in
   Alcotest.(check bool) "still the same array after a run" true (d1 == d3)
@@ -255,8 +270,7 @@ let test_block_rerun_deterministic () =
   let w = Workloads.find "473.astar" in
   let _, baseline = prepared w in
   let run () =
-    Sim.run ~engine:Sim.Block ~profile:true ~sample_period baseline
-      ~args:w.Workload.train_args
+    Sim.run ~profile:true ~sample_period baseline ~args:w.Workload.train_args
   in
   check_results_equal "block re-run" (run ()) (run ())
 
@@ -291,29 +305,30 @@ let check_delta what (counters, overheads) (counters', overheads') =
 let test_metrics_parity () =
   let w = Workloads.find "429.mcf" in
   let _, baseline = prepared w in
-  let delta engine =
+  let delta ~reference =
     sim_metric_delta (fun () ->
-        Sim.run ~engine ~sample_period baseline ~args:w.Workload.train_args)
+        run_outcome ~reference ~sample_period baseline
+          ~args:w.Workload.train_args)
   in
-  let ((counters, overheads) as di) = delta Sim.Interp in
-  check_delta "interp vs block" di (delta Sim.Block);
+  let ((counters, overheads) as di) = delta ~reference:true in
+  check_delta "interp vs block" di (delta ~reference:false);
   Alcotest.(check int64) "one run" 1L (List.assoc "sim.runs" counters);
   Alcotest.(check int64) "one sampled run" 1L
     (List.assoc "sim.sampled_runs" counters);
   Alcotest.(check int) "one overhead observation" 1 (List.length overheads);
   (* A faulting run records sim.faults and nothing else. *)
   let fuel = Int64.div (List.assoc "sim.instructions" counters) 2L in
-  let faulted engine =
+  let faulted ~reference =
     sim_metric_delta (fun () ->
-        Sim.run_outcome ~engine ~fuel ~sample_period baseline
+        run_outcome ~reference ~fuel ~sample_period baseline
           ~args:w.Workload.train_args)
   in
   let only_fault =
     ( List.map (fun n -> (n, if n = "sim.faults" then 1L else 0L)) sim_counters,
       [] )
   in
-  check_delta "faulted interp" only_fault (faulted Sim.Interp);
-  check_delta "faulted block" only_fault (faulted Sim.Block)
+  check_delta "faulted interp" only_fault (faulted ~reference:true);
+  check_delta "faulted block" only_fault (faulted ~reference:false)
 
 let suite =
   [
