@@ -65,6 +65,44 @@ let test_finder_free_branches () =
       ("90", false);
     ]
 
+(* The definition [Finder.free_branch_sites] must keep: decode every
+   offset, keep the free branches. *)
+let sites_by_full_decode text =
+  let sites = ref [] in
+  for pos = String.length text - 1 downto 0 do
+    match Decode.insn ~pos text with
+    | Some (i, len) when Insn.is_free_branch i -> sites := (pos, len) :: !sites
+    | _ -> ()
+  done;
+  !sites
+
+(* Random sections rich in free-branch first bytes and ModRM forms,
+   each ending in a tail that is cut short at the end of text: a
+   truncated [C2 xx], a lone [FF], or a complete [C3]. *)
+let gen_section =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (2, oneofl [ 0xC3; 0xC2; 0xFF ]);
+        (1, oneofl [ 0xD0; 0xE2; 0x10; 0x24; 0x25; 0x14; 0x64 ]);
+        (4, int_bound 255);
+      ]
+  in
+  let tail = oneofl [ ""; "\xC2"; "\xC2\x08"; "\xFF"; "\xC3" ] in
+  map2
+    (fun body tail ->
+      String.init (List.length body) (fun i -> Char.chr (List.nth body i)) ^ tail)
+    (list_size (int_bound 48) byte)
+    tail
+
+let prop_free_branch_sites =
+  QCheck.Test.make ~name:"free_branch_sites = decode every offset" ~count:2000
+    (QCheck.make ~print:(fun s -> String.escaped s) gen_section)
+    (fun text ->
+      Finder.free_branch_sites text = sites_by_full_decode text
+      && Finder.count text = List.length (Finder.scan text))
+
 let test_finder_respects_depth () =
   (* Eight one-byte instructions then ret; with max_insns = 5 the start
      at offset 0 would need 9 instructions, so it is not a gadget. *)
@@ -245,6 +283,7 @@ let suite =
         Alcotest.test_case "free branch kinds" `Quick
           test_finder_free_branches;
         Alcotest.test_case "depth limit" `Quick test_finder_respects_depth;
+        QCheck_alcotest.to_alcotest prop_free_branch_sites;
       ] );
     ( "gadget.survivor",
       [

@@ -12,12 +12,15 @@
      for bit, all three exec_profile arrays, the sample_profile, and
      the back-mapped Sprof recording byte for byte;
    - trap parity: every corpus regression program at O0 and O2 under
-     both engines — same fault message, and the same partial counters
+     both engines, with the execution-profile hook on, off, and with
+     sampling — same fault message, and the same partial counters
      (cycles included) at the faulting instruction;
    - the fuel limit: both engines fault at exactly the same retired
-     instruction, with identical partial tuples;
+     instruction, with identical partial tuples, at 40 consecutive
+     limits so the fault lands at every position of several runs;
    - gadget entry (run_at): both engines agree from arbitrary text
-     offsets, where execution never saw a function prologue;
+     offsets, where execution never saw a function prologue, and from
+     every offset of one 128-byte window;
    - the decode memo: owned by the shared block cache, physically one
      array across repeated runs of the same image. *)
 
@@ -169,7 +172,9 @@ let read_file path =
 
 let trap_fuel = 3_000_000L
 
-let test_corpus_trap_parity () =
+(* Every corpus program at O0 and O2 under both engines, each run made
+   by [run] (the hooks to switch on). *)
+let corpus_trap_parity run () =
   let faulted = ref 0 in
   List.iter
     (fun file ->
@@ -179,11 +184,8 @@ let test_corpus_trap_parity () =
         (fun level ->
           let c = Driver.compile ~opt:level ~name:file src in
           let image = Driver.link_baseline c in
-          let run ~reference =
-            run_outcome ~reference ~fuel:trap_fuel ~profile:true image ~args
-          in
-          let oi = run ~reference:true in
-          let ob = run ~reference:false in
+          let oi = run ~reference:true image ~args in
+          let ob = run ~reference:false image ~args in
           (match oi with Sim.Faulted _ -> incr faulted | _ -> ());
           check_outcomes_equal
             (Printf.sprintf "%s@%s" file (Oracle.level_name level))
@@ -196,6 +198,18 @@ let test_corpus_trap_parity () =
   Alcotest.(check bool)
     (Printf.sprintf "corpus exercised faults (%d)" !faulted)
     true (!faulted >= 4)
+
+let test_corpus_trap_parity =
+  corpus_trap_parity (fun ~reference image ~args ->
+      run_outcome ~reference ~fuel:trap_fuel ~profile:true image ~args)
+
+let test_corpus_trap_parity_unprofiled =
+  corpus_trap_parity (fun ~reference image ~args ->
+      run_outcome ~reference ~fuel:trap_fuel image ~args)
+
+let test_corpus_trap_parity_sampled =
+  corpus_trap_parity (fun ~reference image ~args ->
+      run_outcome ~reference ~fuel:trap_fuel ~sample_period image ~args)
 
 (* ---------------- fuel exhaustion fires at the same point -------- *)
 
@@ -225,6 +239,34 @@ let test_fuel_exhaustion_parity () =
         partial.Sim.instructions
   | Sim.Finished _ -> Alcotest.fail "expected fuel exhaustion"
 
+(* Fuel limits at 40 consecutive values, so the fault lands at every
+   position of several straight-line runs — first instruction, middle,
+   the branch that ends the run — with the execution-profile hook off
+   and on. *)
+let test_fuel_sweep_parity () =
+  let w = Workloads.find "470.lbm" in
+  let _, baseline = prepared w in
+  List.iter
+    (fun profile ->
+      for k = 0 to 39 do
+        let fuel = Int64.of_int (20_000 + k) in
+        let run ~reference =
+          run_outcome ~reference ~fuel ~profile baseline
+            ~args:w.Workload.train_args
+        in
+        let oi = run ~reference:true in
+        check_outcomes_equal
+          (Printf.sprintf "fuel %Ld profile %b" fuel profile)
+          oi (run ~reference:false);
+        match oi with
+        | Sim.Faulted { fault_msg = "fuel exhausted"; partial } ->
+            Alcotest.(check int64)
+              "fault at exactly fuel+1 retired" (Int64.add fuel 1L)
+              partial.Sim.instructions
+        | _ -> Alcotest.failf "fuel %Ld: expected fuel exhaustion" fuel
+      done)
+    [ false; true ]
+
 (* ---------------- gadget entry: run_at parity ---------------- *)
 
 let test_run_at_parity () =
@@ -246,6 +288,22 @@ let test_run_at_parity () =
         (Printf.sprintf "run_at offset %d" start_offset)
         (run ~reference:true) (run ~reference:false))
     offsets
+
+(* Entry at every offset of one 128-byte window: each decodable offset,
+   including those inside instructions, and every undecodable one. *)
+let test_run_at_window_parity () =
+  let w = Workloads.find "429.mcf" in
+  let _, baseline = prepared w in
+  let lo = String.length baseline.Link.text / 2 in
+  for start_offset = lo to lo + 127 do
+    let run ~reference =
+      run_at_outcome ~reference ~fuel:5_000L
+        ~stack_image:[ 0x20l; 0x40l; 0x60l ] baseline ~start_offset
+    in
+    check_outcomes_equal
+      (Printf.sprintf "run_at offset %d" start_offset)
+      (run ~reference:true) (run ~reference:false)
+  done
 
 (* ---------------- decode memo ownership ---------------- *)
 
@@ -336,9 +394,17 @@ let suite =
       [
         Alcotest.test_case "corpus trap parity" `Quick
           test_corpus_trap_parity;
+        Alcotest.test_case "corpus trap parity, profile off" `Quick
+          test_corpus_trap_parity_unprofiled;
+        Alcotest.test_case "corpus trap parity, sampled" `Quick
+          test_corpus_trap_parity_sampled;
         Alcotest.test_case "fuel exhaustion parity" `Quick
           test_fuel_exhaustion_parity;
+        Alcotest.test_case "fuel sweep parity" `Quick
+          test_fuel_sweep_parity;
         Alcotest.test_case "run_at parity" `Quick test_run_at_parity;
+        Alcotest.test_case "run_at window parity" `Quick
+          test_run_at_window_parity;
         Alcotest.test_case "decode memo shared" `Quick
           test_decode_memo_shared;
         Alcotest.test_case "block re-run deterministic" `Quick
