@@ -33,13 +33,28 @@ val breaks_gadget : Insn.t -> bool
     interrupts are allowed: execution falls through them, and
     [int 0x80; ret] is the canonical syscall gadget. *)
 
+type decoder
+(** The decodes of one section, each offset decoded at most once, on
+    demand. *)
+
+val decoder : string -> decoder
+
+val decode : decoder -> int -> (Insn.t * int) option
+(** [Decode.insn ~pos] through the memo ([None] outside the section). *)
+
 val free_branch_sites : string -> (int * int) list
 (** Offsets (and lengths) of every decodable free-branch instruction in
-    the section, at any alignment. *)
+    the section, at any alignment.  Only offsets holding a free branch's
+    first byte ([C3], [C2] or [FF]) are decoded. *)
+
+val iter : ?params:params -> decoder -> (int -> Insn.t list -> unit) -> unit
+(** [iter d f] calls [f start insns] for every gadget of the section, in
+    increasing start order — {!scan} without building the records. *)
 
 val scan : ?params:params -> string -> t list
 (** All gadgets in a section, sorted by offset; at most one gadget per
     start offset (the shortest ending in the nearest free branch). *)
 
 val count : ?params:params -> string -> int
-(** [List.length (scan s)] without keeping the gadgets. *)
+(** [List.length (scan s)], counting the starts without building the
+    gadget records. *)

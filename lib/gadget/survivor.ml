@@ -6,11 +6,11 @@ let normalize insns = Nops.strip insns
    offset of the diversified section, mirroring the finder's validity
    rule.  The diversified sequence may be longer than the original's
    (inserted NOPs), so search within the scanner depth. *)
-let sequence_at ?(params = Finder.default_params) text offset =
+let sequence_at ~(params : Finder.params) d offset =
   let rec walk pos n acc =
     if n > params.max_insns + params.max_back_bytes then None
     else
-      match Decode.insn ~pos text with
+      match Finder.decode d pos with
       | Some (i, len) ->
           if Insn.is_free_branch i then Some (List.rev (i :: acc))
           else if Finder.breaks_gadget i then None
@@ -20,11 +20,20 @@ let sequence_at ?(params = Finder.default_params) text offset =
   in
   walk offset 1 []
 
-let survivors ?params ~original ~diversified () =
-  let gadgets = Finder.scan ?params original in
+(* The original section's gadgets, scanned once per (section, params):
+   a census compares one original against every version. *)
+let baselines : (Digest.t * Finder.params, Finder.t list) Memo.t =
+  Memo.create ~capacity:32 ()
+
+let baseline_scan params original =
+  Memo.find_or_add baselines (Digest.string original, params) (fun () ->
+      Finder.scan ~params original)
+
+let survivors params gadgets diversified =
+  let d = Finder.decoder diversified in
   List.filter
     (fun (g : Finder.t) ->
-      match sequence_at ?params diversified g.offset with
+      match sequence_at ~params d g.offset with
       | None -> false
       | Some div_insns ->
           (* Normalizing both sides may only increase similarity — the
@@ -33,17 +42,19 @@ let survivors ?params ~original ~diversified () =
           a <> [] && List.equal Insn.equal a b)
     gadgets
 
-let compare_sections ?params ~original ~diversified () =
-  let baseline = Finder.scan ?params original in
-  let surviving =
-    List.length (survivors ?params ~original ~diversified ())
-  in
-  { baseline_gadgets = List.length baseline; surviving }
+let surviving_gadgets ?(params = Finder.default_params) ~original ~diversified
+    () =
+  survivors params (baseline_scan params original) diversified
+
+let compare_sections ?(params = Finder.default_params) ~original ~diversified
+    () =
+  let baseline = baseline_scan params original in
+  {
+    baseline_gadgets = List.length baseline;
+    surviving = List.length (survivors params baseline diversified);
+  }
 
 let surviving_offsets ?params ~original ~diversified () =
   List.map
     (fun (g : Finder.t) -> g.offset)
-    (survivors ?params ~original ~diversified ())
-
-let surviving_gadgets ?params ~original ~diversified () =
-  survivors ?params ~original ~diversified ()
+    (surviving_gadgets ?params ~original ~diversified ())

@@ -8,12 +8,15 @@
    engine pays those costs once per text offset instead of once per
    retired instruction: [.text] is pre-decoded into a cache of parallel
    per-offset arrays — a compiled closure, the flattened cost-model
-   value, the NOP bit, the icache line/tag pair(s) — seeded from the
-   image's block-offset tables and swept over every remaining offset so
-   [run_at] gadget entry points are covered too.  Execution is then an
-   array walk: fetch becomes two array reads, and the register file and
-   data memory are untagged native-[int] arrays (sign-extended 32-bit
-   canonical form), so the hot loop allocates nothing.
+   value, the NOP and icache-line-start bits, the icache line/tag
+   pair(s), the length of the fall-through run starting there — seeded
+   from the image's block-offset tables and swept over every remaining
+   offset so [run_at] gadget entry points are covered too.  Execution
+   is then an array walk, one fall-through run at a time: the fetch
+   checks are made once per run, the run's counters stay in locals, and
+   the register file and data memory are untagged native-[int] arrays
+   (sign-extended 32-bit canonical form), so the hot loop allocates
+   nothing.
 
    The cache is keyed on (text digest, timing model) and shared across
    runs in a small LRU — population grids and the PGO loop run the same
@@ -80,13 +83,13 @@ and bsamp = {
 (* Machine helpers — each mirrors its [Sim] counterpart exactly,
    including fault message and check order.                            *)
 
-let mem_rd st va =
+let[@inline] mem_rd st va =
   let a = va land 0xFFFFFFFF in
   if a land 3 <> 0 then fault "unaligned load at 0x%x" a;
   if a < data_base_i || a >= stack_top_i then fault "load out of bounds: 0x%x" a;
   Array.unsafe_get st.mem (a lsr 2)
 
-let mem_wr st va v =
+let[@inline] mem_wr st va v =
   let a = va land 0xFFFFFFFF in
   if a land 3 <> 0 then fault "unaligned store at 0x%x" a;
   if a < data_base_i || a >= stack_top_i then
@@ -253,40 +256,50 @@ let syscall st =
   | 4 -> Buffer.add_char st.out (Char.chr (Array.unsafe_get st.regs 3 land 0xFF))
   | n -> fault "unknown syscall %d" n
 
+(* Only the run's last instruction — its one control-flow instruction,
+   if it has one — may move [eip]: the loop presets [eip] to the run's
+   end, so every other closure leaves it alone, and a branch not taken
+   needs no store. *)
 let compile ~tlen ~off ~len (i : Insn.t) : st -> unit =
   let next = off + len in
   match i with
+  (* The three hottest operand shapes, each one closure with the
+     operand and address arithmetic inline. *)
+  | Insn.Mov_r_rm (dst, Insn.Mem { base = Some b; index = None; disp }) ->
+      let kd = Reg.encode dst and kb = Reg.encode b and d = Int32.to_int disp in
+      fun st ->
+        Array.unsafe_set st.regs kd
+          (mem_rd st (sext32 (Array.unsafe_get st.regs kb + d)))
+  | Insn.Mov_r_rm (dst, Insn.Reg src) | Insn.Mov_rm_r (Insn.Reg dst, src) ->
+      let kd = Reg.encode dst and ks = Reg.encode src in
+      fun st -> Array.unsafe_set st.regs kd (Array.unsafe_get st.regs ks)
+  | Insn.Mov_rm_r (Insn.Mem { base = Some b; index = None; disp }, src) ->
+      let kb = Reg.encode b and ks = Reg.encode src and d = Int32.to_int disp in
+      fun st ->
+        mem_wr st
+          (sext32 (Array.unsafe_get st.regs kb + d))
+          (Array.unsafe_get st.regs ks)
   | Insn.Mov_rm_r (dst, src) ->
       let wr = wr_op dst and rs = rd_reg src in
-      fun st ->
-        st.eip <- next;
-        wr st (rs st)
+      fun st -> wr st (rs st)
   | Insn.Mov_r_rm (dst, src) ->
       let wd = wr_reg dst and rd = rd_op src in
-      fun st ->
-        st.eip <- next;
-        wd st (rd st)
+      fun st -> wd st (rd st)
   | Insn.Mov_r_imm (dst, imm) ->
       let wd = wr_reg dst and v = Int32.to_int imm in
-      fun st ->
-        st.eip <- next;
-        wd st v
+      fun st -> wd st v
   | Insn.Mov_rm_imm (dst, imm) ->
       let wr = wr_op dst and v = Int32.to_int imm in
-      fun st ->
-        st.eip <- next;
-        wr st v
+      fun st -> wr st v
   | Insn.Alu_rm_r (op, dst, src) -> (
       let rd = rd_op dst and wr = wr_op dst and rs = rd_reg src in
       match alu_compute op with
       | Some f ->
           fun st ->
-            st.eip <- next;
             let a = rd st and b = rs st in
             wr st (f st a b)
       | None ->
           fun st ->
-            st.eip <- next;
             let a = rd st and b = rs st in
             ignore (set_sub_flags st a b))
   | Insn.Alu_r_rm (op, dst, src) -> (
@@ -294,12 +307,10 @@ let compile ~tlen ~off ~len (i : Insn.t) : st -> unit =
       match alu_compute op with
       | Some f ->
           fun st ->
-            st.eip <- next;
             let a = rdst st and b = rs st in
             wdst st (f st a b)
       | None ->
           fun st ->
-            st.eip <- next;
             let a = rdst st and b = rs st in
             ignore (set_sub_flags st a b))
   | Insn.Alu_rm_imm (op, dst, imm) -> (
@@ -307,28 +318,21 @@ let compile ~tlen ~off ~len (i : Insn.t) : st -> unit =
       match alu_compute op with
       | Some f ->
           fun st ->
-            st.eip <- next;
             let a = rd st in
             wr st (f st a b)
       | None ->
           fun st ->
-            st.eip <- next;
             let a = rd st in
             ignore (set_sub_flags st a b))
   | Insn.Test_rm_r (dst, src) ->
       let rd = rd_op dst and rs = rd_reg src in
-      fun st ->
-        st.eip <- next;
-        set_logic_flags st (rd st land rs st)
+      fun st -> set_logic_flags st (rd st land rs st)
   | Insn.Lea (dst, m) ->
       let wd = wr_reg dst and ea = compile_ea m in
-      fun st ->
-        st.eip <- next;
-        wd st (ea st)
+      fun st -> wd st (ea st)
   | Insn.Inc_r r ->
       let rr = rd_reg r and wr = wr_reg r in
       fun st ->
-        st.eip <- next;
         (* INC preserves CF. *)
         let cf = st.cf in
         wr st (set_add_flags st (rr st) 1);
@@ -336,34 +340,28 @@ let compile ~tlen ~off ~len (i : Insn.t) : st -> unit =
   | Insn.Dec_r r ->
       let rr = rd_reg r and wr = wr_reg r in
       fun st ->
-        st.eip <- next;
         let cf = st.cf in
         wr st (set_sub_flags st (rr st) 1);
         st.cf <- cf
   | Insn.Neg o ->
       let rd = rd_op o and wr = wr_op o in
       fun st ->
-        st.eip <- next;
         let v = rd st in
         let r = set_sub_flags st 0 v in
         st.cf <- v <> 0;
         wr st r
   | Insn.Not o ->
       let rd = rd_op o and wr = wr_op o in
-      fun st ->
-        st.eip <- next;
-        wr st (lnot (rd st))
+      fun st -> wr st (lnot (rd st))
   | Insn.Imul_r_rm (dst, src) ->
       let rdst = rd_reg dst and wdst = wr_reg dst and rs = rd_op src in
       fun st ->
-        st.eip <- next;
         (* native product wraps mod 2^63, which preserves the low 32
            bits, so sext32 of it is the exact 32-bit wrap *)
         wdst st (sext32 (rdst st * rs st))
   | Insn.Mul o ->
       let rd = rd_op o in
       fun st ->
-        st.eip <- next;
         let a =
           Int64.logand (Int64.of_int (Array.unsafe_get st.regs 0)) 0xFFFFFFFFL
         in
@@ -375,7 +373,6 @@ let compile ~tlen ~off ~len (i : Insn.t) : st -> unit =
   | Insn.Idiv o ->
       let rd = rd_op o in
       fun st ->
-        st.eip <- next;
         let divisor = Int64.of_int (rd st) in
         if Int64.equal divisor 0L then fault "division by zero";
         let dividend =
@@ -392,27 +389,23 @@ let compile ~tlen ~off ~len (i : Insn.t) : st -> unit =
         Array.unsafe_set st.regs 2 (Int64.to_int (Int64.rem dividend divisor))
   | Insn.Cdq ->
       fun st ->
-        st.eip <- next;
         Array.unsafe_set st.regs 2
           (if Array.unsafe_get st.regs 0 < 0 then -1 else 0)
   | Insn.Shift_imm (sh, o, n) ->
       let rd = rd_op o and wr = wr_op o in
       let n = n land 31 in
       if n = 0 then fun st ->
-        st.eip <- next;
         (* shift by 0: value unchanged, flags untouched *)
         wr st (rd st)
       else
         let f = compile_shift sh in
         fun st ->
-          st.eip <- next;
           let r = f (rd st) n in
           set_logic_flags st r;
           wr st r
   | Insn.Shift_cl (sh, o) ->
       let rd = rd_op o and wr = wr_op o and f = compile_shift sh in
       fun st ->
-        st.eip <- next;
         let v = rd st in
         let n = Array.unsafe_get st.regs 1 (* ECX *) land 31 in
         let r = f v n in
@@ -420,26 +413,16 @@ let compile ~tlen ~off ~len (i : Insn.t) : st -> unit =
         wr st r
   | Insn.Push_r r ->
       let rr = rd_reg r in
-      fun st ->
-        st.eip <- next;
-        push st (rr st)
+      fun st -> push st (rr st)
   | Insn.Push_imm imm ->
       let v = Int32.to_int imm in
-      fun st ->
-        st.eip <- next;
-        push st v
+      fun st -> push st v
   | Insn.Pop_r r ->
       let wr = wr_reg r in
-      fun st ->
-        st.eip <- next;
-        wr st (pop st)
-  | Insn.Ret ->
-      fun st ->
-        st.eip <- next;
-        jump_to_va st (pop st)
+      fun st -> wr st (pop st)
+  | Insn.Ret -> fun st -> jump_to_va st (pop st)
   | Insn.Ret_imm n ->
       fun st ->
-        st.eip <- next;
         let va = pop st in
         Array.unsafe_set st.regs 4
           (sext32 (Array.unsafe_get st.regs 4 + n));
@@ -448,7 +431,6 @@ let compile ~tlen ~off ~len (i : Insn.t) : st -> unit =
       let target = next + Int32.to_int d in
       let ret_va = sext32 (text_base_i + next) in
       if target < 0 || target >= tlen then fun st -> (
-        st.eip <- next;
         push st ret_va;
         fault "call outside text")
       else fun st ->
@@ -458,73 +440,53 @@ let compile ~tlen ~off ~len (i : Insn.t) : st -> unit =
       let rd = rd_op o in
       let ret_va = sext32 (text_base_i + next) in
       fun st ->
-        st.eip <- next;
         push st ret_va;
         jump_to_va st (rd st)
   | Insn.Jmp_rel d ->
       let target = next + Int32.to_int d in
-      if target < 0 || target >= tlen then fun st -> (
-        st.eip <- next;
-        fault "jump outside text")
+      if target < 0 || target >= tlen then fun _ -> fault "jump outside text"
       else fun st -> st.eip <- target
   | Insn.Jmp_rel8 d ->
       let target = next + d in
-      if target < 0 || target >= tlen then fun st -> (
-        st.eip <- next;
-        fault "jump outside text")
+      if target < 0 || target >= tlen then fun _ -> fault "jump outside text"
       else fun st -> st.eip <- target
   | Insn.Jmp_rm o ->
       let rd = rd_op o in
-      fun st ->
-        st.eip <- next;
-        jump_to_va st (rd st)
+      fun st -> jump_to_va st (rd st)
   | Insn.Jcc (c, d) ->
       let cond = compile_cond c in
       let target = next + Int32.to_int d in
       if target < 0 || target >= tlen then fun st -> (
-        st.eip <- next;
         if cond st then fault "jump outside text")
-      else fun st -> st.eip <- (if cond st then target else next)
+      else fun st -> if cond st then st.eip <- target
   | Insn.Jcc8 (c, d) ->
       let cond = compile_cond c in
       let target = next + d in
       if target < 0 || target >= tlen then fun st -> (
-        st.eip <- next;
         if cond st then fault "jump outside text")
-      else fun st -> st.eip <- (if cond st then target else next)
+      else fun st -> if cond st then st.eip <- target
   | Insn.Setcc (c, r8) ->
       let cond = compile_cond c in
       let r32 = Reg.of_r8 r8 in
       let rr = rd_reg r32 and wr = wr_reg r32 in
       fun st ->
-        st.eip <- next;
         let old = rr st in
         let bit = if cond st then 1 else 0 in
         wr st ((old land lnot 0xFF) lor bit)
   | Insn.Movzx_r_r8 (dst, src8) ->
       let rs = rd_reg (Reg.of_r8 src8) and wd = wr_reg dst in
-      fun st ->
-        st.eip <- next;
-        wd st (rs st land 0xFF)
+      fun st -> wd st (rs st land 0xFF)
   | Insn.Xchg_rm_r (o, r) ->
       let rd = rd_op o and wr = wr_op o and rr = rd_reg r and wrr = wr_reg r in
       fun st ->
-        st.eip <- next;
         let a = rd st and b = rr st in
         wr st b;
         wrr st a
-  | Insn.Int 0x80 ->
-      fun st ->
-        st.eip <- next;
-        syscall st
-  | Insn.Int n ->
-      fun st ->
-        st.eip <- next;
-        fault "unhandled interrupt 0x%x" n
-  | Insn.Nop -> fun st -> st.eip <- next
+  | Insn.Int 0x80 -> syscall
+  | Insn.Int n -> fun _ -> fault "unhandled interrupt 0x%x" n
+  | Insn.Nop -> fun _ -> ()
   | Insn.Hlt ->
       fun st ->
-        st.eip <- next;
         st.running <- false;
         st.status <- Array.unsafe_get st.regs 0
 
@@ -537,7 +499,15 @@ type cache = {
   decoded : (Insn.t * int) option array; (* shared with the interpreter *)
   ops : (st -> unit) array;
   costs : float array; (* flattened Timing.insn_cost per offset *)
-  cflags : int array; (* 0 = undecodable; else (len lsl 1) lor nop_bit *)
+  cflags : int array;
+      (* 0 = undecodable; else (len lsl 2) lor (line_start lsl 1) lor
+         nop_bit, line_start set iff the first byte begins an icache
+         line *)
+  runs : int array;
+      (* byte length of the fall-through run that starts here: up to and
+         including the first control-flow instruction, or up to the last
+         decodable instruction before an undecodable offset or the end
+         of text; 0 where undecodable *)
   line1 : int array; (* icache line of the first instruction byte *)
   tag1 : int array;
   line2 : int array; (* line of the last byte iff it differs, else -1 *)
@@ -554,6 +524,7 @@ let build (image : Link.image) (model : Timing.model) : cache =
   let ops = Array.make n dummy_op in
   let costs = Array.make n 0.0 in
   let cflags = Array.make n 0 in
+  let runs = Array.make n 0 in
   let line1 = Array.make n 0
   and tag1 = Array.make n 0
   and line2 = Array.make n (-1)
@@ -573,7 +544,10 @@ let build (image : Link.image) (model : Timing.model) : cache =
       line2.(off) <- t2 mod lines;
       tag2.(off) <- t2
     end;
-    cflags.(off) <- (ilen lsl 1) lor (if Nops.is_candidate i then 1 else 0)
+    cflags.(off) <-
+      (ilen lsl 2)
+      lor (if va mod lb = 0 then 2 else 0)
+      lor if Nops.is_candidate i then 1 else 0
   in
   (* Seed decoding from the image's layout tables — entry stub, symbol
      starts and every basic-block start — following straight-line
@@ -607,6 +581,17 @@ let build (image : Link.image) (model : Timing.model) : cache =
       | None -> ()
       | Some (i, ilen) -> install off i ilen
   done;
+  (* Run lengths, right to left: a run continues into the run of the
+     instruction that follows unless it ends in control flow. *)
+  for off = tlen - 1 downto 0 do
+    match decoded.(off) with
+    | None -> ()
+    | Some (i, ilen) ->
+        let nx = off + ilen in
+        runs.(off) <-
+          (if Insn.is_control_flow i || nx >= tlen then ilen
+           else ilen + runs.(nx))
+  done;
   {
     text;
     model;
@@ -614,6 +599,7 @@ let build (image : Link.image) (model : Timing.model) : cache =
     ops;
     costs;
     cflags;
+    runs;
     line1;
     tag1;
     line2;
@@ -637,10 +623,22 @@ let decoded c = c.decoded
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)
 
+(* Execution is run at a time: the fetch-bounds and decodability checks
+   happen once at the run's entry, [eip] is set once to the run's end
+   (a control-flow instruction closing the run overrides it), and the
+   cycle, retired, NOP and miss counts live in locals that go back to
+   [st] at the run's end — and before a [Fault] escapes, so partial
+   counters are exact.  Per instruction the order is the interpreter's:
+   icache probes, retire count and fuel check, NOP count, cost, profile
+   and sample hooks, then the operation.  A non-first instruction of a
+   run starts where its predecessor's last byte (just probed) ends, so
+   its first-byte probe is a certain hit unless it begins a new icache
+   line; only then is it made. *)
 let exec_loop (cache : cache) (st : st) =
   let ops = cache.ops
   and costs = cache.costs
   and cflags = cache.cflags
+  and runs = cache.runs
   and line1 = cache.line1
   and tag1 = cache.tag1
   and line2 = cache.line2
@@ -649,64 +647,107 @@ let exec_loop (cache : cache) (st : st) =
   let itags = st.itags and cy = st.cy in
   let pen : float = cache.model.Timing.icache_miss_penalty in
   let sample_cost : float = cache.model.Timing.sample_cost in
-  let fuel = st.fuel in
+  let fuel = st.fuel and prof = st.prof and samp = st.samp in
+  let hooks = Option.is_some prof || Option.is_some samp in
   while st.running do
     let off = st.eip in
     if off < 0 || off >= tlen then
       fault "instruction fetch outside text at offset %d" off;
-    let fl = Array.unsafe_get cflags off in
-    if fl = 0 then fault "undecodable bytes at text offset 0x%x" off;
-    let c0 = Array.unsafe_get cy 0 in
-    (* icache: first-byte line, then the last-byte line iff distinct —
-       two separate penalty additions, matching the interpreter's float
-       addition order exactly *)
-    let l1 = Array.unsafe_get line1 off in
-    let t1 = Array.unsafe_get tag1 off in
-    if Array.unsafe_get itags l1 <> t1 then begin
-      Array.unsafe_set itags l1 t1;
-      st.misses <- st.misses + 1;
-      Array.unsafe_set cy 0 (Array.unsafe_get cy 0 +. pen)
-    end;
-    let l2 = Array.unsafe_get line2 off in
-    if l2 >= 0 then begin
-      let t2 = Array.unsafe_get tag2 off in
-      if Array.unsafe_get itags l2 <> t2 then begin
-        Array.unsafe_set itags l2 t2;
-        st.misses <- st.misses + 1;
-        Array.unsafe_set cy 0 (Array.unsafe_get cy 0 +. pen)
-      end
-    end;
-    let n = st.insns + 1 in
-    st.insns <- n;
-    if n > fuel then fault "fuel exhausted";
-    if fl land 1 <> 0 then st.nops <- st.nops + 1;
-    Array.unsafe_set cy 0 (Array.unsafe_get cy 0 +. Array.unsafe_get costs off);
-    (match st.prof with
-    | None -> ()
-    | Some p ->
-        Array.unsafe_set p.p_insn off (Array.unsafe_get p.p_insn off + 1);
-        if fl land 1 <> 0 then
-          Array.unsafe_set p.p_nop off (Array.unsafe_get p.p_nop off + 1);
-        Array.unsafe_set p.p_cyc off
-          (Array.unsafe_get p.p_cyc off +. (Array.unsafe_get cy 0 -. c0)));
-    (match st.samp with
-    | None -> ()
-    | Some s ->
-        let cyc = Array.unsafe_get cy 0 in
-        let nf = s.s_nf in
-        if cyc >= Array.unsafe_get nf 0 then begin
-          let due = 1 + int_of_float ((cyc -. Array.unsafe_get nf 0) /. s.sp) in
-          Array.unsafe_set s.s_counts off
-            (Array.unsafe_get s.s_counts off + due);
-          s.s_taken <- s.s_taken + due;
-          Array.unsafe_set nf 0
-            (Array.unsafe_get nf 0 +. (float_of_int due *. s.sp));
-          let cost = float_of_int due *. sample_cost in
-          Array.unsafe_set nf 1 (Array.unsafe_get nf 1 +. cost);
-          Array.unsafe_set cy 0 (cyc +. cost)
-        end);
-    (Array.unsafe_get ops off) st
+    if Array.unsafe_get cflags off = 0 then
+      fault "undecodable bytes at text offset 0x%x" off;
+    let stop = off + Array.unsafe_get runs off in
+    st.eip <- stop;
+    let cyc = ref (Array.unsafe_get cy 0)
+    and insns = ref st.insns
+    and nops = ref st.nops
+    and misses = ref st.misses
+    and pos = ref off in
+    (try
+       while !pos < stop do
+         let p = !pos in
+         let fl = Array.unsafe_get cflags p in
+         let c0 = !cyc in
+         (* icache: first-byte line, then the last-byte line iff
+            distinct — two separate penalty additions, matching the
+            interpreter's float addition order exactly *)
+         if p = off || fl land 2 <> 0 then begin
+           let l1 = Array.unsafe_get line1 p in
+           let t1 = Array.unsafe_get tag1 p in
+           if Array.unsafe_get itags l1 <> t1 then begin
+             Array.unsafe_set itags l1 t1;
+             incr misses;
+             cyc := !cyc +. pen
+           end
+         end;
+         let l2 = Array.unsafe_get line2 p in
+         if l2 >= 0 then begin
+           let t2 = Array.unsafe_get tag2 p in
+           if Array.unsafe_get itags l2 <> t2 then begin
+             Array.unsafe_set itags l2 t2;
+             incr misses;
+             cyc := !cyc +. pen
+           end
+         end;
+         let n = !insns + 1 in
+         insns := n;
+         if n > fuel then fault "fuel exhausted";
+         if fl land 1 <> 0 then incr nops;
+         cyc := !cyc +. Array.unsafe_get costs p;
+         if hooks then begin
+           (match prof with
+           | None -> ()
+           | Some pr ->
+               Array.unsafe_set pr.p_insn p (Array.unsafe_get pr.p_insn p + 1);
+               if fl land 1 <> 0 then
+                 Array.unsafe_set pr.p_nop p (Array.unsafe_get pr.p_nop p + 1);
+               Array.unsafe_set pr.p_cyc p
+                 (Array.unsafe_get pr.p_cyc p +. (!cyc -. c0)));
+           match samp with
+           | None -> ()
+           | Some s ->
+               let c = !cyc in
+               let nf = s.s_nf in
+               if c >= Array.unsafe_get nf 0 then begin
+                 let due =
+                   1 + int_of_float ((c -. Array.unsafe_get nf 0) /. s.sp)
+                 in
+                 Array.unsafe_set s.s_counts p
+                   (Array.unsafe_get s.s_counts p + due);
+                 s.s_taken <- s.s_taken + due;
+                 Array.unsafe_set nf 0
+                   (Array.unsafe_get nf 0 +. (float_of_int due *. s.sp));
+                 let cost = float_of_int due *. sample_cost in
+                 Array.unsafe_set nf 1 (Array.unsafe_get nf 1 +. cost);
+                 cyc := c +. cost
+               end
+         end;
+         pos := p + (fl lsr 2);
+         (Array.unsafe_get ops p) st
+       done
+     with Fault _ as e ->
+       Array.unsafe_set cy 0 !cyc;
+       st.insns <- !insns;
+       st.nops <- !nops;
+       st.misses <- !misses;
+       raise e);
+    Array.unsafe_set cy 0 !cyc;
+    st.insns <- !insns;
+    st.nops <- !nops;
+    st.misses <- !misses
   done
+
+(* One spare data space, handed from a finished run to the next: a
+   fresh 8 MiB array per run is major-heap garbage the GC must then
+   sweep.  Taken and returned atomically, so concurrent runs (domains)
+   each get their own. *)
+let spare : int array option Atomic.t = Atomic.make None
+
+let take_mem () =
+  match Atomic.exchange spare None with
+  | Some m ->
+      Array.fill m 0 (Array.length m) 0;
+      m
+  | None -> Array.make (stack_top_i / 4) 0
 
 let make_state ?(profile = false) ?sample_period ~fuel (image : Link.image)
     (model : Timing.model) : st =
@@ -740,7 +781,7 @@ let make_state ?(profile = false) ?sample_period ~fuel (image : Link.image)
     of_ = false;
     cf = false;
     pf = false;
-    mem = Array.make (stack_top_i / 4) 0;
+    mem = take_mem ();
     tlen = String.length image.text;
     eip = image.entry;
     out = Buffer.create 256;
@@ -799,9 +840,13 @@ let finish st : result =
   }
 
 let exec_to_outcome cache st : outcome =
-  match exec_loop cache st with
-  | () -> Simcore.finished (finish st)
-  | exception Fault msg -> Faulted { fault_msg = msg; partial = finish st }
+  let outcome =
+    match exec_loop cache st with
+    | () -> Simcore.finished (finish st)
+    | exception Fault msg -> Faulted { fault_msg = msg; partial = finish st }
+  in
+  Atomic.set spare (Some st.mem);
+  outcome
 
 (* Argument validation lives in [Sim.run]. *)
 let run_outcome ~fuel ?profile ?sample_period (image : Link.image) ~args :

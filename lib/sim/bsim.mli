@@ -3,12 +3,25 @@
 
     [.text] is pre-decoded once into a cache of per-offset entries — a
     compiled closure, the flattened {!Timing} cost, the NOP-candidacy
-    bit and precomputed icache line/tag pairs — seeded from the image's
-    block-offset tables and swept over every remaining offset (so
-    {!Sim.run_at} gadget entries are covered).  Caches are keyed on
-    (text digest, timing model) and kept in a small process-wide LRU, so
-    population grids and the PGO loop decode each image once.  Runs use
-    {!Timing.default}.
+    and icache-line-start bits, precomputed icache line/tag pairs and
+    the byte length of the fall-through run starting there — seeded
+    from the image's block-offset tables and swept over every remaining
+    offset (so {!Sim.run_at} gadget entries are covered).  Caches are
+    keyed on (text digest, timing model) and kept in a small
+    process-wide LRU, so population grids and the PGO loop decode each
+    image once.  Runs use {!Timing.default}.
+
+    Execution goes a run at a time.  A run starts at the entry offset
+    and ends at its first control-flow instruction (inclusive), or at
+    the last decodable instruction before an undecodable offset or the
+    end of text.  The fetch-bounds and decodability faults are raised at
+    run entry; within the run the counters live in locals and go back to
+    the machine state at the run's end and before any fault propagates.
+    A non-first instruction of a run probes the icache for its first
+    byte only when that byte starts a line — otherwise the line was just
+    probed for the previous instruction's last byte, so the probe would
+    hit.  A finished run's data space is zeroed and reused by the next
+    run instead of being reallocated.
 
     Every observable — cycles (bit for bit: float additions happen in
     the interpreter's exact order), fault messages and the retired

@@ -11,10 +11,11 @@
 
     {!run} and its variants execute on the block-cached engine
     ({!Bsim}: decode-once/execute-many, flattened per-insn costs,
-    native-int machine state) under {!Timing.default} — the one
-    production path.  {!Reference} is the original fetch-decode-execute
-    interpreter, kept only as the trusted differential oracle.  Their
-    observables — cycles (bit for bit), fault messages, profiles, sampled
+    native-int machine state, one fall-through run per dispatch) under
+    {!Timing.default} — the one production path.  {!Reference} is the
+    original fetch-decode-execute interpreter, kept only as the trusted
+    differential oracle.  Their observables — cycles (bit for bit), fault
+    messages and the partial counters at a fault, profiles, sampled
     recordings — are byte-identical; the equivalence suite and the fuzz
     oracle lattice enforce it.  The decode memo is owned by the shared
     block cache, so repeated runs of one image decode each offset once

@@ -89,63 +89,65 @@ let alu_name = function
 let shift_name = function Shl -> "shl" | Shr -> "shr" | Sar -> "sar"
 let scale_int = function S1 -> 1 | S2 -> 2 | S4 -> 4 | S8 -> 8
 
-let pp_mem ppf { base; index; disp } =
-  if disp <> 0l || (base = None && index = None) then
-    Format.fprintf ppf "0x%lx" disp;
-  (match (base, index) with
-  | None, None -> ()
-  | Some b, None -> Format.fprintf ppf "(%%%s)" (Reg.name b)
+let mem_to_string { base; index; disp } =
+  let d =
+    if disp <> 0l || (base = None && index = None) then Printf.sprintf "0x%lx" disp
+    else ""
+  in
+  match (base, index) with
+  | None, None -> d
+  | Some b, None -> Printf.sprintf "%s(%%%s)" d (Reg.name b)
   | Some b, Some (i, s) ->
-      Format.fprintf ppf "(%%%s,%%%s,%d)" (Reg.name b) (Reg.name i)
-        (scale_int s)
-  | None, Some (i, s) ->
-      Format.fprintf ppf "(,%%%s,%d)" (Reg.name i) (scale_int s));
-  ()
+      Printf.sprintf "%s(%%%s,%%%s,%d)" d (Reg.name b) (Reg.name i) (scale_int s)
+  | None, Some (i, s) -> Printf.sprintf "%s(,%%%s,%d)" d (Reg.name i) (scale_int s)
 
-let pp_operand ppf = function
-  | Reg r -> Format.fprintf ppf "%%%s" (Reg.name r)
-  | Mem m -> pp_mem ppf m
+let operand_to_string = function
+  | Reg r -> "%" ^ Reg.name r
+  | Mem m -> mem_to_string m
 
-let pp ppf insn =
-  let p fmt = Format.fprintf ppf fmt in
-  let rm = pp_operand and mem = pp_mem in
+let to_string insn =
+  let p = Printf.sprintf in
+  let rm = operand_to_string and mem = mem_to_string and r = Reg.name in
   match insn with
-  | Mov_rm_r (d, s) -> p "mov %%%s, %a" (Reg.name s) rm d
-  | Mov_r_rm (d, s) -> p "mov %a, %%%s" rm s (Reg.name d)
-  | Mov_r_imm (d, i) -> p "mov $0x%lx, %%%s" i (Reg.name d)
-  | Mov_rm_imm (d, i) -> p "movl $0x%lx, %a" i rm d
-  | Alu_rm_r (op, d, s) -> p "%s %%%s, %a" (alu_name op) (Reg.name s) rm d
-  | Alu_r_rm (op, d, s) -> p "%s %a, %%%s" (alu_name op) rm s (Reg.name d)
-  | Alu_rm_imm (op, d, i) -> p "%sl $0x%lx, %a" (alu_name op) i rm d
-  | Test_rm_r (d, s) -> p "test %%%s, %a" (Reg.name s) rm d
-  | Lea (d, m) -> p "lea %a, %%%s" mem m (Reg.name d)
-  | Inc_r r -> p "inc %%%s" (Reg.name r)
-  | Dec_r r -> p "dec %%%s" (Reg.name r)
-  | Neg o -> p "negl %a" rm o
-  | Not o -> p "notl %a" rm o
-  | Imul_r_rm (d, s) -> p "imul %a, %%%s" rm s (Reg.name d)
-  | Mul o -> p "mull %a" rm o
-  | Idiv o -> p "idivl %a" rm o
-  | Cdq -> p "cdq"
-  | Shift_imm (sh, o, n) -> p "%sl $%d, %a" (shift_name sh) n rm o
-  | Shift_cl (sh, o) -> p "%sl %%cl, %a" (shift_name sh) rm o
-  | Push_r r -> p "push %%%s" (Reg.name r)
+  | Mov_rm_r (d, s) -> p "mov %%%s, %s" (r s) (rm d)
+  | Mov_r_rm (d, s) -> p "mov %s, %%%s" (rm s) (r d)
+  | Mov_r_imm (d, i) -> p "mov $0x%lx, %%%s" i (r d)
+  | Mov_rm_imm (d, i) -> p "movl $0x%lx, %s" i (rm d)
+  | Alu_rm_r (op, d, s) -> p "%s %%%s, %s" (alu_name op) (r s) (rm d)
+  | Alu_r_rm (op, d, s) -> p "%s %s, %%%s" (alu_name op) (rm s) (r d)
+  | Alu_rm_imm (op, d, i) -> p "%sl $0x%lx, %s" (alu_name op) i (rm d)
+  | Test_rm_r (d, s) -> p "test %%%s, %s" (r s) (rm d)
+  | Lea (d, m) -> p "lea %s, %%%s" (mem m) (r d)
+  | Inc_r x -> "inc %" ^ r x
+  | Dec_r x -> "dec %" ^ r x
+  | Neg o -> "negl " ^ rm o
+  | Not o -> "notl " ^ rm o
+  | Imul_r_rm (d, s) -> p "imul %s, %%%s" (rm s) (r d)
+  | Mul o -> "mull " ^ rm o
+  | Idiv o -> "idivl " ^ rm o
+  | Cdq -> "cdq"
+  | Shift_imm (sh, o, n) -> p "%sl $%d, %s" (shift_name sh) n (rm o)
+  | Shift_cl (sh, o) -> p "%sl %%cl, %s" (shift_name sh) (rm o)
+  | Push_r x -> "push %" ^ r x
   | Push_imm i -> p "push $0x%lx" i
-  | Pop_r r -> p "pop %%%s" (Reg.name r)
-  | Ret -> p "ret"
+  | Pop_r x -> "pop %" ^ r x
+  | Ret -> "ret"
   | Ret_imm n -> p "ret $%d" n
   | Call_rel d -> p "call .%+ld" d
-  | Call_rm o -> p "call *%a" rm o
+  | Call_rm o -> "call *" ^ rm o
   | Jmp_rel d -> p "jmp .%+ld" d
   | Jmp_rel8 d -> p "jmp .%+d" d
-  | Jmp_rm o -> p "jmp *%a" rm o
+  | Jmp_rm o -> "jmp *" ^ rm o
   | Jcc (c, d) -> p "j%s .%+ld" (Cond.name c) d
   | Jcc8 (c, d) -> p "j%s .%+d" (Cond.name c) d
-  | Setcc (c, r) -> p "set%s %%%s" (Cond.name c) (Reg.name8 r)
-  | Movzx_r_r8 (d, s) -> p "movzx %%%s, %%%s" (Reg.name8 s) (Reg.name d)
-  | Xchg_rm_r (d, s) -> p "xchg %%%s, %a" (Reg.name s) rm d
+  | Setcc (c, x) -> p "set%s %%%s" (Cond.name c) (Reg.name8 x)
+  | Movzx_r_r8 (d, s) -> p "movzx %%%s, %%%s" (Reg.name8 s) (r d)
+  | Xchg_rm_r (d, s) -> p "xchg %%%s, %s" (r s) (rm d)
   | Int n -> p "int $0x%x" n
-  | Nop -> p "nop"
-  | Hlt -> p "hlt"
+  | Nop -> "nop"
+  | Hlt -> "hlt"
 
-let to_string insn = Format.asprintf "%a" pp insn
+(* One printer: the formatters print [to_string]'s text. *)
+let pp_mem ppf m = Format.pp_print_string ppf (mem_to_string m)
+let pp_operand ppf o = Format.pp_print_string ppf (operand_to_string o)
+let pp ppf insn = Format.pp_print_string ppf (to_string insn)

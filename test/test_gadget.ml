@@ -103,6 +103,45 @@ let prop_free_branch_sites =
       Finder.free_branch_sites text = sites_by_full_decode text
       && Finder.count text = List.length (Finder.scan text))
 
+(* The scan's definition, walked the long way: for every free branch in
+   offset order, try every start up to [max_back_bytes] before it and
+   keep the first branch each start decodes straight into. *)
+let scan_by_walking (params : Finder.params) text =
+  let found = Hashtbl.create 64 in
+  List.iter
+    (fun (branch, _) ->
+      for start = max 0 (branch - params.max_back_bytes) to branch do
+        let rec walk pos n acc =
+          if pos = branch then Some (List.rev (fst (Option.get (Decode.insn ~pos text)) :: acc))
+          else if pos > branch || n > params.max_insns then None
+          else
+            match Decode.insn ~pos text with
+            | Some (i, len) when not (Finder.breaks_gadget i) ->
+                walk (pos + len) (n + 1) (i :: acc)
+            | _ -> None
+        in
+        let g = if start = branch then walk start 1 [] else walk start 2 [] in
+        match g with
+        | Some insns when not (Hashtbl.mem found start) ->
+            Hashtbl.replace found start insns
+        | _ -> ()
+      done)
+    (sites_by_full_decode text);
+  Hashtbl.fold (fun start insns acc -> (start, insns) :: acc) found []
+  |> List.sort compare
+
+let prop_scan_by_walking =
+  QCheck.Test.make ~name:"scan = per-branch walk" ~count:2000
+    (QCheck.make
+       ~print:(fun (s, (i, b)) -> Printf.sprintf "%S max_insns=%d back=%d" s i b)
+       QCheck.Gen.(pair gen_section (pair (int_range 1 9) (int_range 0 32))))
+    (fun (text, (max_insns, max_back_bytes)) ->
+      let params = { Finder.max_insns; max_back_bytes } in
+      List.map
+        (fun (g : Finder.t) -> (g.offset, g.insns))
+        (Finder.scan ~params text)
+      = scan_by_walking params text)
+
 let test_finder_respects_depth () =
   (* Eight one-byte instructions then ret; with max_insns = 5 the start
      at offset 0 would need 9 instructions, so it is not a gadget. *)
@@ -284,6 +323,7 @@ let suite =
           test_finder_free_branches;
         Alcotest.test_case "depth limit" `Quick test_finder_respects_depth;
         QCheck_alcotest.to_alcotest prop_free_branch_sites;
+        QCheck_alcotest.to_alcotest prop_scan_by_walking;
       ] );
     ( "gadget.survivor",
       [
