@@ -270,6 +270,7 @@ let check_trap msg expected ?fuel ?args m =
 let test_fuel_exact () =
   let spin = Minic.compile_exn "int main() { while (1) { } return 0; }" in
   check_trap "fuel message" "fuel exhausted after 1001 steps" ~fuel:1000L spin;
+  check_trap "negative fuel" "fuel exhausted after 1 steps" ~fuel:(-5L) spin;
   let sum =
     Minic.compile_exn
       "int main(int n) { int s = 0; while (n > 0) { s = s + n; n = n - 1; } \
@@ -279,6 +280,187 @@ let test_fuel_exact () =
   let r' = Interp.run ~fuel:Int64.max_int sum ~entry:"main" ~args:[ 6l ] in
   Alcotest.(check int32) "max fuel runs" 21l r'.Interp.ret;
   Alcotest.(check int64) "max fuel: same steps" r.Interp.steps r'.Interp.steps
+
+(* ---------------- fuel exactness ---------------- *)
+
+(* A run's whole observable outcome: the result with its count tables
+   sorted, or the trap message. *)
+type outcome =
+  | Returned of {
+      ret : int32;
+      output : string;
+      steps : int64;
+      blocks : ((string * Ir.label) * int64) list;
+      edges : ((string * Ir.label * Ir.label) * int64) list;
+      calls : (string * int64) list;
+    }
+  | Trapped of string
+
+let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let outcome ?fuel m args =
+  match Interp.run ?fuel m ~entry:"main" ~args with
+  | { Interp.ret; output; steps; counts = c } ->
+      Returned
+        {
+          ret;
+          output;
+          steps;
+          blocks = sorted c.blocks;
+          edges = sorted c.edges;
+          calls = sorted c.calls;
+        }
+  | exception Interp.Trap msg -> Trapped msg
+
+let show_outcome = function
+  | Returned { ret; output; steps; _ } ->
+      Printf.sprintf "ret %ld, %Ld steps, output %S" ret steps output
+  | Trapped msg -> "trap: " ^ msg
+
+let fuel_trap f = Trapped (Printf.sprintf "fuel exhausted after %Ld steps" (Int64.succ f))
+
+(* The least fuel whose outcome is not the fuel trap: the step count of
+   a run that returns, the step that raises for one that traps. *)
+let fuel_needed m args unlimited =
+  match unlimited with
+  | Returned { steps; _ } -> steps
+  | Trapped _ ->
+      (* The fuel trap fires below the answer and never at or above it. *)
+      let rec search lo hi =
+        if lo >= hi then lo
+        else
+          let mid = Int64.(add lo (div (sub hi lo) 2L)) in
+          if outcome ~fuel:mid m args = fuel_trap mid then search (Int64.succ mid) hi
+          else search lo mid
+      in
+      search 0L (Int64.shift_left 1L 40)
+
+(* Under fuel [f], a run whose unlimited outcome needs [needed] steps
+   raises exactly the fuel trap at step [f + 1] when [f < needed], and
+   otherwise behaves exactly as the unlimited run. *)
+let check_fuel what m args ~unlimited ~needed f =
+  let expected = if f < needed then fuel_trap f else unlimited in
+  let got = outcome ~fuel:f m args in
+  if got <> expected then
+    Alcotest.failf "%s, fuel %Ld (needs %Ld): expected %s, got %s" what f needed
+      (show_outcome expected) (show_outcome got)
+
+let sweep_fuel ?(window = max_int) what m args =
+  let unlimited = outcome m args in
+  let needed = fuel_needed m args unlimited in
+  let window = Int64.of_int window in
+  let f = ref 0L in
+  while !f <= Int64.add needed 2L do
+    check_fuel what m args ~unlimited ~needed !f;
+    (* Past the first [window] fuels, jump to the last [window] ones. *)
+    f :=
+      if !f = window && Int64.sub needed window > Int64.add window 1L then
+        Int64.sub needed window
+      else Int64.succ !f
+  done
+
+(* Hand-written programs placing calls, exits and traps at the block
+   positions where a per-block charge could go wrong, each run both
+   straight from the frontend and after -O2. *)
+let fuel_programs =
+  [
+    ( "call mid-block",
+      [ 5l ],
+      "int sq(int x) { return x * x; }\n\
+       int main(int a) { int s = sq(a) + 1; int t = sq(s) - a; print_int(t); \
+       return t + sq(2); }" );
+    ( "call before terminator",
+      [ 3l ],
+      "int f(int x) { print_int(x); return x; }\n\
+       int main(int a) { if (a > 0) { f(a); } else { f(0 - a); } \
+       return f(a + 1); }" );
+    ( "exit mid-block",
+      [ 4l ],
+      "int main(int a) { int s = a * 3; print_int(s); exit(s + 1); \
+       print_int(7); return 0; }" );
+    ( "division by zero",
+      [ 0l ],
+      "int main(int a) { int s = 0; for (int i = 0; i < 5; i = i + 1) \
+       { s = s + i; } print_int(s); return s / a; }" );
+    ( "out-of-bounds load",
+      [ 1l; 3000000l ],
+      "global int g[4] = {1, 2, 3, 4};\n\
+       int main(int a, int b) { print_int(g[a]); return g[a + b]; }" );
+    ( "recursion 50 deep",
+      [ 50l ],
+      "int depth(int n) { if (n == 0) { return 0; } return depth(n - 1) + 1; }\n\
+       int main(int a) { print_int(depth(a)); return depth(a / 2) * 2; }" );
+  ]
+
+let fuel_modules name src =
+  [
+    (name ^ " (frontend)", Minic.compile_exn src);
+    (name ^ " (O2)", (Driver.compile ~name src).Driver.modul);
+  ]
+
+(* The trapping programs fault in the instruction just before their
+   [ret]; with these arguments they take the same path and return, so
+   the trap fires one step before that run ends.  This pins the trap's
+   step independently of the sweep, which only checks consistency. *)
+let returning_twins =
+  [ ("division by zero", [ 1l ]); ("out-of-bounds load", [ 1l; 1l ]) ]
+
+let test_fuel_sweep_programs () =
+  List.iter
+    (fun (name, args, src) ->
+      List.iter
+        (fun (what, m) ->
+          sweep_fuel what m args;
+          match List.assoc_opt name returning_twins with
+          | None -> ()
+          | Some twin ->
+              let steps = (Interp.run m ~entry:"main" ~args:twin).Interp.steps in
+              Alcotest.(check int64) (what ^ ": trap step") (Int64.pred steps)
+                (fuel_needed m args (outcome m args)))
+        (fuel_modules name src))
+    fuel_programs
+
+(* The regression corpus's trapping programs.  Runaway recursion runs
+   about 70,000 steps before its depth trap, so its sweep covers the
+   first and the last 500 fuels. *)
+let test_fuel_sweep_corpus () =
+  let traps = ref 0 in
+  List.iter
+    (fun file ->
+      let src = Test_fuzz.read_file (Filename.concat (Test_fuzz.corpus_dir ()) file) in
+      let args = Fuzz.parse_args_header src in
+      List.iter
+        (fun (what, m) ->
+          match outcome m args with
+          | Returned _ -> ()
+          | Trapped _ ->
+              incr traps;
+              sweep_fuel ~window:500 what m args)
+        (fuel_modules file src))
+    (Test_fuzz.corpus_files ());
+  Alcotest.(check bool) "corpus has trapping programs" true (!traps >= 10)
+
+(* Generated programs: 25 seeded fuels each, always including the
+   boundary [needed - 1, needed]. *)
+let prop_fuel_generated =
+  QCheck.Test.make ~name:"fuel cut = prefix of the unlimited run" ~count:30
+    QCheck.(pair (int_bound 9999) (int_bound 1_000_000))
+    (fun (index, salt) ->
+      let p = Gen.generate ~seed:7L ~index in
+      let m = Minic.compile_exn p.Gen.source in
+      let args = p.Gen.args in
+      let unlimited = outcome ~fuel:2_000_000L m args in
+      (match unlimited with
+      | Trapped msg when String.starts_with ~prefix:"fuel exhausted" msg -> ()
+      | _ ->
+          let needed = fuel_needed m args unlimited in
+          let rng = Random.State.make [| index; salt |] in
+          let span = Int64.to_int (Int64.add needed 3L) in
+          List.iter
+            (check_fuel p.Gen.name m args ~unlimited ~needed)
+            (max 0L (Int64.pred needed) :: needed
+            :: List.init 23 (fun _ -> Int64.of_int (Random.State.int rng span))));
+      true)
 
 let test_division_traps () =
   let m = Minic.compile_exn "int main(int a, int b) { return a / b; }" in
@@ -333,6 +515,70 @@ let test_call_traps () =
   check_trap "arity" "f called with 2 args (expected 1)"
     (call_module ~callee:[ f ] "f" 2)
 
+(* An unverified [main] of the given blocks, with temps below [next_temp]. *)
+let main_module ?(next_temp = 1) blocks =
+  {
+    Ir.funcs =
+      [ { Ir.name = "main"; params = []; blocks; slots = []; next_temp; next_label = 10 } ];
+    globals = [];
+  }
+
+let block label instrs term = { Ir.label; instrs; term }
+
+(* A call that ends a block body is charged before its callee runs, the
+   terminator after it returns: [exit] in the callee reports exactly the
+   steps read so far (copy, call f, call exit), whatever the fuel. *)
+let test_call_ends_block () =
+  let func name params blocks =
+    { Ir.name; params; blocks; slots = []; next_temp = 1; next_label = 10 }
+  in
+  let m =
+    {
+      Ir.funcs =
+        [
+          func "main" []
+            [
+              block 0
+                [ Ir.Copy (0, Ir.Const 7l); Ir.Call (None, "f", [ Ir.Temp 0 ]) ]
+                (Ir.Jmp 1);
+              block 1 [] (Ir.Ret (Some (Ir.Const 0l)));
+            ];
+          func "f" [ 0 ]
+            [
+              block 0
+                [ Ir.Call (None, "exit", [ Ir.Temp 0 ]) ]
+                (Ir.Ret (Some (Ir.Const 1l)));
+            ];
+        ];
+      globals = [];
+    }
+  in
+  (match outcome m [] with
+  | Returned { ret; steps; _ } ->
+      Alcotest.(check int32) "exit code" 7l ret;
+      Alcotest.(check int64) "steps at exit" 3L steps
+  | Trapped msg -> Alcotest.failf "unexpected trap: %s" msg);
+  sweep_fuel "exit from a call that ends its block" m []
+
+(* A temp beyond the frame fails at the step that names it, also where
+   the instruction would otherwise share a closure with the next. *)
+let test_temp_outside_frame () =
+  let m =
+    main_module
+      [
+        block 0
+          [ Ir.Bin (Ir.Add, 5, Ir.Temp 0, Ir.Const 1l); Ir.Copy (0, Ir.Temp 5) ]
+          (Ir.Ret (Some (Ir.Temp 0)));
+      ]
+  in
+  check_trap "fuel 0" "fuel exhausted after 1 steps" ~fuel:0L m;
+  List.iter
+    (fun fuel ->
+      match Interp.run ?fuel m ~entry:"main" ~args:[] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "expected the frame access to fail")
+    [ Some 1L; None ]
+
 let test_exit_counts () =
   let r =
     run
@@ -363,65 +609,70 @@ let edge_operands = [ 0l; 1l; -1l; Int32.min_int; Int32.max_int ]
 let binops = Ir.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr; Sar ]
 let relops = Ir.[ Eq; Ne; Lt; Le; Gt; Ge ]
 
-(* main(a, b) computing [body a b] into a fresh temp and returning it. *)
-let op_module body =
+(* main(a, b) computing [body a b] into a fresh temp and returning it;
+   with [~rhs:c] the right operand is the constant [c] instead of [b],
+   the other operand shape the interpreter specializes. *)
+let op_module ?rhs body =
   let b = Builder.create ~name:"main" ~n_params:2 in
   let t = Builder.fresh_temp b in
-  body b t (Ir.Temp 0) (Ir.Temp 1);
+  let y = match rhs with Some c -> Ir.Const c | None -> Ir.Temp 1 in
+  body b t (Ir.Temp 0) y;
   Builder.terminate b (Ir.Ret (Some (Ir.Temp t)));
   { Ir.funcs = [ Builder.finish b ]; globals = [] }
+
+(* [check what m] for [a OP c] with [c] both in a temp and a constant. *)
+let each_operand_pair body check =
+  List.iter
+    (fun a ->
+      List.iter
+        (fun c ->
+          let run m = Interp.run m ~entry:"main" ~args:[ a; c ] in
+          check a c "" (op_module body) run;
+          check a c " (const)" (op_module ~rhs:c body) run)
+        edge_operands)
+    edge_operands
 
 let test_op_table () =
   List.iter
     (fun op ->
-      let m = op_module (fun b t x y -> Builder.emit b (Ir.Bin (op, t, x, y))) in
-      List.iter
-        (fun a ->
-          List.iter
-            (fun c ->
-              let what = Printf.sprintf "%ld %s %ld" a (Ir.binop_name op) c in
-              match (Ir.eval_binop op a c, op) with
-              | Some v, _ ->
-                  Alcotest.(check int32) what v
-                    (Interp.run m ~entry:"main" ~args:[ a; c ]).Interp.ret
-              | None, (Ir.Div | Ir.Rem) ->
-                  check_trap what
-                    (Printf.sprintf "division error in main (%s)" what)
-                    ~args:[ a; c ] m
-              | None, _ ->
-                  Alcotest.(check int32) what
-                    (Option.get (Ir.eval_binop op a (Int32.logand c 31l)))
-                    (Interp.run m ~entry:"main" ~args:[ a; c ]).Interp.ret)
-            edge_operands)
-        edge_operands)
+      each_operand_pair
+        (fun b t x y -> Builder.emit b (Ir.Bin (op, t, x, y)))
+        (fun a c shape m run ->
+          let what = Printf.sprintf "%ld %s %ld" a (Ir.binop_name op) c in
+          match (Ir.eval_binop op a c, op) with
+          | Some v, _ -> Alcotest.(check int32) (what ^ shape) v (run m).Interp.ret
+          | None, (Ir.Div | Ir.Rem) ->
+              check_trap (what ^ shape)
+                (Printf.sprintf "division error in main (%s)" what)
+                ~args:[ a; c ] m
+          | None, _ ->
+              Alcotest.(check int32) (what ^ shape)
+                (Option.get (Ir.eval_binop op a (Int32.logand c 31l)))
+                (run m).Interp.ret))
     binops;
   List.iter
     (fun rel ->
-      let cmp = op_module (fun b t x y -> Builder.emit b (Ir.Cmp (rel, t, x, y))) in
-      let cbr =
-        op_module (fun b t x y ->
-            let l1 = Builder.fresh_label b and l2 = Builder.fresh_label b in
-            let join = Builder.fresh_label b in
-            Builder.terminate b (Ir.Cbr (rel, x, y, l1, l2));
-            List.iter
-              (fun (l, v) ->
-                Builder.start_block b l;
-                Builder.emit b (Ir.Copy (t, Ir.Const v));
-                Builder.terminate b (Ir.Jmp join))
-              [ (l1, 1l); (l2, 0l) ];
-            Builder.start_block b join)
+      let check kind a c shape m run =
+        let what = Printf.sprintf "%ld %s %ld" a (Ir.relop_name rel) c in
+        let expected = if Ir.eval_relop rel a c then 1l else 0l in
+        Alcotest.(check int32) (what ^ kind ^ shape) expected (run m).Interp.ret
       in
-      List.iter
-        (fun a ->
+      each_operand_pair
+        (fun b t x y -> Builder.emit b (Ir.Cmp (rel, t, x, y)))
+        (check " (cmp)");
+      each_operand_pair
+        (fun b t x y ->
+          let l1 = Builder.fresh_label b and l2 = Builder.fresh_label b in
+          let join = Builder.fresh_label b in
+          Builder.terminate b (Ir.Cbr (rel, x, y, l1, l2));
           List.iter
-            (fun c ->
-              let what = Printf.sprintf "%ld %s %ld" a (Ir.relop_name rel) c in
-              let expected = if Ir.eval_relop rel a c then 1l else 0l in
-              let ret m = (Interp.run m ~entry:"main" ~args:[ a; c ]).Interp.ret in
-              Alcotest.(check int32) (what ^ " (cmp)") expected (ret cmp);
-              Alcotest.(check int32) (what ^ " (cbr)") expected (ret cbr))
-            edge_operands)
-        edge_operands)
+            (fun (l, v) ->
+              Builder.start_block b l;
+              Builder.emit b (Ir.Copy (t, Ir.Const v));
+              Builder.terminate b (Ir.Jmp join))
+            [ (l1, 1l); (l2, 0l) ];
+          Builder.start_block b join)
+        (check " (cbr)"))
     relops
 
 (* ---------------- frontend errors ---------------- *)
@@ -527,10 +778,18 @@ let suite =
     ( "front.interp",
       [
         Alcotest.test_case "fuel exact" `Quick test_fuel_exact;
+        Alcotest.test_case "fuel sweep: calls, exit, traps" `Quick
+          test_fuel_sweep_programs;
+        Alcotest.test_case "fuel sweep: corpus traps" `Quick
+          test_fuel_sweep_corpus;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |])
+          prop_fuel_generated;
         Alcotest.test_case "division traps" `Quick test_division_traps;
         Alcotest.test_case "shift masking" `Quick test_shift_masking;
         Alcotest.test_case "call depth" `Quick test_call_depth;
         Alcotest.test_case "call traps" `Quick test_call_traps;
+        Alcotest.test_case "temp outside the frame" `Quick test_temp_outside_frame;
+        Alcotest.test_case "call ends a block" `Quick test_call_ends_block;
         Alcotest.test_case "exit keeps counts" `Quick test_exit_counts;
         Alcotest.test_case "op table" `Quick test_op_table;
       ] );
