@@ -20,12 +20,19 @@
     function to an array of blocks, every label to a block index, every
     callee to a function record or a builtin, every global and stack
     slot to its address — and every instruction and terminator to a
-    closure over the frame's temps.  Temps and memory words are native
+    closure over the frame's temps that tail-calls the next one; a few
+    hot adjacent pairs share one closure.  Temps and memory words are native
     [int]s in sign-extended 32-bit form; memory pages are allocated on
-    first store.  Steps are counted and checked against the fuel one
-    instruction (or terminator) at a time, never per block, so a trap —
-    also one raised in a callee mid-block — fires after exactly the step
-    a plain statement-by-statement reading of the IR reaches. *)
+    first store.  Fuel is charged per call-free segment: a block body is
+    split just after every call, the last segment also covers the
+    terminator, and a segment that fits in the remaining fuel is charged
+    whole on entry.  One that does not runs only the closures ending
+    within the fuel, then raises the fuel trap.  Only a closure's last
+    instruction may trap (the first of a fused pair is trap-free and
+    writes only its own temp), and a call always ends its segment, so
+    the step count is exact whenever control leaves a frame, and every
+    trap — also one raised in a callee mid-block — fires after exactly
+    the step a plain statement-by-statement reading of the IR reaches. *)
 
 (** Execution counts.  They are kept in plain counters during the run
     and copied into these tables once, when it ends (normally or through
@@ -48,7 +55,10 @@ type result = {
 
 exception Trap of string
 (** Runtime error: division by zero, out-of-bounds or unaligned access,
-    unknown callee, call-stack overflow, or fuel exhaustion. *)
+    unknown callee, call-stack overflow, fuel exhaustion, or a taken
+    branch to a label no block of the function carries ("branch to
+    undefined label L<n> in <fn>", raised at the branch's step; the IR
+    verifier rejects such modules, but [run] also runs unverified ones). *)
 
 val argv_words : int
 (** Words reserved for the argument area at the bottom of the data space

@@ -525,6 +525,34 @@ let main_module ?(next_temp = 1) blocks =
 
 let block label instrs term = { Ir.label; instrs; term }
 
+(* Unverified modules may branch to a label no block carries: the branch
+   traps when, and only when, it is taken. *)
+let test_undefined_label () =
+  let modul = main_module in
+  (* Two trips round the loop take the defined edge; the third goes to
+     L9, at step 8. *)
+  let loop =
+    modul
+      [
+        block 0 [ Ir.Copy (0, Ir.Const 0l) ] (Ir.Jmp 1);
+        block 1
+          [ Ir.Bin (Ir.Add, 0, Ir.Temp 0, Ir.Const 1l) ]
+          (Ir.Cbr (Ir.Lt, Ir.Temp 0, Ir.Const 3l, 1, 9));
+      ]
+  in
+  check_trap "cbr" "branch to undefined label L9 in main" loop;
+  Alcotest.(check int64) "traps at its step" 8L
+    (fuel_needed loop [] (outcome loop []));
+  sweep_fuel "cbr to an undefined label" loop [];
+  let jump = modul [ block 0 [] (Ir.Jmp 4) ] in
+  check_trap "jmp" "branch to undefined label L4 in main" jump;
+  sweep_fuel "jmp to an undefined label" jump [];
+  let nz =
+    modul
+      [ block 0 [ Ir.Copy (0, Ir.Const 0l) ] (Ir.Cbr_nz (Ir.Temp 0, 5, 6)) ]
+  in
+  check_trap "cbr_nz" "branch to undefined label L6 in main" nz
+
 (* A call that ends a block body is charged before its callee runs, the
    terminator after it returns: [exit] in the callee reports exactly the
    steps read so far (copy, call f, call exit), whatever the fuel. *)
@@ -788,6 +816,7 @@ let suite =
         Alcotest.test_case "shift masking" `Quick test_shift_masking;
         Alcotest.test_case "call depth" `Quick test_call_depth;
         Alcotest.test_case "call traps" `Quick test_call_traps;
+        Alcotest.test_case "undefined label" `Quick test_undefined_label;
         Alcotest.test_case "temp outside the frame" `Quick test_temp_outside_frame;
         Alcotest.test_case "call ends a block" `Quick test_call_ends_block;
         Alcotest.test_case "exit keeps counts" `Quick test_exit_counts;
