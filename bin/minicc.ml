@@ -46,6 +46,13 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let die fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "minicc: %s@." msg;
+      exit 1)
+    fmt
+
 (* The one config-spec entry point for every command that takes a spec
    (run, workload, diversify, serve-client): a bad spec always prints
    the same shape of message, names the offending spec, and exits 2 —
@@ -86,7 +93,9 @@ let profile_arg =
         ~doc:"Execution profile (from $(b,profile)) guiding $(b,--config).")
 
 let load_profile = function
-  | Some path -> Profile.of_string (read_file path)
+  | Some path -> (
+      try Profile.of_string (read_file path)
+      with Failure msg -> die "%s: %s" path msg)
   | None -> Profile.empty
 
 (* How to build: an optimization pipeline plus verification policy,
@@ -339,13 +348,6 @@ let top_arg =
     & opt (some int) None
     & info [ "top" ] ~docv:"N"
         ~doc:"Truncate profile tables to the $(docv) hottest rows.")
-
-let die fmt =
-  Format.kasprintf
-    (fun msg ->
-      Format.eprintf "minicc: %s@." msg;
-      exit 1)
-    fmt
 
 (* Reject a non-positive sampling period here rather than letting
    [Sim.run] raise an uncaught Invalid_argument. *)

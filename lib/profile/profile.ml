@@ -57,15 +57,27 @@ let to_string t =
 
 let of_string s =
   let counts = Hashtbl.create 64 in
-  String.split_on_char '\n' s
-  |> List.iter (fun line ->
-         if String.trim line <> "" then
-           match String.split_on_char ' ' (String.trim line) with
-           | [ f; l; v ] -> (
-               match (int_of_string_opt l, Int64.of_string_opt v) with
-               | Some l, Some v -> Hashtbl.replace counts (f, l) v
-               | _ -> failwith ("Profile.of_string: bad line: " ^ line))
-           | _ -> failwith ("Profile.of_string: bad line: " ^ line));
+  List.iteri
+    (fun i line ->
+      let fail fmt =
+        Printf.ksprintf
+          (fun msg ->
+            failwith (Printf.sprintf "Profile.of_string: line %d: %s" (i + 1) msg))
+          fmt
+      in
+      let line = String.trim line in
+      if line <> "" then
+        match String.split_on_char ' ' line with
+        | [ f; l; v ] -> (
+            match (int_of_string_opt l, Int64.of_string_opt v) with
+            | Some l, Some v ->
+                if Int64.compare v 0L < 0 then fail "negative count %Ld" v;
+                if Hashtbl.mem counts (f, l) then
+                  fail "duplicate entry for %s %d" f l;
+                Hashtbl.replace counts (f, l) v
+            | _ -> fail "bad line: %s" line)
+        | _ -> fail "bad line: %s" line)
+    (String.split_on_char '\n' s);
   { counts }
 
 let median_nonzero t =

@@ -51,7 +51,9 @@ val to_string : t -> string
 (** Textual serialization, stable across runs ("llvmprof.out" analogue). *)
 
 val of_string : string -> t
-(** Inverse of {!to_string}.  Raises [Failure] on malformed input. *)
+(** Inverse of {!to_string}.  Raises [Failure "Profile.of_string: line
+    N: ..."] on a malformed line, a negative count, or a second line for
+    the same (function, label). *)
 
 val median_nonzero : t -> float
 (** Median of the non-zero block counts — used to reproduce the paper's

@@ -19,7 +19,8 @@ case_ () {
 }
 
 # Fixtures: a 1-ary program that divides by its argument, and a sampled
-# recording of it with one payload byte overwritten.
+# recording of it with one payload byte overwritten; two malformed
+# training profiles are written before their cases.
 cp "$src" div.mc
 "$minicc" compile div.mc -o div.bin >/dev/null
 "$minicc" profile record div.bin --args 1 -o good.psdprof >/dev/null
@@ -34,5 +35,9 @@ case_ profile train div.mc --args 1,2
 case_ profile train div.mc --args 0
 case_ profile record div.bin --args 1,2 -o bad.psdprof
 case_ profile diff good.psdprof corrupt.psdprof
+printf 'main 0 3\nmain 0 5\n' >dup.prof
+printf 'main 0 -1\n' >neg.prof
+case_ diversify div.mc --profile dup.prof -o div.div.bin
+case_ run div.mc --config p0-30 --profile neg.prof --args 1
 case_ run div.bin --args 1 --engine=interp
 case_ workload 429.mcf --engine=interp

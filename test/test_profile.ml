@@ -54,9 +54,22 @@ let test_serialization_errors () =
   (match Profile.of_string "bad line here extra" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure on malformed line");
-  match Profile.of_string "f notanint 3" with
+  (match Profile.of_string "f notanint 3" with
   | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected failure on bad number"
+  | _ -> Alcotest.fail "expected failure on bad number");
+  let rejects what expected text =
+    match Profile.of_string text with
+    | exception Failure msg -> Alcotest.(check string) what expected msg
+    | _ -> Alcotest.failf "%s: expected a failure" what
+  in
+  rejects "negative count" "Profile.of_string: line 2: negative count -4"
+    "main 0 3\nmain 1 -4\n";
+  rejects "duplicate entry" "Profile.of_string: line 4: duplicate entry for f 2"
+    "f 2 7\n\nmain 0 1\nf 2 7\n";
+  rejects "line numbers count blank lines"
+    "Profile.of_string: line 3: bad line: f x 1" "\n\nf x 1\n";
+  Alcotest.(check bool) "a zero count is accepted" false
+    (Profile.is_empty (Profile.of_string "f 1 0\n"))
 
 let test_median_nonzero () =
   let counts = Hashtbl.create 8 in
