@@ -14,8 +14,9 @@
    every training run) on the same ref input, after checking that its
    return value and output equal the simulator's.  IR wall time over
    block-engine wall time, geometric mean across workloads, is
-   wall_clock.ir_over_block_geomean; the perf gate caps it at 1.0, so
-   training cannot fall back to tree-walker speed (about 2.7) unnoticed.
+   wall_clock.ir_over_block_geomean; the perf gate caps it at 0.5, so
+   training cannot slow to half the block engine's speed unnoticed (it
+   reads about 0.2; the tree walker it replaced read about 2.7).
 
    Timing is always serial — one run at a time in the parent process,
    whatever --jobs says — because concurrent workers sharing cores would
