@@ -267,6 +267,64 @@ let test_fuel_sweep_parity () =
       done)
     [ false; true ]
 
+(* Every fuel limit from 0 to just past a whole small program's need,
+   so the fault lands on every retired instruction: the first of a run,
+   mid-run, a run's closing branch, a call, a return and the libc
+   print loop.  Unprofiled and sampled at a small period, so samples
+   fall inside nearly every run.  Below the program's need the fault
+   comes while retiring instruction fuel+1; at or above it the run
+   finishes. *)
+let fuel_sweep_src =
+  {|
+int scale(int x) { return x * 3 + 1; }
+int main() {
+  int s = 0;
+  for (int i = 0; i < 20; i = i + 1) {
+    if (i & 1) s = s + scale(i); else s = s - i;
+    if (s > 20) s = s - 7;
+  }
+  print_int(s);
+  return s & 127;
+}
+|}
+
+let test_fuel_sweep_whole_program () =
+  let image =
+    Driver.link_baseline (Driver.compile ~name:"fuel-sweep" fuel_sweep_src)
+  in
+  let full =
+    result_of "full run" (Sim.Reference.run_outcome image ~args:[])
+  in
+  let need = full.Sim.instructions in
+  Alcotest.(check bool)
+    (Printf.sprintf "small program (%Ld instructions)" need)
+    true
+    (need > 300L && need <= 3000L);
+  List.iter
+    (fun sample_period ->
+      for k = 0 to Int64.to_int need + 2 do
+        let fuel = Int64.of_int k in
+        let run ~reference =
+          run_outcome ~reference ~fuel ?sample_period image ~args:[]
+        in
+        let oi = run ~reference:true in
+        let what =
+          Printf.sprintf "fuel %d sampled %b" k (Option.is_some sample_period)
+        in
+        check_outcomes_equal what oi (run ~reference:false);
+        match oi with
+        | Sim.Faulted { fault_msg = "fuel exhausted"; partial }
+          when Int64.compare fuel need < 0 ->
+            Alcotest.(check int64)
+              (what ^ ": fault at exactly fuel+1 retired")
+              (Int64.add fuel 1L) partial.Sim.instructions
+        | Sim.Finished r when Int64.compare fuel need >= 0 ->
+            Alcotest.(check int64) (what ^ ": full run") need
+              r.Sim.instructions
+        | _ -> Alcotest.failf "%s: unexpected outcome" what
+      done)
+    [ None; Some 11 ]
+
 (* ---------------- gadget entry: run_at parity ---------------- *)
 
 let test_run_at_parity () =
@@ -304,6 +362,67 @@ let test_run_at_window_parity () =
       (Printf.sprintf "run_at offset %d" start_offset)
       (run ~reference:true) (run ~reference:false)
   done
+
+(* A cold cache whose first entries are gadget-style: an image no other
+   test builds, entered at every offset of a 128-byte window before any
+   normal run, then run from its entry stub, then entered over the
+   window again.  Whatever the window's misaligned entries leave in the
+   cache must not change the normal run, and the normal run's entries
+   must not change the window's outcomes. *)
+let test_cold_cache_entry_order () =
+  let w = Workloads.find "429.mcf" in
+  let c, _ = prepared w in
+  let profile = Driver.train_cached c ~args:w.Workload.train_args in
+  let config = List.assoc "p0-30" Config.paper_configs in
+  let image, _ = Driver.diversify_linked c ~config ~profile ~version:977 in
+  let lo = String.length image.Link.text / 3 in
+  let window pass =
+    for start_offset = lo to lo + 127 do
+      (* The engine under test first, so it meets each entry cold. *)
+      let run ~reference =
+        run_at_outcome ~reference ~fuel:5_000L
+          ~stack_image:[ 0x20l; 0x40l; 0x60l ] image ~start_offset
+      in
+      let ob = run ~reference:false in
+      check_outcomes_equal
+        (Printf.sprintf "%s: run_at offset %d" pass start_offset)
+        (run ~reference:true) ob
+    done
+  in
+  window "cold window";
+  let run ~reference =
+    run_outcome ~reference image ~args:w.Workload.train_args
+  in
+  let ob = run ~reference:false in
+  check_outcomes_equal "full run after window" (run ~reference:true) ob;
+  window "warm window"
+
+(* Hooked and plain runs take turns on one cache: profile, plain,
+   sampled, plain, profile.  Each must equal the oracle's, whatever the
+   runs before it built. *)
+let test_hooks_interleaved () =
+  let w = Workloads.find "429.mcf" in
+  let c, _ = prepared w in
+  let profile = Driver.train_cached c ~args:w.Workload.train_args in
+  let config = List.assoc "p0-30" Config.paper_configs in
+  let image, _ = Driver.diversify_linked c ~config ~profile ~version:978 in
+  List.iteri
+    (fun k (label, prof, period) ->
+      let run ~reference =
+        run_outcome ~reference ~profile:prof ?sample_period:period image
+          ~args:w.Workload.train_args
+      in
+      let ob = run ~reference:false in
+      check_outcomes_equal
+        (Printf.sprintf "run %d (%s)" k label)
+        (run ~reference:true) ob)
+    [
+      ("profile", true, None);
+      ("plain", false, None);
+      ("sampled", false, Some sample_period);
+      ("plain", false, None);
+      ("profile", true, None);
+    ]
 
 (* ---------------- decode memo ownership ---------------- *)
 
@@ -402,9 +521,15 @@ let suite =
           test_fuel_exhaustion_parity;
         Alcotest.test_case "fuel sweep parity" `Quick
           test_fuel_sweep_parity;
+        Alcotest.test_case "fuel sweep, whole program" `Quick
+          test_fuel_sweep_whole_program;
         Alcotest.test_case "run_at parity" `Quick test_run_at_parity;
         Alcotest.test_case "run_at window parity" `Quick
           test_run_at_window_parity;
+        Alcotest.test_case "cold cache, entry order" `Quick
+          test_cold_cache_entry_order;
+        Alcotest.test_case "hooks interleaved on one cache" `Quick
+          test_hooks_interleaved;
         Alcotest.test_case "decode memo shared" `Quick
           test_decode_memo_shared;
         Alcotest.test_case "block re-run deterministic" `Quick
