@@ -349,10 +349,13 @@ let top_arg =
     & info [ "top" ] ~docv:"N"
         ~doc:"Truncate profile tables to the $(docv) hottest rows.")
 
-(* Reject a non-positive sampling period here rather than letting
-   [Sim.run] raise an uncaught Invalid_argument. *)
+(* Reject a sampling period [Sim.run] refuses (one not above the
+   per-sample cost) here rather than letting it raise an uncaught
+   Invalid_argument. *)
 let validate_period = function
-  | Some n when n <= 0 -> die "sample period must be positive (got %d)" n
+  | Some n when float_of_int n <= Timing.default.sample_cost ->
+      die "sample period must exceed the per-sample cost of %g cycles (got %d)"
+        Timing.default.sample_cost n
   | p -> p
 
 let load_image path =

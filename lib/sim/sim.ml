@@ -555,7 +555,11 @@ let check_run (image : Link.image) ~args ~sample_period =
       (Printf.sprintf "Sim.run: main expects %d args, got %d" image.main_arity
          (List.length args));
   match sample_period with
-  | Some p when p <= 0 -> invalid_arg "Sim: sample_period must be positive"
+  | Some p when float_of_int p <= Timing.default.sample_cost ->
+      invalid_arg
+        (Printf.sprintf
+           "Sim: sample_period must exceed the per-sample cost (%g cycles)"
+           Timing.default.sample_cost)
   | _ -> ()
 
 let check_run_at (image : Link.image) ~start_offset =

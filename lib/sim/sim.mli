@@ -93,14 +93,16 @@ val run :
     are written to the [__argv] array before execution (they are the
     arguments of [main]); at most {!Libc.argv_words} are allowed.
     Default [fuel] is [2^40] instructions.  [profile] (default [false])
-    collects a per-offset {!exec_profile}; the hook costs three array
-    writes per retired instruction when on and one [option] test when
-    off.  [sample_period] (off by default) additionally records a PC
-    sample every that many retired cycles into a {!sample_profile},
-    charging {!Timing.model.sample_cost} cycles per sample to the run —
-    production-style profiling with a modeled overhead.  Raises
-    [Invalid_argument] if [args] does not match [main]'s arity or
-    [sample_period <= 0], and {!Fault} if the run traps. *)
+    collects a per-offset {!exec_profile}.  [sample_period] (off by
+    default) additionally records a PC sample every that many retired
+    cycles into a {!sample_profile}, charging
+    {!Timing.model.sample_cost} cycles per sample to the run —
+    production-style profiling with a modeled overhead.  The period
+    must exceed that cost: the charged cycles count toward the next
+    sample, so a shorter period would sample ever more often and the
+    modeled cycles would grow without bound.  Raises [Invalid_argument]
+    if [args] does not match [main]'s arity or [sample_period] does not
+    exceed the per-sample cost, and {!Fault} if the run traps. *)
 
 val run_outcome :
   ?fuel:int64 ->

@@ -41,3 +41,5 @@ case_ diversify div.mc --profile dup.prof -o div.div.bin
 case_ run div.mc --config p0-30 --profile neg.prof --args 1
 case_ run div.bin --args 1 --engine=interp
 case_ workload 429.mcf --engine=interp
+case_ run div.bin --args 1 --sim-profile-sample=7
+case_ profile record div.bin --args 1 --period 10 -o short.psdprof

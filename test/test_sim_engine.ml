@@ -273,7 +273,8 @@ let test_fuel_sweep_parity () =
    print loop.  Unprofiled and sampled at a small period, so samples
    fall inside nearly every run.  Below the program's need the fault
    comes while retiring instruction fuel+1; at or above it the run
-   finishes. *)
+   finishes.  The sampled sweep uses the shortest period the simulator
+   accepts (see the next test). *)
 let fuel_sweep_src =
   {|
 int scale(int x) { return x * 3 + 1; }
@@ -324,6 +325,39 @@ let test_fuel_sweep_whole_program () =
         | _ -> Alcotest.failf "%s: unexpected outcome" what
       done)
     [ None; Some 11 ]
+
+(* Each sample charges [Timing.default.sample_cost] cycles, and those
+   cycles count toward the next sample: at a period no longer than the
+   cost every instruction takes a sample and, below it, the number of
+   samples due grows geometrically until the cycle count is garbage.
+   Both engines refuse such periods up front; the shortest accepted one
+   runs. *)
+let test_short_sample_period_rejected () =
+  let image =
+    Driver.link_baseline (Driver.compile ~name:"fuel-sweep" fuel_sweep_src)
+  in
+  let shortest = int_of_float Timing.default.Timing.sample_cost + 1 in
+  List.iter
+    (fun reference ->
+      List.iter
+        (fun p ->
+          match run_outcome ~reference ~sample_period:p image ~args:[] with
+          | exception Invalid_argument _ -> ()
+          | _ ->
+              Alcotest.failf "period %d accepted (reference %b)" p reference)
+        [ 1; 7; shortest - 1 ];
+      let r =
+        result_of "shortest period"
+          (run_outcome ~reference ~sample_period:shortest image ~args:[])
+      in
+      (* Sampling multiplies the cycles per instruction by about
+         period / (period - sample_cost), 11 here. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "bounded cycles (%g for %Ld instructions)"
+           r.Sim.cycles r.Sim.instructions)
+        true
+        (r.Sim.cycles < 100.0 *. Int64.to_float r.Sim.instructions))
+    [ true; false ]
 
 (* ---------------- gadget entry: run_at parity ---------------- *)
 
@@ -523,6 +557,8 @@ let suite =
           test_fuel_sweep_parity;
         Alcotest.test_case "fuel sweep, whole program" `Quick
           test_fuel_sweep_whole_program;
+        Alcotest.test_case "short sample period rejected" `Quick
+          test_short_sample_period_rejected;
         Alcotest.test_case "run_at parity" `Quick test_run_at_parity;
         Alcotest.test_case "run_at window parity" `Quick
           test_run_at_window_parity;
