@@ -1,35 +1,44 @@
 (* The block-cached execution engine.
 
-   The reference interpreter in [Sim.Reference] re-derives everything per retired
-   instruction: it re-matches the decoded instruction, recomputes its
-   [Timing] cost, re-tests NOP candidacy (a deep structural comparison
+   The reference interpreter in [Sim.Reference] re-derives everything per
+   retired instruction: it re-matches the decoded instruction, recomputes
+   its [Timing] cost, re-tests NOP candidacy (a deep structural comparison
    against the Table-1 list), divides to find icache lines, and carries
-   all machine state in boxed [int32]/[int64]/[float] fields.  This
-   engine pays those costs once per text offset instead of once per
-   retired instruction: [.text] is pre-decoded into a cache of parallel
-   per-offset arrays — a compiled closure, the flattened cost-model
-   value, the NOP and icache-line-start bits, the icache line/tag
-   pair(s), the length of the fall-through run starting there — seeded
-   from the image's block-offset tables and swept over every remaining
-   offset so [run_at] gadget entry points are covered too.  Execution
-   is then an array walk, one fall-through run at a time: the fetch
-   checks are made once per run, the run's counters stay in locals, and
-   the register file and data memory are untagged native-[int] arrays
-   (sign-extended 32-bit canonical form), so the hot loop allocates
-   nothing.
+   all machine state in boxed [int32]/[int64]/[float] fields.  This engine
+   pays those costs once per executed text offset instead: the first time
+   an offset runs, its instruction is compiled into a *step*, a closure
+   with the offset's static facts built in — the operation (the hot
+   operand shapes inline), the flattened cost, whether it is a NOP
+   candidate, and which icache probes it must make — that retires the
+   instruction and tail-calls its fall-through successor's step.  The
+   register file and data memory are untagged native-[int] arrays
+   (sign-extended 32-bit canonical form), so executing allocates nothing.
+
+   A *run* starts at an entry offset and ends at its first control-flow
+   instruction (inclusive), or at the last decodable instruction before
+   an undecodable offset or the end of text.  Runs entered at different
+   offsets share the steps of their common suffix.  A run's *entry*
+   closure makes the fuel check once for the whole run and the
+   first-byte icache probe the run's first step would otherwise skip.  A
+   run closed by [jcc], [jmp rel] or [call rel] tail-calls the entry of
+   its successor run through a link that is resolved (and the successor
+   built) on first use; every other control transfer, an undecodable or
+   out-of-text target, and a run cut short by its fuel go back to the
+   dispatch loop in [exec_loop], which makes the fetch checks.
 
    The cache is keyed on (text digest, timing model) and shared across
    runs in a small LRU — population grids and the PGO loop run the same
-   image thousands of times and pay decode once.  The interpreter
+   image thousands of times and build each step once.  The interpreter
    borrows the cache's decode memo as well, so even oracle runs stop
    rebuilding per-run decode arrays.
 
    Everything observable must be *byte-identical* to the interpreter:
    same [Fault] messages raised after the same retired instructions,
    same modeled cycle float (every float addition happens in the same
-   order — per-insn cost, each icache miss penalty separately, sample
-   costs), same profile and sampled-recording arrays.  The equivalence
-   suite and the fuzz oracle lattice compare the full tuple. *)
+   order — each icache miss penalty separately, then the per-insn cost,
+   then sample costs), same profile and sampled-recording arrays.  The
+   equivalence suite and the fuzz oracle lattice compare the full
+   tuple. *)
 
 open Simcore
 
@@ -51,7 +60,7 @@ type st = {
   mutable pf : bool;
   mem : int array; (* data space, word-indexed, up to stack_top *)
   tlen : int; (* String.length text *)
-  mutable eip : int; (* text offset *)
+  mutable eip : int; (* text offset; read by the dispatch loop only *)
   out : Buffer.t;
   itags : int array; (* icache tag per line *)
   cy : float array; (* cy.(0) = modeled cycles; a float array write
@@ -165,10 +174,25 @@ let jump_to_va st va =
     fault "control transfer outside text: 0x%lx" (Int32.of_int va);
   st.eip <- off
 
+(* One icache probe: a miss retags the line and charges the penalty. *)
+let[@inline] probe st pen line tag =
+  let itags = st.itags in
+  if Array.unsafe_get itags line <> tag then begin
+    Array.unsafe_set itags line tag;
+    st.misses <- st.misses + 1;
+    Array.unsafe_set st.cy 0 (Array.unsafe_get st.cy 0 +. pen)
+  end
+
+(* Retire one instruction of cost [cost]: the counters every step
+   updates, with no fuel test (the run's entry made it). *)
+let[@inline] retire st cost =
+  st.insns <- st.insns + 1;
+  Array.unsafe_set st.cy 0 (Array.unsafe_get st.cy 0 +. cost)
+
 (* ------------------------------------------------------------------ *)
-(* The closure compiler: one [st -> unit] per decoded offset.  Operand
-   accessors, ALU flag routines, condition tests and static branch
-   targets are all resolved here, at decode time.                      *)
+(* The operation compiler: one [st -> unit] per instruction.  Operand
+   accessors, ALU flag routines and condition tests are resolved here,
+   when the step is built.                                             *)
 
 let rd_reg r =
   let k = Reg.encode r in
@@ -256,29 +280,14 @@ let syscall st =
   | 4 -> Buffer.add_char st.out (Char.chr (Array.unsafe_get st.regs 3 land 0xFF))
   | n -> fault "unknown syscall %d" n
 
-(* Only the run's last instruction — its one control-flow instruction,
-   if it has one — may move [eip]: the loop presets [eip] to the run's
-   end, so every other closure leaves it alone, and a branch not taken
-   needs no store. *)
-let compile ~tlen ~off ~len (i : Insn.t) : st -> unit =
+(* Every instruction but the three whose successors are static
+   ([jcc], [jmp rel], [call rel]; see [build_step]).  The other control
+   transfers leave their target in [eip] for the dispatch loop: [ret],
+   [call]/[jmp r/m] through [jump_to_va], [int] and [hlt] by naming the
+   next offset. *)
+let compile ~off ~len (i : Insn.t) : st -> unit =
   let next = off + len in
   match i with
-  (* The three hottest operand shapes, each one closure with the
-     operand and address arithmetic inline. *)
-  | Insn.Mov_r_rm (dst, Insn.Mem { base = Some b; index = None; disp }) ->
-      let kd = Reg.encode dst and kb = Reg.encode b and d = Int32.to_int disp in
-      fun st ->
-        Array.unsafe_set st.regs kd
-          (mem_rd st (sext32 (Array.unsafe_get st.regs kb + d)))
-  | Insn.Mov_r_rm (dst, Insn.Reg src) | Insn.Mov_rm_r (Insn.Reg dst, src) ->
-      let kd = Reg.encode dst and ks = Reg.encode src in
-      fun st -> Array.unsafe_set st.regs kd (Array.unsafe_get st.regs ks)
-  | Insn.Mov_rm_r (Insn.Mem { base = Some b; index = None; disp }, src) ->
-      let kb = Reg.encode b and ks = Reg.encode src and d = Int32.to_int disp in
-      fun st ->
-        mem_wr st
-          (sext32 (Array.unsafe_get st.regs kb + d))
-          (Array.unsafe_get st.regs ks)
   | Insn.Mov_rm_r (dst, src) ->
       let wr = wr_op dst and rs = rd_reg src in
       fun st -> wr st (rs st)
@@ -420,51 +429,6 @@ let compile ~tlen ~off ~len (i : Insn.t) : st -> unit =
   | Insn.Pop_r r ->
       let wr = wr_reg r in
       fun st -> wr st (pop st)
-  | Insn.Ret -> fun st -> jump_to_va st (pop st)
-  | Insn.Ret_imm n ->
-      fun st ->
-        let va = pop st in
-        Array.unsafe_set st.regs 4
-          (sext32 (Array.unsafe_get st.regs 4 + n));
-        jump_to_va st va
-  | Insn.Call_rel d ->
-      let target = next + Int32.to_int d in
-      let ret_va = sext32 (text_base_i + next) in
-      if target < 0 || target >= tlen then fun st -> (
-        push st ret_va;
-        fault "call outside text")
-      else fun st ->
-        push st ret_va;
-        st.eip <- target
-  | Insn.Call_rm o ->
-      let rd = rd_op o in
-      let ret_va = sext32 (text_base_i + next) in
-      fun st ->
-        push st ret_va;
-        jump_to_va st (rd st)
-  | Insn.Jmp_rel d ->
-      let target = next + Int32.to_int d in
-      if target < 0 || target >= tlen then fun _ -> fault "jump outside text"
-      else fun st -> st.eip <- target
-  | Insn.Jmp_rel8 d ->
-      let target = next + d in
-      if target < 0 || target >= tlen then fun _ -> fault "jump outside text"
-      else fun st -> st.eip <- target
-  | Insn.Jmp_rm o ->
-      let rd = rd_op o in
-      fun st -> jump_to_va st (rd st)
-  | Insn.Jcc (c, d) ->
-      let cond = compile_cond c in
-      let target = next + Int32.to_int d in
-      if target < 0 || target >= tlen then fun st -> (
-        if cond st then fault "jump outside text")
-      else fun st -> if cond st then st.eip <- target
-  | Insn.Jcc8 (c, d) ->
-      let cond = compile_cond c in
-      let target = next + d in
-      if target < 0 || target >= tlen then fun st -> (
-        if cond st then fault "jump outside text")
-      else fun st -> if cond st then st.eip <- target
   | Insn.Setcc (c, r8) ->
       let cond = compile_cond c in
       let r32 = Reg.of_r8 r8 in
@@ -482,129 +446,472 @@ let compile ~tlen ~off ~len (i : Insn.t) : st -> unit =
         let a = rd st and b = rr st in
         wr st b;
         wrr st a
-  | Insn.Int 0x80 -> syscall
-  | Insn.Int n -> fun _ -> fault "unhandled interrupt 0x%x" n
   | Insn.Nop -> fun _ -> ()
+  | Insn.Ret -> fun st -> jump_to_va st (pop st)
+  | Insn.Ret_imm n ->
+      fun st ->
+        let va = pop st in
+        Array.unsafe_set st.regs 4
+          (sext32 (Array.unsafe_get st.regs 4 + n));
+        jump_to_va st va
+  | Insn.Call_rm o ->
+      let rd = rd_op o in
+      let ret_va = sext32 (text_base_i + next) in
+      fun st ->
+        (* The target is read before the return address is pushed, as
+           on x86 — it may be the very stack slot the push overwrites,
+           or ESP itself. *)
+        let target = rd st in
+        push st ret_va;
+        jump_to_va st target
+  | Insn.Jmp_rm o ->
+      let rd = rd_op o in
+      fun st -> jump_to_va st (rd st)
+  | Insn.Int 0x80 ->
+      fun st ->
+        syscall st;
+        st.eip <- next
+  | Insn.Int n -> fun _ -> fault "unhandled interrupt 0x%x" n
   | Insn.Hlt ->
       fun st ->
         st.running <- false;
         st.status <- Array.unsafe_get st.regs 0
+  | Insn.Jcc _ | Insn.Jcc8 _ | Insn.Jmp_rel _ | Insn.Jmp_rel8 _
+  | Insn.Call_rel _ ->
+      invalid_arg "Bsim.compile: static control transfer"
 
 (* ------------------------------------------------------------------ *)
-(* The block cache: parallel per-offset arrays over [.text].           *)
+(* The cache: the decode memo plus two families of lazily built steps
+   and run entries, one without hooks and one with the profile and
+   sample hooks built in.                                              *)
+
+type family = {
+  hooks : bool;
+  entries : (st -> unit) array; (* run entry per offset, or [unbuilt] *)
+  steps : (st -> unit) array; (* in-run step per offset, or [unbuilt] *)
+}
 
 type cache = {
   text : string;
   model : Timing.model;
   decoded : (Insn.t * int) option array; (* shared with the interpreter *)
-  ops : (st -> unit) array;
-  costs : float array; (* flattened Timing.insn_cost per offset *)
-  cflags : int array;
-      (* 0 = undecodable; else (len lsl 2) lor (line_start lsl 1) lor
-         nop_bit, line_start set iff the first byte begins an icache
-         line *)
-  runs : int array;
-      (* byte length of the fall-through run that starts here: up to and
-         including the first control-flow instruction, or up to the last
-         decodable instruction before an undecodable offset or the end
-         of text; 0 where undecodable *)
-  line1 : int array; (* icache line of the first instruction byte *)
-  tag1 : int array;
-  line2 : int array; (* line of the last byte iff it differs, else -1 *)
-  tag2 : int array;
+  plain : family;
+  mutable hooked : family option; (* made by the first hooked run *)
 }
 
-let dummy_op : st -> unit = fun _ -> assert false
+(* A successor run's entry, resolved on first use and kept. *)
+type link = { mutable go : st -> unit }
 
-let build (image : Link.image) (model : Timing.model) : cache =
-  let text = image.text in
-  let tlen = String.length text in
-  let n = max 1 tlen in
-  let decoded = Array.make n None in
-  let ops = Array.make n dummy_op in
-  let costs = Array.make n 0.0 in
-  let cflags = Array.make n 0 in
-  let runs = Array.make n 0 in
-  let line1 = Array.make n 0
-  and tag1 = Array.make n 0
-  and line2 = Array.make n (-1)
-  and tag2 = Array.make n 0 in
-  let lb = model.Timing.icache_line_bytes
-  and lines = model.Timing.icache_lines in
-  let install off i ilen =
-    decoded.(off) <- Some (i, ilen);
-    ops.(off) <- compile ~tlen ~off ~len:ilen i;
-    costs.(off) <- Timing.insn_cost model i;
-    let va = text_base_i + off in
-    let t1 = va / lb in
-    line1.(off) <- t1 mod lines;
-    tag1.(off) <- t1;
-    let t2 = (va + ilen - 1) / lb in
-    if t2 <> t1 then begin
-      line2.(off) <- t2 mod lines;
-      tag2.(off) <- t2
-    end;
-    cflags.(off) <-
-      (ilen lsl 2)
-      lor (if va mod lb = 0 then 2 else 0)
-      lor if Nops.is_candidate i then 1 else 0
+let unbuilt : st -> unit = fun _ -> assert false
+
+let family ~hooks n =
+  { hooks; entries = Array.make n unbuilt; steps = Array.make n unbuilt }
+
+let decoded c = c.decoded
+
+(* The decode memo, filled on demand.  [None] in the memo means "not
+   decoded yet" as well as "undecodable", so undecodable offsets are
+   decoded again each time — only fetch faults and run ends ask. *)
+let decode c off =
+  match Array.unsafe_get c.decoded off with
+  | Some _ as d -> d
+  | None ->
+      let d = Decode.insn ~pos:off c.text in
+      if Option.is_some d then c.decoded.(off) <- d;
+      d
+
+let decodable c off =
+  off >= 0 && off < String.length c.text && Option.is_some (decode c off)
+
+let insn_at c off =
+  match decode c off with Some d -> d | None -> assert false
+
+(* Where the run through [off] continues after the instruction there:
+   [Some next] unless that instruction transfers control or the next
+   offset is undecodable or outside the text. *)
+let fall_through c off =
+  let i, len = insn_at c off in
+  let nx = off + len in
+  if Insn.is_control_flow i || not (decodable c nx) then None else Some nx
+
+(* The number of instructions from [off] to the end of its run. *)
+let run_insns c off =
+  let rec go off n =
+    match fall_through c off with None -> n | Some nx -> go nx (n + 1)
   in
-  (* Seed decoding from the image's layout tables — entry stub, symbol
-     starts and every basic-block start — following straight-line
-     fall-through to the block terminator; this covers all offsets
-     normal execution can reach. *)
-  let seed_from start =
-    let off = ref start in
-    let continue = ref true in
-    while !continue && !off >= 0 && !off < tlen && cflags.(!off) = 0 do
-      match Decode.insn ~pos:!off text with
-      | None -> continue := false
-      | Some (i, ilen) ->
-          install !off i ilen;
-          if Insn.is_terminator i then continue := false
-          else off := !off + ilen
-    done
-  in
-  seed_from image.entry;
-  seed_from image.user_start;
-  List.iter (fun (_, o) -> seed_from o) image.symbols;
-  List.iter
-    (fun (_, blocks) -> List.iter (fun (_, o) -> seed_from o) blocks)
-    image.block_offsets;
-  (* Sweep the remaining offsets so [run_at] — gadget-style entry at an
-     arbitrary, possibly misaligned offset — also finds its entries
-     pre-compiled.  Offsets left at 0 are genuinely undecodable and
-     fault on fetch, exactly like the interpreter. *)
-  for off = 0 to tlen - 1 do
-    if cflags.(off) = 0 then
-      match Decode.insn ~pos:off text with
-      | None -> ()
-      | Some (i, ilen) -> install off i ilen
-  done;
-  (* Run lengths, right to left: a run continues into the run of the
-     instruction that follows unless it ends in control flow. *)
-  for off = tlen - 1 downto 0 do
-    match decoded.(off) with
+  go off 1
+
+(* Back to the dispatch loop, which fetches at [off]. *)
+let to_dispatch off : st -> unit = fun st -> st.eip <- off
+
+(* The icache lines an instruction's first and last bytes fall on:
+   [(line1, tag1, line2, tag2)], [line2 = -1] if both bytes share a
+   line. *)
+let lines (m : Timing.model) ~off ~len =
+  let lb = m.Timing.icache_line_bytes and n = m.Timing.icache_lines in
+  let va = text_base_i + off in
+  let t1 = va / lb and t2 = (va + len - 1) / lb in
+  (t1 mod n, t1, (if t2 <> t1 then t2 mod n else -1), t2)
+
+(* The fuel trap: the instruction that would retire past the fuel limit
+   makes its icache probes, counts as retired, and faults before its
+   cost is charged.  (Its first-byte probe is made even mid-run: there
+   it is a certain hit, as the previous instruction ended on that
+   line.) *)
+let fuel_trap c off : st -> unit =
+  let _, len = insn_at c off in
+  let l1, t1, l2, t2 = lines c.model ~off ~len in
+  let pen = c.model.Timing.icache_miss_penalty in
+  fun st ->
+    probe st pen l1 t1;
+    if l2 >= 0 then probe st pen l2 t2;
+    st.insns <- st.insns + 1;
+    fault "fuel exhausted"
+
+(* ------------------------------------------------------------------ *)
+(* Step building.                                                      *)
+
+(* A hooks-off step that falls through: the hot operand shapes from the
+   dynamic instruction mix run inline, the rest through [compile]. *)
+let plain_op ~cost ~next ~off ~len (i : Insn.t) : st -> unit =
+  match i with
+  | Insn.Mov_r_rm (dst, Insn.Mem { base = Some b; index = None; disp }) ->
+      let kd = Reg.encode dst and kb = Reg.encode b and d = Int32.to_int disp in
+      fun st ->
+        retire st cost;
+        let regs = st.regs in
+        Array.unsafe_set regs kd
+          (mem_rd st (sext32 (Array.unsafe_get regs kb + d)));
+        next st
+  | Insn.Mov_r_rm (dst, Insn.Reg src) | Insn.Mov_rm_r (Insn.Reg dst, src) ->
+      let kd = Reg.encode dst and ks = Reg.encode src in
+      fun st ->
+        retire st cost;
+        let regs = st.regs in
+        Array.unsafe_set regs kd (Array.unsafe_get regs ks);
+        next st
+  | Insn.Mov_rm_r (Insn.Mem { base = Some b; index = None; disp }, src) ->
+      let kb = Reg.encode b and ks = Reg.encode src and d = Int32.to_int disp in
+      fun st ->
+        retire st cost;
+        let regs = st.regs in
+        mem_wr st
+          (sext32 (Array.unsafe_get regs kb + d))
+          (Array.unsafe_get regs ks);
+        next st
+  | Insn.Mov_r_imm (dst, imm) ->
+      let kd = Reg.encode dst and v = Int32.to_int imm in
+      fun st ->
+        retire st cost;
+        Array.unsafe_set st.regs kd v;
+        next st
+  | Insn.Alu_rm_r (Insn.Add, Insn.Reg dst, src)
+  | Insn.Alu_r_rm (Insn.Add, dst, Insn.Reg src) ->
+      let kd = Reg.encode dst and ks = Reg.encode src in
+      fun st ->
+        retire st cost;
+        let regs = st.regs in
+        Array.unsafe_set regs kd
+          (set_add_flags st (Array.unsafe_get regs kd) (Array.unsafe_get regs ks));
+        next st
+  | Insn.Alu_rm_imm (Insn.Add, Insn.Reg dst, imm) ->
+      let kd = Reg.encode dst and v = Int32.to_int imm in
+      fun st ->
+        retire st cost;
+        let regs = st.regs in
+        Array.unsafe_set regs kd (set_add_flags st (Array.unsafe_get regs kd) v);
+        next st
+  | Insn.Alu_r_rm (Insn.Add, dst, Insn.Mem { base = Some b; index = None; disp })
+    ->
+      let kd = Reg.encode dst and kb = Reg.encode b and d = Int32.to_int disp in
+      fun st ->
+        retire st cost;
+        let regs = st.regs in
+        let v = mem_rd st (sext32 (Array.unsafe_get regs kb + d)) in
+        Array.unsafe_set regs kd (set_add_flags st (Array.unsafe_get regs kd) v);
+        next st
+  | Insn.Alu_rm_imm (Insn.Cmp, Insn.Mem { base = Some b; index = None; disp }, imm)
+    ->
+      let kb = Reg.encode b and d = Int32.to_int disp and v = Int32.to_int imm in
+      fun st ->
+        retire st cost;
+        let a = mem_rd st (sext32 (Array.unsafe_get st.regs kb + d)) in
+        ignore (set_sub_flags st a v);
+        next st
+  | Insn.Alu_rm_imm (Insn.Cmp, Insn.Reg r, imm) ->
+      let k = Reg.encode r and v = Int32.to_int imm in
+      fun st ->
+        retire st cost;
+        ignore (set_sub_flags st (Array.unsafe_get st.regs k) v);
+        next st
+  | Insn.Shift_imm (sh, Insn.Reg r, n) when n land 31 <> 0 -> (
+      let k = Reg.encode r and n = n land 31 in
+      match sh with
+      | Insn.Shl ->
+          fun st ->
+            retire st cost;
+            let v = sext32 (Array.unsafe_get st.regs k lsl n) in
+            set_logic_flags st v;
+            Array.unsafe_set st.regs k v;
+            next st
+      | Insn.Shr ->
+          fun st ->
+            retire st cost;
+            let v = sext32 ((Array.unsafe_get st.regs k land 0xFFFFFFFF) lsr n) in
+            set_logic_flags st v;
+            Array.unsafe_set st.regs k v;
+            next st
+      | Insn.Sar ->
+          fun st ->
+            retire st cost;
+            let v = Array.unsafe_get st.regs k asr n in
+            set_logic_flags st v;
+            Array.unsafe_set st.regs k v;
+            next st)
+  | _ ->
+      let op = compile ~off ~len i in
+      fun st ->
+        retire st cost;
+        op st;
+        next st
+
+(* A hooks-on step: every probe, count and hook in the interpreter's
+   order, profile cycles measured from before the probes.  The
+   first-byte probe is always made, so a hooked step is also its run's
+   entry. *)
+let hooked_step c ~off ~cost ~nop ~l1 ~t1 ~l2 ~t2 tail : st -> unit =
+  let pen = c.model.Timing.icache_miss_penalty
+  and sample_cost = c.model.Timing.sample_cost in
+  fun st ->
+    let cy = st.cy in
+    let c0 = Array.unsafe_get cy 0 in
+    probe st pen l1 t1;
+    if l2 >= 0 then probe st pen l2 t2;
+    st.insns <- st.insns + 1;
+    if nop then st.nops <- st.nops + 1;
+    Array.unsafe_set cy 0 (Array.unsafe_get cy 0 +. cost);
+    (match st.prof with
     | None -> ()
-    | Some (i, ilen) ->
-        let nx = off + ilen in
-        runs.(off) <-
-          (if Insn.is_control_flow i || nx >= tlen then ilen
-           else ilen + runs.(nx))
-  done;
-  {
-    text;
-    model;
-    decoded;
-    ops;
-    costs;
-    cflags;
-    runs;
-    line1;
-    tag1;
-    line2;
-    tag2;
-  }
+    | Some pr ->
+        Array.unsafe_set pr.p_insn off (Array.unsafe_get pr.p_insn off + 1);
+        if nop then
+          Array.unsafe_set pr.p_nop off (Array.unsafe_get pr.p_nop off + 1);
+        Array.unsafe_set pr.p_cyc off
+          (Array.unsafe_get pr.p_cyc off +. (Array.unsafe_get cy 0 -. c0)));
+    (match st.samp with
+    | None -> ()
+    | Some s ->
+        let c = Array.unsafe_get cy 0 in
+        let nf = s.s_nf in
+        if c >= Array.unsafe_get nf 0 then begin
+          let due = 1 + int_of_float ((c -. Array.unsafe_get nf 0) /. s.sp) in
+          Array.unsafe_set s.s_counts off (Array.unsafe_get s.s_counts off + due);
+          s.s_taken <- s.s_taken + due;
+          Array.unsafe_set nf 0
+            (Array.unsafe_get nf 0 +. (float_of_int due *. s.sp));
+          let cost = float_of_int due *. sample_cost in
+          Array.unsafe_set nf 1 (Array.unsafe_get nf 1 +. cost);
+          Array.unsafe_set cy 0 (c +. cost)
+        end);
+    tail st
+
+(* The step for the instruction at [off], continuing into [next] unless
+   it transfers control.  [link target] is the lazily resolved entry of
+   a successor run. *)
+let rec build_step c fam ~off ~(next : st -> unit) : st -> unit =
+  let i, len = insn_at c off in
+  let m = c.model in
+  let cost = Timing.insn_cost m i and nop = Nops.is_candidate i in
+  let l1, t1, l2, t2 = lines m ~off ~len in
+  let pen = m.Timing.icache_miss_penalty in
+  let tlen = String.length c.text in
+  let nx = off + len in
+  let static_target d =
+    let target = nx + d in
+    if target < 0 || target >= tlen then None else Some (link c fam target)
+  in
+  (* The transfers whose targets are static, displacements as ints. *)
+  let transfer =
+    match i with
+    | Insn.Jcc (cc, d) -> `Jcc (cc, Int32.to_int d)
+    | Insn.Jcc8 (cc, d) -> `Jcc (cc, d)
+    | Insn.Jmp_rel d -> `Jmp (Int32.to_int d)
+    | Insn.Jmp_rel8 d -> `Jmp d
+    | Insn.Call_rel d -> `Call (Int32.to_int d)
+    | _ -> `None
+  in
+  if fam.hooks then
+    let tail =
+      match transfer with
+      | `Jcc (cc, d) -> (
+          let cond = compile_cond cc and ft = link c fam nx in
+          match static_target d with
+          | None ->
+              fun st -> if cond st then fault "jump outside text" else ft.go st
+          | Some tk -> fun st -> if cond st then tk.go st else ft.go st)
+      | `Jmp d -> (
+          match static_target d with
+          | None -> fun _ -> fault "jump outside text"
+          | Some tk -> fun st -> tk.go st)
+      | `Call d -> (
+          let ret_va = sext32 (text_base_i + nx) in
+          match static_target d with
+          | None ->
+              fun st ->
+                push st ret_va;
+                fault "call outside text"
+          | Some tk ->
+              fun st ->
+                push st ret_va;
+                tk.go st)
+      | `None when Insn.is_control_flow i -> compile ~off ~len i
+      | `None ->
+          let op = compile ~off ~len i in
+          fun st ->
+            op st;
+            next st
+    in
+    hooked_step c ~off ~cost ~nop ~l1 ~t1 ~l2 ~t2 tail
+  else
+    let core =
+      match transfer with
+      | `Jcc (cc, d) -> (
+          let cond = compile_cond cc and ft = link c fam nx in
+          match static_target d with
+          | None ->
+              fun st ->
+                retire st cost;
+                if cond st then fault "jump outside text" else ft.go st
+          | Some tk ->
+              fun st ->
+                retire st cost;
+                if cond st then tk.go st else ft.go st)
+      | `Jmp d -> (
+          match static_target d with
+          | None ->
+              fun st ->
+                retire st cost;
+                fault "jump outside text"
+          | Some tk ->
+              fun st ->
+                retire st cost;
+                tk.go st)
+      | `Call d -> (
+          let ret_va = sext32 (text_base_i + nx) in
+          match static_target d with
+          | None ->
+              fun st ->
+                retire st cost;
+                push st ret_va;
+                fault "call outside text"
+          | Some tk ->
+              fun st ->
+                retire st cost;
+                push st ret_va;
+                tk.go st)
+      | `None when Insn.is_control_flow i ->
+          let op = compile ~off ~len i in
+          fun st ->
+            retire st cost;
+            op st
+      | `None -> plain_op ~cost ~next ~off ~len i
+    in
+    (* The rare static facts wrap the core: the first-byte probe only at
+       a line start (mid-run, the previous instruction's last byte was
+       on the same line otherwise), the last-byte probe only when the
+       instruction crosses a line, the NOP count only for candidates. *)
+    let line_start = (text_base_i + off) mod m.Timing.icache_line_bytes = 0 in
+    if not (line_start || l2 >= 0 || nop) then core
+    else fun st ->
+      if line_start then probe st pen l1 t1;
+      if l2 >= 0 then probe st pen l2 t2;
+      if nop then st.nops <- st.nops + 1;
+      core st
+
+(* The shared step at [off], building it and every missing step of the
+   rest of its run, right to left. *)
+and step c fam off : st -> unit =
+  let s = Array.unsafe_get fam.steps off in
+  if s != unbuilt then s
+  else begin
+    let rec missing off acc =
+      let acc = off :: acc in
+      match fall_through c off with
+      | Some nx when fam.steps.(nx) == unbuilt -> missing nx acc
+      | _ -> acc
+    in
+    List.iter
+      (fun off ->
+        let next =
+          match fall_through c off with
+          | Some nx -> fam.steps.(nx)
+          | None ->
+              let _, len = insn_at c off in
+              to_dispatch (off + len)
+        in
+        fam.steps.(off) <- build_step c fam ~off ~next)
+      (missing off []);
+    fam.steps.(off)
+  end
+
+(* The entry of the run at the decodable offset [off]: if the run fits
+   in the remaining fuel, its shared steps run with no fuel test;
+   otherwise [cut] runs the instructions that fit and the fuel trap. *)
+and entry c fam off : st -> unit =
+  let e = Array.unsafe_get fam.entries off in
+  if e != unbuilt then e
+  else begin
+    let n = run_insns c off and s = step c fam off in
+    let _, len = insn_at c off in
+    let l1, t1, _, _ = lines c.model ~off ~len in
+    let pen = c.model.Timing.icache_miss_penalty in
+    let line_start = (text_base_i + off) mod c.model.Timing.icache_line_bytes = 0 in
+    let e =
+      if fam.hooks || line_start then fun st ->
+        if n <= st.fuel - st.insns then s st else cut c fam off st
+      else fun st ->
+        if n <= st.fuel - st.insns then begin
+          probe st pen l1 t1;
+          s st
+        end
+        else cut c fam off st
+    in
+    fam.entries.(off) <- e;
+    e
+  end
+
+(* The run at [off] with fewer fuel left than it has instructions: a
+   one-off chain of the steps that fit, then the fuel trap. *)
+and cut c fam off st =
+  let rec offsets off k acc =
+    if k = 0 then (off, acc)
+    else
+      match fall_through c off with
+      | Some nx -> offsets nx (k - 1) (off :: acc)
+      | None -> assert false
+  in
+  let last, fit = offsets off (st.fuel - st.insns) [] in
+  let chain =
+    List.fold_left
+      (fun next off -> build_step c fam ~off ~next)
+      (fuel_trap c last) fit
+  in
+  (* The run's first-byte probe; a hooked step makes its own. *)
+  if not fam.hooks then begin
+    let _, len = insn_at c off in
+    let l1, t1, _, _ = lines c.model ~off ~len in
+    probe st c.model.Timing.icache_miss_penalty l1 t1
+  end;
+  chain st
+
+and link c fam target : link =
+  let l = { go = unbuilt } in
+  l.go <-
+    (fun st ->
+      let e = if decodable c target then entry c fam target else to_dispatch target in
+      l.go <- e;
+      e st);
+  l
 
 (* The global cache, keyed on (text digest, timing model) and bounded
    to the 32 most recently used images.  No metrics are emitted here on
@@ -616,130 +923,49 @@ let caches : (string * Timing.model, cache) Memo.t =
 
 let cache_for (image : Link.image) (model : Timing.model) : cache =
   Memo.find_or_add caches (Digest.string image.text, model) (fun () ->
-      build image model)
+      let n = max 1 (String.length image.text) in
+      {
+        text = image.text;
+        model;
+        decoded = Array.make n None;
+        plain = family ~hooks:false n;
+        hooked = None;
+      })
 
-let decoded c = c.decoded
+let hooked c =
+  match c.hooked with
+  | Some f -> f
+  | None ->
+      let f = family ~hooks:true (Array.length c.decoded) in
+      c.hooked <- Some f;
+      f
 
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)
 
-(* Execution is run at a time: the fetch-bounds and decodability checks
-   happen once at the run's entry, [eip] is set once to the run's end
-   (a control-flow instruction closing the run overrides it), and the
-   cycle, retired, NOP and miss counts live in locals that go back to
-   [st] at the run's end — and before a [Fault] escapes, so partial
-   counters are exact.  Per instruction the order is the interpreter's:
-   icache probes, retire count and fuel check, NOP count, cost, profile
-   and sample hooks, then the operation.  A non-first instruction of a
-   run starts where its predecessor's last byte (just probed) ends, so
-   its first-byte probe is a certain hit unless it begins a new icache
-   line; only then is it made. *)
-let exec_loop (cache : cache) (st : st) =
-  let ops = cache.ops
-  and costs = cache.costs
-  and cflags = cache.cflags
-  and runs = cache.runs
-  and line1 = cache.line1
-  and tag1 = cache.tag1
-  and line2 = cache.line2
-  and tag2 = cache.tag2 in
-  let tlen = st.tlen in
-  let itags = st.itags and cy = st.cy in
-  let pen : float = cache.model.Timing.icache_miss_penalty in
-  let sample_cost : float = cache.model.Timing.sample_cost in
-  let fuel = st.fuel and prof = st.prof and samp = st.samp in
-  let hooks = Option.is_some prof || Option.is_some samp in
+(* The dispatch loop: fetch checks, then the entry of the run at [eip],
+   which chains through its successors until a transfer it cannot
+   follow statically hands back with [eip] set.  Counters live in [st]
+   and each step updates them, so a [Fault] leaves them exact. *)
+let exec_loop (c : cache) (st : st) =
+  let fam =
+    if Option.is_some st.prof || Option.is_some st.samp then hooked c
+    else c.plain
+  in
   while st.running do
     let off = st.eip in
-    if off < 0 || off >= tlen then
+    if off < 0 || off >= st.tlen then
       fault "instruction fetch outside text at offset %d" off;
-    if Array.unsafe_get cflags off = 0 then
-      fault "undecodable bytes at text offset 0x%x" off;
-    let stop = off + Array.unsafe_get runs off in
-    st.eip <- stop;
-    let cyc = ref (Array.unsafe_get cy 0)
-    and insns = ref st.insns
-    and nops = ref st.nops
-    and misses = ref st.misses
-    and pos = ref off in
-    (try
-       while !pos < stop do
-         let p = !pos in
-         let fl = Array.unsafe_get cflags p in
-         let c0 = !cyc in
-         (* icache: first-byte line, then the last-byte line iff
-            distinct — two separate penalty additions, matching the
-            interpreter's float addition order exactly *)
-         if p = off || fl land 2 <> 0 then begin
-           let l1 = Array.unsafe_get line1 p in
-           let t1 = Array.unsafe_get tag1 p in
-           if Array.unsafe_get itags l1 <> t1 then begin
-             Array.unsafe_set itags l1 t1;
-             incr misses;
-             cyc := !cyc +. pen
-           end
-         end;
-         let l2 = Array.unsafe_get line2 p in
-         if l2 >= 0 then begin
-           let t2 = Array.unsafe_get tag2 p in
-           if Array.unsafe_get itags l2 <> t2 then begin
-             Array.unsafe_set itags l2 t2;
-             incr misses;
-             cyc := !cyc +. pen
-           end
-         end;
-         let n = !insns + 1 in
-         insns := n;
-         if n > fuel then fault "fuel exhausted";
-         if fl land 1 <> 0 then incr nops;
-         cyc := !cyc +. Array.unsafe_get costs p;
-         if hooks then begin
-           (match prof with
-           | None -> ()
-           | Some pr ->
-               Array.unsafe_set pr.p_insn p (Array.unsafe_get pr.p_insn p + 1);
-               if fl land 1 <> 0 then
-                 Array.unsafe_set pr.p_nop p (Array.unsafe_get pr.p_nop p + 1);
-               Array.unsafe_set pr.p_cyc p
-                 (Array.unsafe_get pr.p_cyc p +. (!cyc -. c0)));
-           match samp with
-           | None -> ()
-           | Some s ->
-               let c = !cyc in
-               let nf = s.s_nf in
-               if c >= Array.unsafe_get nf 0 then begin
-                 let due =
-                   1 + int_of_float ((c -. Array.unsafe_get nf 0) /. s.sp)
-                 in
-                 Array.unsafe_set s.s_counts p
-                   (Array.unsafe_get s.s_counts p + due);
-                 s.s_taken <- s.s_taken + due;
-                 Array.unsafe_set nf 0
-                   (Array.unsafe_get nf 0 +. (float_of_int due *. s.sp));
-                 let cost = float_of_int due *. sample_cost in
-                 Array.unsafe_set nf 1 (Array.unsafe_get nf 1 +. cost);
-                 cyc := c +. cost
-               end
-         end;
-         pos := p + (fl lsr 2);
-         (Array.unsafe_get ops p) st
-       done
-     with Fault _ as e ->
-       Array.unsafe_set cy 0 !cyc;
-       st.insns <- !insns;
-       st.nops <- !nops;
-       st.misses <- !misses;
-       raise e);
-    Array.unsafe_set cy 0 !cyc;
-    st.insns <- !insns;
-    st.nops <- !nops;
-    st.misses <- !misses
+    let e = Array.unsafe_get fam.entries off in
+    if e != unbuilt then e st
+    else if decodable c off then entry c fam off st
+    else fault "undecodable bytes at text offset 0x%x" off
   done
 
 (* One spare data space, handed from a finished run to the next: a
    fresh 8 MiB array per run is major-heap garbage the GC must then
-   sweep.  Taken and returned atomically, so concurrent runs (domains)
-   each get their own. *)
+   sweep.  A run that finds no spare (one nested in another run)
+   allocates its own. *)
 let spare : int array option Atomic.t = Atomic.make None
 
 let take_mem () =
@@ -763,12 +989,11 @@ let make_state ?(profile = false) ?sample_period ~fuel (image : Link.image)
         }
   in
   let samp =
-    match sample_period with
-    | None -> None
-    | Some p when p <= 0 -> invalid_arg "Sim: sample_period must be positive"
-    | Some p ->
+    Option.map
+      (fun p ->
         let pf = float_of_int p in
-        Some { sp = pf; s_counts = Array.make n 0; s_taken = 0; s_nf = [| pf; 0.0 |] }
+        { sp = pf; s_counts = Array.make n 0; s_taken = 0; s_nf = [| pf; 0.0 |] })
+      sample_period
   in
   let fuel =
     if Int64.compare fuel (Int64.of_int max_int) >= 0 then max_int

@@ -1,27 +1,30 @@
 (** The block-cached execution engine behind {!Sim.run} — the
     simulator's one production path.
 
-    [.text] is pre-decoded once into a cache of per-offset entries — a
-    compiled closure, the flattened {!Timing} cost, the NOP-candidacy
-    and icache-line-start bits, precomputed icache line/tag pairs and
-    the byte length of the fall-through run starting there — seeded
-    from the image's block-offset tables and swept over every remaining
-    offset (so {!Sim.run_at} gadget entries are covered).  Caches are
-    keyed on (text digest, timing model) and kept in a small
-    process-wide LRU, so population grids and the PGO loop decode each
-    image once.  Runs use {!Timing.default}.
+    The first time a text offset executes, its instruction is compiled
+    into a step: a closure with the offset's static facts built in (the
+    operation, with the hot operand shapes inline; the flattened
+    {!Timing} cost; NOP candidacy; which icache probes it makes) that
+    retires the instruction and tail-calls the step of the instruction
+    after it.  Offsets that never execute get no closure.  Steps live in
+    a cache keyed on (text digest, timing model), kept in a small
+    process-wide LRU, so population grids and the PGO loop build each
+    step once.  Runs use {!Timing.default}.
 
-    Execution goes a run at a time.  A run starts at the entry offset
-    and ends at its first control-flow instruction (inclusive), or at
-    the last decodable instruction before an undecodable offset or the
-    end of text.  The fetch-bounds and decodability faults are raised at
-    run entry; within the run the counters live in locals and go back to
-    the machine state at the run's end and before any fault propagates.
-    A non-first instruction of a run probes the icache for its first
-    byte only when that byte starts a line — otherwise the line was just
-    probed for the previous instruction's last byte, so the probe would
-    hit.  A finished run's data space is zeroed and reused by the next
-    run instead of being reallocated.
+    Execution goes a run at a time.  A run starts at an entry offset and
+    ends at its first control-flow instruction (inclusive), or at the
+    last decodable instruction before an undecodable offset or the end
+    of text; runs entered at different offsets share their common
+    suffix.  A run's entry checks the fuel once for the whole run; a run
+    that does not fit executes the instructions that do and then traps.
+    A run closed by [jcc], [jmp rel] or [call rel] tail-calls the entry
+    of its successor run directly; every other transfer goes back to a
+    dispatch loop, which makes the fetch-bounds and decodability checks.
+    Runs with the profile or sample hooks on use a second family of
+    steps with the hooks built in, so hook-free steps test for none.
+    Every step updates the retired, NOP, miss and cycle counters in the
+    machine state itself, so the partial counters of a faulting run are
+    exact.
 
     Every observable — cycles (bit for bit: float additions happen in
     the interpreter's exact order), fault messages and the retired
@@ -37,10 +40,10 @@ val cache_for : Link.image -> Timing.model -> cache
     model.  Cheap on a cache hit: a text digest plus a table lookup. *)
 
 val decoded : cache -> (Insn.t * int) option array
-(** The cache's decode memo — one [(insn, length)] per decodable text
-    offset.  {!Sim.Reference} borrows this array instead of rebuilding a
-    per-run memo; physical equality across calls witnesses the
-    decode-once guarantee. *)
+(** The cache's decode memo — [(insn, length)] at each decodable text
+    offset decoded so far, filled on demand.  {!Sim.Reference} borrows
+    this array instead of rebuilding a per-run memo; physical equality
+    across calls witnesses the decode-once guarantee. *)
 
 val run_outcome :
   fuel:int64 ->

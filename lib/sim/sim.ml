@@ -1,8 +1,9 @@
 (* The simulator front door.
 
    [run] and friends validate their arguments and execute on the
-   block-cached engine in [Bsim] (decode-once/execute-many over
-   pre-compiled per-offset entries) — the one production path.
+   block-cached engine in [Bsim] (per-offset closures, built the first
+   time an offset executes and chained run to run) — the one production
+   path.
 
    [Reference] is the seed fetch-decode-execute interpreter, kept
    verbatim below as the trusted differential oracle: an independent
@@ -363,8 +364,10 @@ let exec_insn st (i : Insn.t) len =
         fault "call outside text";
       st.eip <- target
   | Insn.Call_rm o ->
+      (* x86 reads the target before pushing the return address. *)
+      let target = operand_read st o in
       push st (Int32.add Link.text_base (Int32.of_int next));
-      jump_to_va st (operand_read st o)
+      jump_to_va st target
   | Insn.Jmp_rel d ->
       let target = next + Int32.to_int d in
       if target < 0 || target >= String.length st.text then

@@ -458,6 +458,54 @@ let test_hooks_interleaved () =
       ("profile", true, None);
     ]
 
+(* ---------------- call r/m reads its target first ---------------- *)
+
+(* A bare image: [text] at the text base, entered through [run_at]. *)
+let bare_image text =
+  {
+    Link.text;
+    text_base = Link.text_base;
+    symbols = [];
+    entry = 0;
+    user_start = 0;
+    block_offsets = [];
+    globals = [];
+    data_init = [];
+    main_arity = 0;
+  }
+
+(* x86 reads an indirect call's target before it pushes the return
+   address (SDM: tempEIP <- DEST; Push(EIP)).  [call [esp]] must jump to
+   the address the stack held on entry — here the [mov eax,7; hlt] at
+   offset 4 — not to the return address the push just stored there,
+   whose [hlt] would stop with status 0 after two instructions. *)
+let test_call_rm_target_first () =
+  let text_va off = Int32.add Link.text_base (Int32.of_int off) in
+  let both image ~stack_image =
+    let run ~reference =
+      run_at_outcome ~reference ~fuel:100L ~stack_image image ~start_offset:0
+    in
+    let oi = run ~reference:true in
+    check_outcomes_equal "engines agree" oi (run ~reference:false);
+    oi
+  in
+  (* call [esp] | hlt | mov eax,7 | hlt *)
+  let image = bare_image "\xFF\x14\x24\xF4\xB8\x07\x00\x00\x00\xF4" in
+  let r = result_of "call [esp]" (both image ~stack_image:[ text_va 4 ]) in
+  Alcotest.(check int32) "call [esp] status" 7l r.Sim.status;
+  Alcotest.(check int64) "call [esp] instructions" 3L r.Sim.instructions;
+  (* call esp: the target is ESP before the push, a stack address, so
+     the transfer leaves the text naming that address. *)
+  let esp = Int32.sub Link.stack_top 16l in
+  match both (bare_image "\xFF\xD4\xF4") ~stack_image:[] with
+  | Sim.Faulted { fault_msg; partial } ->
+      Alcotest.(check string)
+        "call esp fault"
+        (Printf.sprintf "control transfer outside text: 0x%lx" esp)
+        fault_msg;
+      Alcotest.(check int64) "call esp retired" 1L partial.Sim.instructions
+  | Sim.Finished _ -> Alcotest.fail "call esp: expected a fault"
+
 (* ---------------- decode memo ownership ---------------- *)
 
 let test_decode_memo_shared () =
@@ -566,6 +614,8 @@ let suite =
           test_cold_cache_entry_order;
         Alcotest.test_case "hooks interleaved on one cache" `Quick
           test_hooks_interleaved;
+        Alcotest.test_case "call r/m reads its target first" `Quick
+          test_call_rm_target_first;
         Alcotest.test_case "decode memo shared" `Quick
           test_decode_memo_shared;
         Alcotest.test_case "block re-run deterministic" `Quick
