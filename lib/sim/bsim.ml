@@ -282,9 +282,9 @@ let syscall st =
 
 (* Every instruction but the three whose successors are static
    ([jcc], [jmp rel], [call rel]; see [build_step]).  The other control
-   transfers leave their target in [eip] for the dispatch loop: [ret],
-   [call]/[jmp r/m] through [jump_to_va], [int] and [hlt] by naming the
-   next offset. *)
+   transfers leave their target in [eip] for the dispatch loop: [ret]
+   and [call]/[jmp r/m] through [jump_to_va], [int] by naming the next
+   offset; [hlt] stops the machine. *)
 let compile ~off ~len (i : Insn.t) : st -> unit =
   let next = off + len in
   match i with
@@ -675,49 +675,62 @@ let plain_op ~cost ~next ~off ~len (i : Insn.t) : st -> unit =
         op st;
         next st
 
-(* A hooks-on step: every probe, count and hook in the interpreter's
-   order, profile cycles measured from before the probes.  The
-   first-byte probe is always made, so a hooked step is also its run's
-   entry. *)
-let hooked_step c ~off ~cost ~nop ~l1 ~t1 ~l2 ~t2 tail : st -> unit =
+(* A hooks-on retirement: every probe, count and hook in the
+   interpreter's order, profile cycles measured from before the probes.
+   The first-byte probe is always made, so a hooked step is also its
+   run's entry. *)
+let[@inline] retire_hooked st ~off ~cost ~nop ~pen ~sample_cost ~l1 ~t1 ~l2
+    ~t2 =
+  let cy = st.cy in
+  let c0 = Array.unsafe_get cy 0 in
+  probe st pen l1 t1;
+  if l2 >= 0 then probe st pen l2 t2;
+  st.insns <- st.insns + 1;
+  if nop then st.nops <- st.nops + 1;
+  Array.unsafe_set cy 0 (Array.unsafe_get cy 0 +. cost);
+  (match st.prof with
+  | None -> ()
+  | Some pr ->
+      Array.unsafe_set pr.p_insn off (Array.unsafe_get pr.p_insn off + 1);
+      if nop then
+        Array.unsafe_set pr.p_nop off (Array.unsafe_get pr.p_nop off + 1);
+      Array.unsafe_set pr.p_cyc off
+        (Array.unsafe_get pr.p_cyc off +. (Array.unsafe_get cy 0 -. c0)));
+  match st.samp with
+  | None -> ()
+  | Some s ->
+      let c = Array.unsafe_get cy 0 in
+      let nf = s.s_nf in
+      if c >= Array.unsafe_get nf 0 then begin
+        let due = 1 + int_of_float ((c -. Array.unsafe_get nf 0) /. s.sp) in
+        Array.unsafe_set s.s_counts off (Array.unsafe_get s.s_counts off + due);
+        s.s_taken <- s.s_taken + due;
+        Array.unsafe_set nf 0
+          (Array.unsafe_get nf 0 +. (float_of_int due *. s.sp));
+        let cost = float_of_int due *. sample_cost in
+        Array.unsafe_set nf 1 (Array.unsafe_get nf 1 +. cost);
+        Array.unsafe_set cy 0 (c +. cost)
+      end
+
+(* A hooks-on step: the hooked retirement, then [op] and, unless [op]
+   transfers control, [next]. *)
+let hooked_step c ~off ~cost ~nop ~l1 ~t1 ~l2 ~t2 ~op ~next : st -> unit =
   let pen = c.model.Timing.icache_miss_penalty
   and sample_cost = c.model.Timing.sample_cost in
-  fun st ->
-    let cy = st.cy in
-    let c0 = Array.unsafe_get cy 0 in
-    probe st pen l1 t1;
-    if l2 >= 0 then probe st pen l2 t2;
-    st.insns <- st.insns + 1;
-    if nop then st.nops <- st.nops + 1;
-    Array.unsafe_set cy 0 (Array.unsafe_get cy 0 +. cost);
-    (match st.prof with
-    | None -> ()
-    | Some pr ->
-        Array.unsafe_set pr.p_insn off (Array.unsafe_get pr.p_insn off + 1);
-        if nop then
-          Array.unsafe_set pr.p_nop off (Array.unsafe_get pr.p_nop off + 1);
-        Array.unsafe_set pr.p_cyc off
-          (Array.unsafe_get pr.p_cyc off +. (Array.unsafe_get cy 0 -. c0)));
-    (match st.samp with
-    | None -> ()
-    | Some s ->
-        let c = Array.unsafe_get cy 0 in
-        let nf = s.s_nf in
-        if c >= Array.unsafe_get nf 0 then begin
-          let due = 1 + int_of_float ((c -. Array.unsafe_get nf 0) /. s.sp) in
-          Array.unsafe_set s.s_counts off (Array.unsafe_get s.s_counts off + due);
-          s.s_taken <- s.s_taken + due;
-          Array.unsafe_set nf 0
-            (Array.unsafe_get nf 0 +. (float_of_int due *. s.sp));
-          let cost = float_of_int due *. sample_cost in
-          Array.unsafe_set nf 1 (Array.unsafe_get nf 1 +. cost);
-          Array.unsafe_set cy 0 (c +. cost)
-        end);
-    tail st
+  match next with
+  | None ->
+      fun st ->
+        retire_hooked st ~off ~cost ~nop ~pen ~sample_cost ~l1 ~t1 ~l2 ~t2;
+        op st
+  | Some next ->
+      fun st ->
+        retire_hooked st ~off ~cost ~nop ~pen ~sample_cost ~l1 ~t1 ~l2 ~t2;
+        op st;
+        next st
 
 (* The step for the instruction at [off], continuing into [next] unless
-   it transfers control.  [link target] is the lazily resolved entry of
-   a successor run. *)
+   it transfers control.  [link c fam target] is the lazily resolved
+   entry of a successor run. *)
 let rec build_step c fam ~off ~(next : st -> unit) : st -> unit =
   let i, len = insn_at c off in
   let m = c.model in
@@ -741,37 +754,37 @@ let rec build_step c fam ~off ~(next : st -> unit) : st -> unit =
     | _ -> `None
   in
   if fam.hooks then
-    let tail =
+    let op, next =
       match transfer with
       | `Jcc (cc, d) -> (
           let cond = compile_cond cc and ft = link c fam nx in
           match static_target d with
           | None ->
-              fun st -> if cond st then fault "jump outside text" else ft.go st
-          | Some tk -> fun st -> if cond st then tk.go st else ft.go st)
+              ( (fun st ->
+                  if cond st then fault "jump outside text" else ft.go st),
+                None )
+          | Some tk -> ((fun st -> if cond st then tk.go st else ft.go st), None))
       | `Jmp d -> (
           match static_target d with
-          | None -> fun _ -> fault "jump outside text"
-          | Some tk -> fun st -> tk.go st)
+          | None -> ((fun _ -> fault "jump outside text"), None)
+          | Some tk -> ((fun st -> tk.go st), None))
       | `Call d -> (
           let ret_va = sext32 (text_base_i + nx) in
           match static_target d with
           | None ->
-              fun st ->
-                push st ret_va;
-                fault "call outside text"
+              ( (fun st ->
+                  push st ret_va;
+                  fault "call outside text"),
+                None )
           | Some tk ->
-              fun st ->
-                push st ret_va;
-                tk.go st)
-      | `None when Insn.is_control_flow i -> compile ~off ~len i
-      | `None ->
-          let op = compile ~off ~len i in
-          fun st ->
-            op st;
-            next st
+              ( (fun st ->
+                  push st ret_va;
+                  tk.go st),
+                None ))
+      | `None when Insn.is_control_flow i -> (compile ~off ~len i, None)
+      | `None -> (compile ~off ~len i, Some next)
     in
-    hooked_step c ~off ~cost ~nop ~l1 ~t1 ~l2 ~t2 tail
+    hooked_step c ~off ~cost ~nop ~l1 ~t1 ~l2 ~t2 ~op ~next
   else
     let core =
       match transfer with
@@ -880,7 +893,7 @@ and entry c fam off : st -> unit =
     e
   end
 
-(* The run at [off] with fewer fuel left than it has instructions: a
+(* The run at [off] with less fuel left than it has instructions: a
    one-off chain of the steps that fit, then the fuel trap. *)
 and cut c fam off st =
   let rec offsets off k acc =
@@ -964,7 +977,7 @@ let exec_loop (c : cache) (st : st) =
 
 (* One spare data space, handed from a finished run to the next: a
    fresh 8 MiB array per run is major-heap garbage the GC must then
-   sweep.  A run that finds no spare (one nested in another run)
+   sweep.  A run that finds no spare (the first run in a process)
    allocates its own. *)
 let spare : int array option Atomic.t = Atomic.make None
 
