@@ -99,8 +99,9 @@ val run :
     {!Timing.model.sample_cost} cycles per sample to the run —
     production-style profiling with a modeled overhead.  The period
     must exceed that cost: the charged cycles count toward the next
-    sample, so a shorter period would sample ever more often and the
-    modeled cycles would grow without bound.  Raises [Invalid_argument]
+    sample, so at a period no longer than the cost every instruction
+    takes a sample, and below it the samples due grow geometrically.
+    Raises [Invalid_argument]
     if [args] does not match [main]'s arity or [sample_period] does not
     exceed the per-sample cost, and {!Fault} if the run traps. *)
 
