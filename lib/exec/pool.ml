@@ -82,31 +82,16 @@ let run_serial ~timeout_s tasks =
 
 (* ---------------- fork backend ---------------- *)
 
-(* Worker -> parent messages.  Results and telemetry ride as nested
-   marshal blobs so the outer [wire] type stays monomorphic. *)
-type wire =
+(* Worker -> parent messages, each marshalled once into one
+   {!Frame} stream record.  Explicit framing (rather than
+   Marshal.from_channel) lets the parent multiplex readable pipes with
+   select and never block on a half-arrived message.  The pipe joins a
+   process to a fork of itself, so its bytes are trusted and carry no
+   container. *)
+type 'a wire =
   | W_start of int  (* about to run task [i] *)
-  | W_done of int * string * string
-      (* task [i]: marshalled ['a outcome], marshalled
-         [Metrics.snapshot * Trace.events] recorded while it ran *)
-
-(* Frames on the pipe: 8-byte big-endian length, then the marshalled
-   message.  Explicit framing (rather than Marshal.from_channel) lets the
-   parent multiplex readable pipes with select and never block on a
-   half-arrived message. *)
-
-let rec write_all fd b pos len =
-  if len > 0 then
-    match Unix.write fd b pos len with
-    | n -> write_all fd b (pos + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b pos len
-
-let write_frame fd payload =
-  let len = String.length payload in
-  let b = Bytes.create (8 + len) in
-  Bytes.set_int64_be b 0 (Int64.of_int len);
-  Bytes.blit_string payload 0 b 8 len;
-  write_all fd b 0 (8 + len)
+  | W_done of int * 'a outcome * (Metrics.snapshot * Trace.events)
+      (* task [i], and the telemetry recorded while it ran *)
 
 let flush_std () =
   Format.pp_print_flush Format.std_formatter ();
@@ -117,36 +102,33 @@ let flush_std () =
 (* The worker: run my share of tasks in order, shipping each result with
    the metrics delta and trace spans recorded while it ran. *)
 let worker_main ~timeout_s ~(tasks : (unit -> 'a) array) ~indices wfd =
-  let send msg = write_frame wfd (Marshal.to_string (msg : wire) []) in
+  let marshal (msg : 'a wire) = Frame.prefixed (Marshal.to_string msg []) in
   let m_base = ref (Metrics.snapshot ()) in
   let t_base = ref (Trace.mark ()) in
   List.iter
     (fun i ->
-      send (W_start i);
+      Frame.write_all wfd (marshal (W_start i));
       let outcome = run_task ~timeout_s tasks.(i) in
-      let blob =
-        match Marshal.to_string (outcome : 'a outcome) [] with
-        | b -> b
-        | exception e ->
-            (* e.g. a task result containing a closure *)
-            Marshal.to_string
-              (Failed ("unmarshalable task result: " ^ Printexc.to_string e)
-                : 'a outcome)
-              []
-      in
-      let obs =
-        Marshal.to_string (Metrics.delta ~since:!m_base, Trace.since !t_base) []
-      in
+      let obs = (Metrics.delta ~since:!m_base, Trace.since !t_base) in
       m_base := Metrics.snapshot ();
       t_base := Trace.mark ();
-      send (W_done (i, blob, obs)))
+      Frame.write_all wfd
+        (match marshal (W_done (i, outcome, obs)) with
+        | wire -> wire
+        | exception e ->
+            (* e.g. a task result containing a closure *)
+            marshal
+              (W_done
+                 ( i,
+                   Failed ("unmarshalable task result: " ^ Printexc.to_string e),
+                   obs ))))
     indices
 
 type worker = {
   slot : int;  (* stable worker id; trace track is slot + 2 *)
   pid : int;
   fd : Unix.file_descr;
-  buf : Buffer.t;  (* bytes received, not yet parsed into frames *)
+  reader : Frame.reader;  (* bytes received, not yet parsed into frames *)
   mutable pending : int list;  (* assigned indices with no result yet *)
   mutable current : int option;  (* started but not finished *)
   mutable started_at : float;
@@ -172,7 +154,8 @@ let spawn_worker ~timeout_s ~tasks ~slot indices =
         slot;
         pid;
         fd = rfd;
-        buf = Buffer.create 4096;
+        (* any u32 length: the trusted pipe needs no cap of its own *)
+        reader = Frame.reader ~max_frame:0xFFFF_FFFF ~what:"pool" ~src:"worker";
         pending = indices;
         current = None;
         started_at = Unix.gettimeofday ();
@@ -184,28 +167,13 @@ let status_to_string = function
   | Unix.WSIGNALED n -> Printf.sprintf "worker killed by signal %d" n
   | Unix.WSTOPPED n -> Printf.sprintf "worker stopped by signal %d" n
 
-(* Parse every complete frame sitting in [w.buf]. *)
-let process_frames w handle =
-  let b = Buffer.contents w.buf in
-  let len = String.length b in
-  let pos = ref 0 in
-  let progressing = ref true in
-  while !progressing do
-    if len - !pos >= 8 then begin
-      let flen = Int64.to_int (String.get_int64_be b !pos) in
-      if len - !pos - 8 >= flen then begin
-        handle (Marshal.from_string (String.sub b (!pos + 8) flen) 0 : wire);
-        pos := !pos + 8 + flen
-      end
-      else progressing := false
-    end
-    else progressing := false
-  done;
-  if !pos > 0 then begin
-    let rest = String.sub b !pos (len - !pos) in
-    Buffer.clear w.buf;
-    Buffer.add_string w.buf rest
-  end
+(* Handle every complete frame sitting in [w.reader]. *)
+let rec process_frames w handle =
+  match Frame.next_frame w.reader with
+  | None -> ()
+  | Some frame ->
+      handle (Marshal.from_string frame 0);
+      process_frames w handle
 
 let run_forked ~timeout_s ~jobs (tasks : (unit -> 'a) array) =
   let n = Array.length tasks in
@@ -222,13 +190,10 @@ let run_forked ~timeout_s ~jobs (tasks : (unit -> 'a) array) =
     | W_start i ->
         w.current <- Some i;
         w.started_at <- Unix.gettimeofday ()
-    | W_done (i, blob, obs) ->
-        results.(i) <- Some (Marshal.from_string blob 0 : 'a outcome);
-        (let snap, events =
-           (Marshal.from_string obs 0 : Metrics.snapshot * Trace.events)
-         in
-         Metrics.merge snap;
-         Trace.absorb ~tid:(w.slot + 2) events);
+    | W_done (i, outcome, (snap, events)) ->
+        results.(i) <- Some outcome;
+        Metrics.merge snap;
+        Trace.absorb ~tid:(w.slot + 2) events;
         w.current <- None;
         w.pending <- List.filter (fun j -> j <> i) w.pending
   in
@@ -316,7 +281,7 @@ let run_forked ~timeout_s ~jobs (tasks : (unit -> 'a) array) =
                   workers := List.filter (fun x -> x != w) !workers;
                   reap w
               | r ->
-                  Buffer.add_subbytes w.buf chunk 0 r;
+                  Frame.feed w.reader chunk r;
                   process_frames w (handle w)
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
         ready;

@@ -31,10 +31,10 @@ type scanner = Ropgadget | Microgadgets
 val scanner_name : scanner -> string
 
 val scan : scanner -> string -> Finder.t list
-(** The two scanners of the paper: [Ropgadget] uses conventional depth
-    (5 instructions / 20 bytes); [Microgadgets] keeps only gadgets of at
-    most 2–3 bytes total, which are far more numerous in ordinary code
-    than long gadgets. *)
+(** The two scanners of the paper: [Ropgadget] uses
+    {!Finder.default_params} (8 instructions / 30 bytes); [Microgadgets]
+    keeps only gadgets of at most 2–3 bytes total, which are far more
+    numerous in ordinary code than long gadgets. *)
 
 type verdict = {
   scanner : scanner;

@@ -178,34 +178,18 @@ let user_text image =
 (* Image-file framing: a fixed magic plus an explicit version field and
    a payload digest trailer (see {!Frame}).  Version 3 succeeds the two
    bare-magic generations (PSDIMG01/02); their loads now fail with "not
-   a PSD image file" rather than feeding stale bytes to Marshal. *)
+   a PSD image (bad magic)" rather than feeding stale bytes to Marshal. *)
 let magic = "PSDIMAGE"
 let format_version = 3
 
-let to_bytes image =
-  Frame.to_string ~magic ~version:format_version
-    ~payload:(Marshal.to_string image [])
+let to_bytes (image : image) =
+  Frame.encode ~magic ~version:format_version image
 
-let of_bytes ~src framed =
-  let payload =
-    Frame.of_string ~magic ~version:format_version ~what:"PSD image" ~src
-      framed
-  in
-  match (Marshal.from_string payload 0 : image) with
-  | image -> image
-  | exception _ -> failwith (src ^ ": corrupt PSD image (bad payload)")
+let of_bytes ~src framed : image =
+  Frame.decode ~magic ~version:format_version ~what:"PSD image" ~src framed
 
-let save image path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_bytes image))
+let save (image : image) path =
+  Frame.save ~magic ~version:format_version image path
 
-let load path =
-  let contents =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_bytes ~src:path contents
+let load path : image =
+  Frame.load ~magic ~version:format_version ~what:"PSD image" path

@@ -35,12 +35,7 @@ let code_size o = String.length o.code
 
 let magic = "PSDOBJCT"
 
-let save unit path =
-  Frame.write ~magic ~version:format_version
-    ~payload:(Marshal.to_string unit []) path
+let save (unit : t) path = Frame.save ~magic ~version:format_version unit path
 
-let load path =
-  let payload = Frame.read ~magic ~version:format_version ~what:"PSD object" path in
-  match (Marshal.from_string payload 0 : t) with
-  | unit -> unit
-  | exception _ -> failwith (path ^ ": corrupt PSD object file (bad payload)")
+let load path : t =
+  Frame.load ~magic ~version:format_version ~what:"PSD object file" path

@@ -75,7 +75,7 @@ let default_cfg addr =
 type conn = {
   fd : Unix.file_descr;
   peer : string;
-  reader : Sproto.reader;
+  reader : Frame.reader;
   mutable alive : bool;
 }
 
@@ -343,9 +343,9 @@ let service_conn st conn =
     (try Unix.close conn.fd with Unix.Unix_error _ -> ())
   end
   else begin
-    Sproto.feed conn.reader read_chunk n;
+    Frame.feed conn.reader read_chunk n;
     let rec frames () =
-      match Sproto.next_frame conn.reader with
+      match Frame.next_frame conn.reader with
       | None -> ()
       | Some framed ->
           (match Sproto.request_of_frame ~src:conn.peer framed with

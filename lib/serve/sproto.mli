@@ -3,13 +3,15 @@
 
     Every message travels as one length-prefixed frame:
     [u32 LE length | Frame(magic "PSDSRV", version, marshalled message,
-    MD5 trailer)].  Reusing {!Frame} gives socket messages the same
-    precise error taxonomy as on-disk artifacts — bad magic, version
-    skew, truncation and corruption each fail with a [Failure] naming
-    the peer — and guarantees [Marshal] only ever decodes
-    digest-verified bytes.  The length prefix is validated against the
-    frame cap {e before} any buffering, so an oversized claim is
-    rejected after four bytes. *)
+    MD5 trailer)].  {!Frame} lays out every byte, which gives socket
+    messages the same precise error taxonomy as on-disk artifacts — bad
+    magic, version skew, truncation and corruption each fail with a
+    [Failure] naming the peer — and guarantees [Marshal] only ever
+    decodes digest-verified bytes.  The length prefix is validated
+    against the frame cap {e before} any buffering, so an oversized
+    claim is rejected after four bytes.  This module fixes the serve
+    defaults: the magic, {!version}, {!default_max_frame} and "serve"
+    in error messages. *)
 
 val magic : string
 val version : int
@@ -77,26 +79,24 @@ val encode_request : request -> string
 val encode_response : response -> string
 
 val request_of_frame : src:string -> string -> request
-(** Decode a frame (as returned by {!next_frame} / {!read_frame} — the
-    length prefix already stripped).  Raises [Failure] naming [src] on
-    bad magic, version skew, truncation or corruption. *)
+(** Decode a frame (as returned by {!Frame.next_frame} / {!read_frame}
+    — the length prefix already stripped).  Raises [Failure] naming
+    [src] on bad magic, version skew, truncation or corruption,
+    including a digest-clean payload that does not unmarshal ("corrupt
+    serve request (bad payload)"). *)
 
 val response_of_frame : src:string -> string -> response
 
 (** {2 Incremental reading} — the daemon's select loop *)
 
-type reader
-
-val reader : ?max_frame:int -> src:string -> unit -> reader
-val feed : reader -> bytes -> int -> unit
-
-val next_frame : reader -> string option
-(** The next complete frame, if buffered.  Raises [Failure] on an
-    oversized length claim: framing is lost, close the connection. *)
+val reader : ?max_frame:int -> src:string -> unit -> Frame.reader
+(** A {!Frame.reader} with the serve cap and messages; slice it with
+    {!Frame.feed} and {!Frame.next_frame}. *)
 
 (** {2 Blocking I/O} — the client side *)
 
 val write_all : Unix.file_descr -> string -> unit
+(** {!Frame.write_all}: every byte, retrying [EINTR]. *)
 
 val read_frame : ?max_frame:int -> src:string -> Unix.file_descr -> string option
 (** One whole frame off a blocking fd; [None] on clean EOF at a frame

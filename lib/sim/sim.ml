@@ -469,8 +469,6 @@ let make_state ?(profile = false) ?sample_period ~fuel (image : Link.image) =
   let samp =
     match sample_period with
     | None -> None
-    | Some p when p <= 0 ->
-        invalid_arg "Sim: sample_period must be positive"
     | Some p ->
         Some
           {

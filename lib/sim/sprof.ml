@@ -241,20 +241,16 @@ let save t path =
     { d_sources = t.sources; d_rows; d_runtime = t.runtime_mass;
       d_unknown = t.unknown_mass }
   in
-  Frame.write ~magic ~version:format_version
-    ~payload:(Marshal.to_string disk []) path
+  Frame.save ~magic ~version:format_version disk path
 
 let load path =
-  let payload =
-    Frame.read ~magic ~version:format_version ~what:"PSD profile" path
+  let d : disk =
+    Frame.load ~magic ~version:format_version ~what:"PSD profile file" path
   in
-  match (Marshal.from_string payload 0 : disk) with
-  | d ->
-      let rows = Hashtbl.create (max 1 (List.length d.d_rows)) in
-      List.iter (fun (k, v) -> Hashtbl.replace rows k v) d.d_rows;
-      { sources = d.d_sources; rows; runtime_mass = d.d_runtime;
-        unknown_mass = d.d_unknown }
-  | exception _ -> failwith (path ^ ": corrupt PSD profile file (bad payload)")
+  let rows = Hashtbl.create (max 1 (List.length d.d_rows)) in
+  List.iter (fun (k, v) -> Hashtbl.replace rows k v) d.d_rows;
+  { sources = d.d_sources; rows; runtime_mass = d.d_runtime;
+    unknown_mass = d.d_unknown }
 
 let sorted_rows t =
   List.sort

@@ -122,6 +122,29 @@ let test_nested_rejection () =
   | [ Pool.Done _ ] -> ()
   | _ -> Alcotest.fail "direct nested call should be caught as Nested"
 
+let test_large_results () =
+  (* Two 8 MiB results cross the pipe in many 64 KiB reads and come back
+     whole, in order, equal to the serial run. *)
+  let tasks =
+    List.init 2 (fun i () ->
+        String.init (8 * 1024 * 1024) (fun j -> Char.chr ((i + (j * 7)) land 0xFF)))
+  in
+  Alcotest.(check bool)
+    "-j 2 equals serial" true
+    (Pool.run ~jobs:(Pool.Jobs 2) tasks = Pool.run ~jobs:(Pool.Jobs 1) tasks)
+
+let test_unmarshalable_result () =
+  (* A closure cannot cross the pipe: that task alone is Failed. *)
+  let got =
+    Pool.run ~jobs:(Pool.Jobs 2) [ (fun () -> Some Fun.id); (fun () -> None) ]
+  in
+  match got with
+  | [ Pool.Failed msg; Pool.Done None ] ->
+      Alcotest.(check bool)
+        "names the cause" true
+        (contains ~needle:"unmarshalable task result" msg)
+  | _ -> Alcotest.fail ("unexpected " ^ String.concat "," (labels got))
+
 (* ---- fuzz-campaign parity: Pool.run over the oracle at -j 4 equals
    the serial run byte-for-byte on 50 seeded programs ---- *)
 
@@ -214,6 +237,10 @@ let suite =
         Alcotest.test_case "worker-crash containment" `Quick
           test_crash_containment;
         Alcotest.test_case "nested-use rejection" `Quick test_nested_rejection;
+        Alcotest.test_case "large results, -j 2 == serial" `Quick
+          test_large_results;
+        Alcotest.test_case "unmarshalable result" `Quick
+          test_unmarshalable_result;
         Alcotest.test_case "snapshot/delta/merge" `Quick
           test_snapshot_delta_merge;
         Alcotest.test_case "fuzz parallel == serial (50 programs)" `Slow

@@ -81,6 +81,49 @@ let test_error_taxonomy () =
   | exception Failure msg ->
       Alcotest.(check bool) "names the peer" true (contains ~needle:"client-42" msg))
 
+let test_bad_payload () =
+  (* A digest-clean frame whose payload is no marshalled message fails
+     naming the peer and the message kind. *)
+  let framed =
+    Frame.to_string ~magic:"PSDSRV" ~version:Sproto.version
+      ~payload:"not a marshaled record"
+  in
+  match Sproto.request_of_frame ~src:"t" framed with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure msg ->
+      Alcotest.(check string)
+        "message" "t: corrupt serve request (bad payload)" msg
+
+let test_recv_pipe () =
+  (* Frame.recv over a real pipe: every record, then None at a clean
+     EOF; EOF inside the length or the body names the truncation. *)
+  let recv_all bytes =
+    let r, w = Unix.pipe () in
+    Frame.write_all w bytes;
+    Unix.close w;
+    Fun.protect
+      ~finally:(fun () -> Unix.close r)
+      (fun () ->
+        let rec go acc =
+          match Frame.recv ~max_frame:1024 ~what:"serve" ~src:"pipe" r with
+          | Some s -> go (s :: acc)
+          | None -> Ok (List.rev acc)
+          | exception Failure msg -> Error msg
+        in
+        go [])
+  in
+  let check what expect bytes =
+    Alcotest.(check (result (list string) string)) what expect (recv_all bytes)
+  in
+  check "clean EOF" (Ok []) "";
+  check "two records" (Ok [ "hello"; "" ])
+    (Frame.prefixed "hello" ^ Frame.prefixed "");
+  check "EOF inside the length"
+    (Error "pipe: truncated serve frame header")
+    (Frame.prefixed "hello" ^ "\005\000");
+  check "EOF inside the body" (Error "pipe: truncated serve frame")
+    (String.sub (Frame.prefixed "hello") 0 6)
+
 let test_reader_chunked () =
   (* Two messages, delivered one byte at a time, come out intact and in
      order — the daemon's select loop never sees aligned frames. *)
@@ -92,8 +135,8 @@ let test_reader_chunked () =
   let got = ref [] in
   String.iter
     (fun c ->
-      Sproto.feed r (Bytes.make 1 c) 1;
-      match Sproto.next_frame r with
+      Frame.feed r (Bytes.make 1 c) 1;
+      match Frame.next_frame r with
       | Some framed -> got := Sproto.request_of_frame ~src:"chunked" framed :: !got
       | None -> ())
     wire;
@@ -107,9 +150,9 @@ let test_reader_oversized () =
   let r = Sproto.reader ~max_frame:1024 ~src:"hostile" () in
   let claim = Bytes.create 4 in
   Bytes.set_int32_le claim 0 0x10_0000l (* 1 MiB > 1 KiB cap *);
-  Sproto.feed r claim 4;
+  Frame.feed r claim 4;
   check_fails ~matching:"oversized" "oversized claim" (fun () ->
-      Sproto.next_frame r)
+      Frame.next_frame r)
 
 (* ---- the daemon over a real socket ---- *)
 
@@ -379,7 +422,9 @@ let suite =
       [
         Alcotest.test_case "roundtrip" `Quick test_roundtrip;
         Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
+        Alcotest.test_case "bad payload" `Quick test_bad_payload;
         Alcotest.test_case "chunked reader" `Quick test_reader_chunked;
+        Alcotest.test_case "recv on a pipe" `Quick test_recv_pipe;
         Alcotest.test_case "oversized claim" `Quick test_reader_oversized;
       ] );
     ( "serve.daemon",
