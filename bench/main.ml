@@ -11,10 +11,10 @@
      dune exec bench/main.exe -- --out-dir reports telemetry
 
    Experiments: table1 figure4 table2 table3 php-attack heuristic
-   ablation micro fuzz-coverage telemetry parallel-scaling incremental
-   pgo-loop sim-speedup serve portfolio.
-   The report-writing experiments (telemetry, parallel-scaling,
-   incremental, pgo-loop, sim-speedup, serve, portfolio) each write
+   ablation micro fuzz-coverage telemetry incremental pgo-loop
+   sim-speedup serve portfolio.
+   The report-writing experiments (telemetry, incremental, pgo-loop,
+   sim-speedup, serve, portfolio) each write
    <out-dir>/<experiment>.json in the one psd-bench/1 envelope (see
    Suite.write_report); --out-dir defaults to bench-out/, which git
    ignores, so the committed BENCH_PR*.json reference reports are never
@@ -36,7 +36,6 @@ let experiments =
     ("micro", Exp_micro.run);
     ("fuzz-coverage", Exp_fuzz.run);
     ("telemetry", Exp_telemetry.run);
-    ("parallel-scaling", Exp_scaling.run);
     ("incremental", Exp_incremental.run);
     ("pgo-loop", Exp_pgo.run);
     ("sim-speedup", Exp_simspeed.run);

@@ -20,7 +20,7 @@
      minicc run prog.bin --args 5,10 --sim-profile=json
      minicc compile prog.mc --trace compile.trace # Chrome trace-event
                                                   # spans (any command)
-     minicc profile prog.mc --args 5,10 -o prog.prof
+     minicc profile train prog.mc --args 5,10 -o prog.prof
      minicc profile record prog.div.bin --args 5,10 -o prog.psdprof
                                                   # sampled production
                                                   # profile of whatever
@@ -472,7 +472,7 @@ let load_sprof path =
     Format.eprintf "minicc: %s@." msg;
     exit 1
 
-let profile_train_term =
+let profile_train_cmd =
   let run source output args build trace =
     with_trace trace (fun () ->
         let c = compile_source ~build source in
@@ -487,9 +487,14 @@ let profile_train_term =
         Format.printf "%s: max block count %Ld@." output
           (Profile.max_count profile))
   in
-  Term.(
-    const run $ source_arg $ output_arg ~default:"a.prof" $ args_arg
-    $ build_term $ trace_arg)
+  Cmd.v
+    (Cmd.info "train"
+       ~doc:
+         "Run the training input under the instrumented interpreter and \
+          write the exact execution profile.")
+    Term.(
+      const run $ source_arg $ output_arg ~default:"a.prof" $ args_arg
+      $ build_term $ trace_arg)
 
 let profile_record_cmd =
   let workload_arg =
@@ -633,24 +638,13 @@ let profile_diff_cmd =
           weighted hot-set overlap, per-function drift.")
     Term.(const run $ source_arg $ fresh_arg)
 
-let profile_train_cmd =
-  Cmd.v
-    (Cmd.info "train"
-       ~doc:
-         "Run the training input under the instrumented interpreter and \
-          write the exact execution profile (also the default when \
-          $(b,SOURCE) is given directly).")
-    profile_train_term
-
-let profile_subcommands = [ "train"; "record"; "merge"; "show"; "diff" ]
-
 let profile_cmd =
-  Cmd.group ~default:profile_train_term
+  Cmd.group
     (Cmd.info "profile"
        ~doc:
-         "Training profiles: run the training input and write the exact \
-          execution profile (default), or $(b,record)/$(b,merge)/\
-          $(b,show)/$(b,diff) sampled production profiles.")
+         "Training profiles: $(b,train) runs the training input and writes \
+          the exact execution profile; $(b,record)/$(b,merge)/$(b,show)/\
+          $(b,diff) handle sampled production profiles.")
     [ profile_train_cmd; profile_record_cmd; profile_merge_cmd;
       profile_show_cmd; profile_diff_cmd ]
 
@@ -1170,30 +1164,21 @@ let serve_client_cmd =
 let () =
   let doc = "profile-guided software diversity compiler (CGO'13 reproduction)" in
   let info = Cmd.info "minicc" ~version:"1.0" ~doc in
-  (* Back-compat: `minicc profile prog.mc ...` predates the subcommand
-     group; rewrite it to `profile train prog.mc ...` so the group
-     doesn't mistake the source file for a subcommand name. *)
-  let argv =
-    let argv = Sys.argv in
-    if
-      Array.length argv >= 3
-      && String.equal argv.(1) "profile"
-      && String.length argv.(2) > 0
-      && argv.(2).[0] <> '-'
-      && not (List.mem argv.(2) profile_subcommands)
-    then
-      Array.concat
-        [
-          [| argv.(0); "profile"; "train" |];
-          Array.sub argv 2 (Array.length argv - 2);
-        ]
-    else argv
+  let cmd =
+    Cmd.group info
+      [
+        compile_cmd; link_cmd; run_cmd; profile_cmd; diversify_cmd;
+        gadgets_cmd; survivor_cmd; attack_cmd; disas_cmd; workload_cmd;
+        fuzz_cmd; serve_cmd; serve_client_cmd;
+      ]
   in
-  exit
-    (Cmd.eval ~argv
-       (Cmd.group info
-          [
-            compile_cmd; link_cmd; run_cmd; profile_cmd; diversify_cmd;
-            gadgets_cmd; survivor_cmd; attack_cmd; disas_cmd; workload_cmd;
-            fuzz_cmd; serve_cmd; serve_client_cmd;
-          ]))
+  (* A file that cannot be opened or written (a missing directory, no
+     permission) is a one-line error like any other bad argument; every
+     other exception is still an internal error (exit 125). *)
+  match Cmd.eval ~catch:false cmd with
+  | code -> exit code
+  | exception Sys_error msg -> die "%s" msg
+  | exception e ->
+      Format.eprintf "minicc: internal error, uncaught exception:@\n%s@."
+        (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

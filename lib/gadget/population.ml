@@ -55,12 +55,5 @@ let of_keys ~thresholds keyed_sections =
   in
   { population = List.length keyed_sections; at_least }
 
-let analyze ?(jobs = Pool.Jobs 1) ~thresholds sections =
-  let keyed =
-    List.map
-      (function
-        | Pool.Done keys -> keys
-        | o -> failwith ("Population.analyze: " ^ Pool.outcome_to_string o))
-      (Pool.map ~jobs section_keys sections)
-  in
-  of_keys ~thresholds keyed
+let analyze ~thresholds sections =
+  of_keys ~thresholds (List.map section_keys sections)

@@ -16,23 +16,15 @@ type report = {
 
 val section_keys : string -> (int * string) list
 (** One version's distinct (offset, normalized-sequence rendering) pairs
-    under the default {!Finder.params}, sorted — the per-version scan that {!analyze} fans out and
-    {!of_keys} merges.  Plain data, so a {!Pool} task can ship it across
+    under the default {!Finder.params}, sorted — the per-version scan that {!analyze} maps and
+    {!of_keys} merges.  Plain data, so a pool task can ship it across
     a process boundary. *)
 
 val of_keys : thresholds:int list -> (int * string) list list -> report
 (** Merge per-version key sets: for each threshold [k], count the
     distinct pairs appearing in at least [k] of the versions. *)
 
-val analyze :
-  ?jobs:Pool.jobs ->
-  thresholds:int list ->
-  string list ->
-  report
+val analyze : thresholds:int list -> string list -> report
 (** [analyze ~thresholds sections] scans every version's [.text] and
     counts, for each threshold [k], the distinct (offset, normalized
-    sequence) pairs appearing in at least [k] versions.  [jobs] (default
-    serial) scans versions in parallel — the report is identical at any
-    [-j].  Raises [Failure] if a parallel scan task dies.  Only for
-    top-level use: inside an already-parallel grid (a pool task), keep
-    the default — nested pools are rejected. *)
+    sequence) pairs appearing in at least [k] versions. *)

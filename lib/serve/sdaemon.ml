@@ -21,7 +21,7 @@
 
    Variants are a pure function of (workload, config, version), so
    nothing observable depends on batching, worker count, or request
-   interleaving — the serve-smoke and the bench verify returned digests
+   interleaving — the serve tests and the bench verify returned digests
    against a serial oracle at every -j.
 
    Error containment: a malformed frame answers `Error_reply` on the
@@ -186,7 +186,8 @@ let validate (b : Sproto.build_req) ~max_variants =
 (* Compile + train through the driver's caches, charging the stage and
    store work this specific request triggered: the first (cold) request
    for a workload pays its lowering runs, every warm request reads 0 —
-   the property the serve-smoke and the CI gate assert. *)
+   the property test_serve's "cold then warm replay" and the CI gate
+   assert. *)
 let prepare st (p : pending) =
   match validate p.preq ~max_variants:st.cfg.max_variants with
   | Error msg -> Error (p, msg)

@@ -43,3 +43,6 @@ case_ run div.bin --args 1 --engine=interp
 case_ workload 429.mcf --engine=interp
 case_ run div.bin --args 1 --sim-profile-sample=7
 case_ profile record div.bin --args 1 --period 10 -o short.psdprof
+case_ compile div.mc -o /nonexistent/d/x.bin
+case_ profile train div.mc --args 1 -o /nonexistent/p.prof
+case_ profile div.mc --args 1

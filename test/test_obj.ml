@@ -30,12 +30,24 @@ let write_file path s =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc s)
 
-let contains haystack needle =
+let index_of haystack needle =
   let nl = String.length needle and hl = String.length haystack in
-  nl = 0
-  ||
-  let rec at i = i + nl <= hl && (String.sub haystack i nl = needle || at (i + 1)) in
+  let rec at i =
+    if i + nl > hl then None
+    else if String.sub haystack i nl = needle then Some i
+    else at (i + 1)
+  in
   at 0
+
+let contains haystack needle = index_of haystack needle <> None
+
+(* [s] with the first [anchor] replaced by [by]. *)
+let replace ~anchor ~by s =
+  match index_of s anchor with
+  | None -> Alcotest.failf "anchor %S not found" anchor
+  | Some i ->
+      let rest = i + String.length anchor in
+      String.sub s 0 i ^ by ^ String.sub s rest (String.length s - rest)
 
 let expect_failure ~substring f =
   match f () with
@@ -231,21 +243,56 @@ let test_warm_population_zero_lowering () =
     "zero regalloc runs" 0
     (Int64.to_int (Int64.sub (counter "machine.regalloc.runs") ra0))
 
+(* Compile [src], then [edited] (one function body changed): the store
+   serves every other function, so exactly one function is re-lowered
+   and missed, and the rest hit.  Returns both compilations. *)
+let check_one_function_edit ~name src edited =
+  let c0 = Driver.compile ~name src in
+  let nfuncs = List.length c0.Driver.objects in
+  let isel0 = counter "machine.isel.runs" in
+  let hits0 = counter "obj.store.hit" in
+  let miss0 = counter "obj.store.miss" in
+  let c1 = Driver.compile ~name edited in
+  let delta metric v0 = Int64.to_int (Int64.sub (counter metric) v0) in
+  Alcotest.(check int)
+    (name ^ ": exactly one function re-lowered")
+    1
+    (delta "machine.isel.runs" isel0);
+  Alcotest.(check int)
+    (name ^ ": the others hit the store")
+    (nfuncs - 1)
+    (delta "obj.store.hit" hits0);
+  Alcotest.(check int)
+    (name ^ ": the edited function missed")
+    1
+    (delta "obj.store.miss" miss0);
+  (c0, c1)
+
 let test_perturb_one_function_relowers_one () =
   let part body =
     "int stable(int x) { return x * 3; } int tweaked(int y) { " ^ body
     ^ " } int main(int n) { return stable(n) + tweaked(n); }"
   in
-  let _ = Driver.compile ~name:"incr-a" (part "return y + 4;") in
-  let isel0 = counter "machine.isel.runs" in
-  let hits0 = counter "obj.store.hit" in
-  let _ = Driver.compile ~name:"incr-b" (part "return y + 5;") in
-  Alcotest.(check int)
-    "exactly one function re-lowered" 1
-    (Int64.to_int (Int64.sub (counter "machine.isel.runs") isel0));
-  Alcotest.(check int)
-    "the other two hit the store" 2
-    (Int64.to_int (Int64.sub (counter "obj.store.hit") hits0))
+  ignore
+    (check_one_function_edit ~name:"incr" (part "return y + 4;")
+       (part "return y + 5;"));
+  (* A real workload: the checksum mask in 429.mcf's main.  The edited
+     build is a real program, so its status is the baseline's with the
+     low bit masked off. *)
+  let w = Workloads.find "429.mcf" in
+  let c0, c1 =
+    check_one_function_edit ~name:w.Workload.name w.Workload.source
+      (replace ~anchor:"checksum & 127" ~by:"checksum & 126"
+         w.Workload.source)
+  in
+  let status c =
+    (Driver.run_image (Driver.link_baseline c) ~args:w.Workload.ref_args)
+      .Sim.status
+  in
+  Alcotest.(check int32)
+    "429.mcf: edited status is the baseline's land 126"
+    (Int32.logand (status c0) 126l)
+    (status c1)
 
 let test_store_eviction () =
   let store = Store.objects in

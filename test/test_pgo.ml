@@ -1,7 +1,7 @@
 (* The production-profiling loop: sampled-profile merge algebra, the
-   PSDPROF on-disk format's error paths, and sampled-vs-exact agreement
+   PSDPROF on-disk format's error paths, sampled-vs-exact agreement
    through NOP-aware back-mapping — on diversified binaries, for every
-   workload. *)
+   workload — and the closed loop reaching a byte-level fixed point. *)
 
 (* ---------------- helpers ---------------- *)
 
@@ -336,6 +336,73 @@ let test_roundtrip_all_workloads () =
         (s.Sprof.coverage_pct > 0.0))
     Workloads.all
 
+(* ---------------- the closed loop ---------------- *)
+
+(* The production profiling loop end to end: diversify with a fresh
+   training profile, record sampled profiles of the deployed binary on
+   both inputs, persist and reload them, merge, retrain and re-diversify.
+   One more turn must then be a fixed point: the retrained binary's own
+   recording does not drift from its training profile, so the drift gate
+   keeps it and the redeployed [.text] is byte-identical. *)
+let test_closed_loop_fixed_point () =
+  let config_name = "p25-50" in
+  let config = List.assoc config_name Config.paper_configs in
+  let kept () = Metrics.counter_value (Metrics.counter "pgo.retrain.kept") in
+  List.iter
+    (fun wname ->
+      let w = Workloads.find wname in
+      let c = Driver.compile_cached ~name:w.Workload.name w.Workload.source in
+      let fresh = Driver.train c ~args:w.Workload.train_args in
+      let diversify profile =
+        fst (Driver.diversify_linked c ~config ~profile ~version:0)
+      in
+      let record image args =
+        fst
+          (Driver.record_profile ~config:config_name image
+             ~workload:w.Workload.name ~args)
+      in
+      let image0 = diversify fresh in
+      let merged =
+        with_temp (fun train_path ->
+            with_temp (fun ref_path ->
+                Sprof.save (record image0 w.Workload.train_args) train_path;
+                Sprof.save (record image0 w.Workload.ref_args) ref_path;
+                Sprof.merge (Sprof.load train_path) (Sprof.load ref_path)))
+      in
+      Alcotest.(check bool)
+        (wname ^ ": merged recording has mass") true
+        (Sprof.total_mass merged > 0.0);
+      Alcotest.(check int)
+        (wname ^ ": merged recording has both sources")
+        2
+        (List.length merged.Sprof.sources);
+      let profile = Driver.train_from_profile ~fresh c merged in
+      let image1 = diversify profile in
+      let output image =
+        (Driver.run_image image ~args:w.Workload.ref_args).Sim.output
+      in
+      Alcotest.(check string)
+        (wname ^ ": retrained binary's ref output is the baseline's")
+        (output (Driver.link_baseline_cached c))
+        (output image1);
+      let kept0 = kept () in
+      let merged1 =
+        Sprof.merge
+          (record image1 w.Workload.train_args)
+          (record image1 w.Workload.ref_args)
+      in
+      let image2 =
+        diversify (Driver.train_from_profile ~previous:profile c merged1)
+      in
+      Alcotest.(check int64)
+        (wname ^ ": drift gate kept the deployed profile")
+        1L
+        (Int64.sub (kept ()) kept0);
+      Alcotest.(check bool)
+        (wname ^ ": loop at a byte-level fixed point") true
+        (String.equal image2.Link.text image1.Link.text))
+    [ "429.mcf"; "470.lbm" ]
+
 let suite =
   [
     ( "pgo",
@@ -356,5 +423,8 @@ let suite =
           `Slow test_sampled_vs_exact_hot_set;
         Alcotest.test_case "diversified round-trip (19 workloads)" `Slow
           test_roundtrip_all_workloads;
+        Alcotest.test_case
+          "closed loop reaches a fixed point (429.mcf, 470.lbm; p25-50)"
+          `Quick test_closed_loop_fixed_point;
       ] );
   ]

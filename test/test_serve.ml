@@ -4,9 +4,10 @@
    chunking, and the daemon end to end over a real socket: overload
    shedding on a bounded queue, queue-timeout shedding, error-path
    containment (a poisoned frame doesn't take the connection, an
-   oversized claim does), and the property the whole subsystem rests
-   on — concurrent clients at any worker count get digests
-   byte-identical to a serial in-process build. *)
+   oversized claim does), a cold-then-warm replay whose warm pass
+   lowers nothing, and the property the whole subsystem rests on —
+   concurrent clients at any worker count get digests byte-identical to
+   a serial in-process build. *)
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -416,6 +417,59 @@ let test_portfolio_specs_served () =
           Alcotest.(check int) "digests match the in-process oracle" 0
             r.Sclient.digest_mismatches))
 
+let test_cold_then_warm_replay () =
+  (* A daemon with cold caches at -j 2 replays one seeded trace twice:
+     the cold pass pays lowering runs, the warm pass lowers nothing and
+     returns the same digests, and every digest (with images decoded and
+     re-hashed) equals the serial in-process oracle's.  cfg_of runs in
+     the forked child, so the caches it clears are the daemon's. *)
+  with_daemon ~tag:"warm"
+    (fun cfg ->
+      Driver.clear_caches ();
+      { cfg with Sdaemon.jobs = Pool.Jobs 2 })
+    (fun addr ->
+      let reqs =
+        Sclient.trace ~seed:2026L ~workloads:[ "429.mcf"; "470.lbm" ]
+          ~config:"p0-30" ~requests:8 ~versions_per_request:5
+          ~version_space:40 ~want_images:true
+      in
+      let fd = Sclient.connect addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let pass ?verify () =
+            let digests = ref [] in
+            let r =
+              Sclient.replay ?verify
+                ~on_built:(fun b ->
+                  List.iter
+                    (fun (v : Sproto.variant) ->
+                      digests := v.Sproto.digest :: !digests)
+                    b.Sproto.variants)
+                fd reqs
+            in
+            (r, List.rev !digests)
+          in
+          let cold, cold_digests = pass () in
+          let warm, warm_digests = pass ~verify:true () in
+          List.iter
+            (fun (what, (r : Sclient.report)) ->
+              Alcotest.(check (list int))
+                (what ^ ": built, shed, errors")
+                [ List.length reqs; 0; 0 ]
+                [ r.Sclient.built; r.Sclient.shed; r.Sclient.errors ])
+            [ ("cold", cold); ("warm", warm) ];
+          Alcotest.(check bool)
+            "cold pass lowered something" true
+            (cold.Sclient.lowering_runs > 0);
+          Alcotest.(check int)
+            "warm pass lowered nothing" 0 warm.Sclient.lowering_runs;
+          Alcotest.(check (list string))
+            "warm digests equal cold digests" cold_digests warm_digests;
+          Alcotest.(check int)
+            "digests and images match the serial oracle" 0
+            warm.Sclient.digest_mismatches))
+
 let suite =
   [
     ( "serve.proto",
@@ -438,5 +492,7 @@ let suite =
           test_concurrent_digest_identity;
         Alcotest.test_case "portfolio specs served" `Quick
           test_portfolio_specs_served;
+        Alcotest.test_case "cold then warm replay" `Quick
+          test_cold_then_warm_replay;
       ] );
   ]
