@@ -18,9 +18,10 @@
       isolation is what buys the hard guarantees: a task that dies — OOM,
       segfault in a C stub, [kill -9] — costs exactly that task
       ({!Crashed}); the pool reaps the worker, reassigns the rest of its
-      share to a replacement, and carries on.  Per-task timeouts are
-      enforced inside the worker by an interval timer and backstopped by
-      the parent, which kills a wedged worker outright ({!Timed_out}).
+      share to a replacement, and carries on.  A worker runs its share
+      in order and sends one pipe record per finished task, so the task
+      a dead worker was running is the first of its share with no
+      record.
     - Serial: [jobs = 1] (or one task, or a build without [Unix.fork])
       runs tasks in-process in order — the reference semantics the fork
       backend is compared against.
@@ -44,34 +45,25 @@ val jobs_of_string : string -> (jobs, string) result
 
 val jobs_to_string : jobs -> string
 
-val auto_jobs : unit -> int
-(** What [Auto] resolves to: the number of available cores (at least
-    1). *)
-
 type 'a outcome =
   | Done of 'a
   | Failed of string  (** the task raised; the exception's rendering *)
   | Crashed of string  (** the worker process died under the task *)
-  | Timed_out  (** the task exceeded [timeout_s] *)
 
 exception Nested
 (** Raised by {!run} when called from inside a running task. *)
 
-val run : ?timeout_s:float -> ?jobs:jobs -> (unit -> 'a) list -> 'a outcome list
+val run : ?jobs:jobs -> (unit -> 'a) list -> 'a outcome list
 (** [run tasks] executes the tasks and returns one outcome per task, in
     the order given (default [jobs] is [Auto]).  Task results cross a
     process boundary under the fork backend, so they must be plain data —
     no closures, no custom blocks; a task whose result cannot be
-    marshalled fails with {!Failed}.  [timeout_s] bounds each task's wall
-    time individually. *)
+    marshalled fails with {!Failed}.  Tasks have no time limit: a
+    caller that needs one bounds the work itself (the fuzz oracle runs
+    on fuel). *)
 
-val map :
-  ?timeout_s:float -> ?jobs:jobs -> ('a -> 'b) -> 'a list -> 'b outcome list
+val map : ?jobs:jobs -> ('a -> 'b) -> 'a list -> 'b outcome list
 (** [map f items] is [run (List.map (fun x () -> f x) items)]. *)
 
 val outcome_to_string : 'a outcome -> string
 (** ["done"], or the failure rendering — for error reports. *)
-
-val backend_name : unit -> string
-(** Which backend a multi-worker {!run} uses — ["fork"], or ["serial"]
-    where [Unix.fork] is unavailable — for reports. *)

@@ -17,7 +17,7 @@ type campaign = {
   skips : int;  (** documented-asymmetry skips encountered *)
   findings : finding list;  (** divergences, in discovery order *)
   errors : (int * string) list;
-      (** harness-side task failures (crashed or timed-out pool workers),
+      (** harness-side task failures (raising tasks, crashed pool workers),
           by program index — distinct from findings, which are
           divergences the oracle actually judged *)
 }

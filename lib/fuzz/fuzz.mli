@@ -20,7 +20,7 @@ type campaign = {
   skips : int;  (** documented-asymmetry skips encountered *)
   findings : finding list;  (** divergences, in discovery order *)
   errors : (int * string) list;
-      (** harness-side task failures (crashed or timed-out pool workers),
+      (** harness-side task failures (raising tasks, crashed pool workers),
           by program index; empty on a healthy run *)
 }
 

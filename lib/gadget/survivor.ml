@@ -6,7 +6,8 @@ let normalize insns = Nops.strip insns
    offset of the diversified section, mirroring the finder's validity
    rule.  The diversified sequence may be longer than the original's
    (inserted NOPs), so search within the scanner depth. *)
-let sequence_at ~(params : Finder.params) d offset =
+let sequence_at d offset =
+  let params = Finder.default_params in
   let rec walk pos n acc =
     if n > params.max_insns + params.max_back_bytes then None
     else
@@ -20,20 +21,19 @@ let sequence_at ~(params : Finder.params) d offset =
   in
   walk offset 1 []
 
-(* The original section's gadgets, scanned once per (section, params):
-   a census compares one original against every version. *)
-let baselines : (Digest.t * Finder.params, Finder.t list) Memo.t =
-  Memo.create ~capacity:32 ()
+(* The original section's gadgets, scanned once per section: a census
+   compares one original against every version. *)
+let baselines : (Digest.t, Finder.t list) Memo.t = Memo.create ~capacity:32 ()
 
-let baseline_scan params original =
-  Memo.find_or_add baselines (Digest.string original, params) (fun () ->
-      Finder.scan ~params original)
+let baseline_scan original =
+  Memo.find_or_add baselines (Digest.string original) (fun () ->
+      Finder.scan original)
 
-let survivors params gadgets diversified =
+let survivors gadgets diversified =
   let d = Finder.decoder diversified in
   List.filter
     (fun (g : Finder.t) ->
-      match sequence_at ~params d g.offset with
+      match sequence_at d g.offset with
       | None -> false
       | Some div_insns ->
           (* Normalizing both sides may only increase similarity — the
@@ -42,19 +42,17 @@ let survivors params gadgets diversified =
           a <> [] && List.equal Insn.equal a b)
     gadgets
 
-let surviving_gadgets ?(params = Finder.default_params) ~original ~diversified
-    () =
-  survivors params (baseline_scan params original) diversified
+let surviving_gadgets ~original ~diversified () =
+  survivors (baseline_scan original) diversified
 
-let compare_sections ?(params = Finder.default_params) ~original ~diversified
-    () =
-  let baseline = baseline_scan params original in
+let compare_sections ~original ~diversified () =
+  let baseline = baseline_scan original in
   {
     baseline_gadgets = List.length baseline;
-    surviving = List.length (survivors params baseline diversified);
+    surviving = List.length (survivors baseline diversified);
   }
 
-let surviving_offsets ?params ~original ~diversified () =
+let surviving_offsets ~original ~diversified () =
   List.map
     (fun (g : Finder.t) -> g.offset)
-    (surviving_gadgets ?params ~original ~diversified ())
+    (surviving_gadgets ~original ~diversified ())

@@ -10,7 +10,8 @@
     survival, exactly as the paper argues.
 
     Offsets, not absolute addresses, are compared, which makes the
-    analysis independent of ASLR-style base randomization. *)
+    analysis independent of ASLR-style base randomization.  Both
+    sections are read at the scanner depth of {!Finder.default_params}. *)
 
 type outcome = {
   baseline_gadgets : int;  (** gadgets in the original section *)
@@ -20,24 +21,15 @@ type outcome = {
 val normalize : Insn.t list -> Insn.t list
 (** Strip every Table-1 NOP candidate. *)
 
-val compare_sections :
-  ?params:Finder.params -> original:string -> diversified:string -> unit -> outcome
+val compare_sections : original:string -> diversified:string -> unit -> outcome
 
 val surviving_offsets :
-  ?params:Finder.params ->
-  original:string ->
-  diversified:string ->
-  unit ->
-  int list
+  original:string -> diversified:string -> unit -> int list
 (** The offsets of the surviving gadgets (for attack-surface analysis on
     the surviving set). *)
 
 val surviving_gadgets :
-  ?params:Finder.params ->
-  original:string ->
-  diversified:string ->
-  unit ->
-  Finder.t list
+  original:string -> diversified:string -> unit -> Finder.t list
 (** The surviving gadgets themselves (the original-section decodings at
     the surviving offsets) — the set {!Attack.attack_on_gadgets} judges,
     so the Table-2 census and the PHP-style feasibility verdict share

@@ -53,8 +53,9 @@ let reset () =
 
 type snapshot = {
   s_counters : (string * int64) list;
-  s_histograms : (string * float list) list;
-      (* each value list is newest-first, like [histogram.values] *)
+  s_histograms : (string * int * float list) list;
+      (* name, observation count, and the values newest-first, like
+         [histogram.n] and [histogram.values] *)
 }
 
 let snapshot () =
@@ -65,21 +66,31 @@ let snapshot () =
         s_histograms =
           (* The values list is immutable and only ever prepended to, so
              capturing the head is O(1) per histogram. *)
-          Hashtbl.fold (fun k h acc -> (k, h.values) :: acc) histograms [];
+          Hashtbl.fold (fun k h acc -> (k, h.n, h.values) :: acc) histograms [];
       })
 
 let rec take n l =
   if n <= 0 then [] else match l with [] -> [] | x :: tl -> x :: take (n - 1) tl
 
+let table_of bindings =
+  let t = Hashtbl.create (List.length bindings) in
+  List.iter (fun (k, v) -> Hashtbl.replace t k v) bindings;
+  t
+
 (* A name registered after [since] ships even at zero, so the parent's
-   registry ends up with the same names as a serial run. *)
+   registry ends up with the same names as a serial run.  O(names + new
+   observations): the base's counts say how many values it had seen, so
+   its lists are never walked. *)
 let delta ~since =
+  let base_c = table_of since.s_counters in
+  let base_h =
+    table_of (List.map (fun (k, n, _) -> (k, n)) since.s_histograms)
+  in
   Lock.protect lock (fun () ->
-      let base_c = since.s_counters and base_h = since.s_histograms in
       let s_counters =
         Hashtbl.fold
           (fun k c acc ->
-            match List.assoc_opt k base_c with
+            match Hashtbl.find_opt base_c k with
             | None -> (k, c.count) :: acc
             | Some base ->
                 let d = Int64.sub c.count base in
@@ -89,14 +100,14 @@ let delta ~since =
       let s_histograms =
         Hashtbl.fold
           (fun k h acc ->
-            match List.assoc_opt k base_h with
-            | None -> (k, h.values) :: acc
-            | Some vs -> (
+            match Hashtbl.find_opt base_h k with
+            | None -> (k, h.n, h.values) :: acc
+            | Some n0 ->
                 (* New observations are exactly the prefix the base has
                    not seen (prepend-only list, no reset in between). *)
-                match take (h.n - List.length vs) h.values with
-                | [] -> acc
-                | fresh -> (k, fresh) :: acc))
+                let fresh = h.n - n0 in
+                if fresh <= 0 then acc
+                else (k, fresh, take fresh h.values) :: acc)
           histograms []
       in
       { s_counters; s_histograms })
@@ -108,7 +119,7 @@ let merge s =
      commutative. *)
   List.iter (fun (k, d) -> incr ~by:d (counter k)) s.s_counters;
   List.iter
-    (fun (k, vs) ->
+    (fun (k, _, vs) ->
       let h = histogram k in
       List.iter (fun v -> observe h v) vs)
     s.s_histograms

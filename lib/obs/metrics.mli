@@ -57,8 +57,9 @@ val snapshot : unit -> snapshot
 val delta : since:snapshot -> snapshot
 (** Everything recorded after [since] was taken: counter increments,
     fresh histogram observations, and every name first registered after
-    [since], even one still at zero.  Only valid if {!reset} has not run
-    in between. *)
+    [since], even one still at zero.  O(names + new observations): the
+    snapshot's histogram counts stand in for its value lists.  Only
+    valid if {!reset} has not run in between. *)
 
 val merge : snapshot -> unit
 (** Add a (delta) snapshot into the registry: counters by addition,

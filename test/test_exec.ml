@@ -1,8 +1,9 @@
-(* The parallel pool: result ordering, failure containment, timeout
-   kill, worker-crash containment, nested-use rejection — and the two
-   determinism properties the whole subsystem exists to uphold: a
-   parallel fuzz campaign equals the serial one byte-for-byte, and
-   metrics merged from k workers equal a single-process run. *)
+(* The parallel pool: result ordering, failure containment, worker-crash
+   containment (including repeated crashes in one share), nested-use
+   rejection — and the two determinism properties the whole subsystem
+   exists to uphold: a parallel fuzz campaign equals the serial one
+   byte-for-byte, and metrics merged from k workers equal a
+   single-process run. *)
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -13,7 +14,6 @@ let outcome_label = function
   | Pool.Done _ -> "done"
   | Pool.Failed _ -> "failed"
   | Pool.Crashed _ -> "crashed"
-  | Pool.Timed_out -> "timed-out"
 
 let labels outcomes = List.map outcome_label outcomes
 
@@ -51,28 +51,6 @@ let test_failure_containment () =
         (contains ~needle:"task 2 blew up" msg)
   | _ -> Alcotest.fail "expected Failed"
 
-let test_timeout () =
-  if not Sys.unix then () (* kill-based timeouts are a unix feature *)
-  else begin
-    let deadline = Unix.gettimeofday () +. 20.0 in
-    let tasks =
-      [
-        (fun () -> "quick");
-        (fun () ->
-          (* Allocation-heavy spin so the worker's SIGALRM lands;
-             self-bounding so a broken timeout cannot hang the suite. *)
-          while Unix.gettimeofday () < deadline do
-            ignore (Sys.opaque_identity (ref 0))
-          done;
-          "slow");
-        (fun () -> "quick2");
-      ]
-    in
-    let got = Pool.run ~timeout_s:0.4 ~jobs:(Pool.Jobs 2) tasks in
-    Alcotest.(check (list string))
-      "slow task timed out" [ "done"; "timed-out"; "done" ] (labels got)
-  end
-
 let test_crash_containment () =
   if not Sys.unix then ()
   else begin
@@ -91,6 +69,28 @@ let test_crash_containment () =
     Alcotest.(check bool)
       "stride-mates of the crashed task survived" true
       (List.nth got 3 = Pool.Done 103 && List.nth got 5 = Pool.Done 105)
+  end
+
+let test_repeated_crash () =
+  if not Sys.unix then ()
+  else begin
+    (* Tasks 1, 3 and 5 each SIGKILL their own worker.  At -j 2 they are
+       all worker 1's share: it is re-forked for [3; 5], again for [5],
+       and its last task dies with nothing left to hand on.  Each death
+       is charged to the task that caused it, not to a neighbour. *)
+    let task i () =
+      if i mod 2 = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+      i + 100
+    in
+    let got = Pool.run ~jobs:(Pool.Jobs 2) (List.init 6 task) in
+    Alcotest.(check (list string))
+      "each crash charged to its own task"
+      [ "done"; "crashed"; "done"; "crashed"; "done"; "crashed" ]
+      (labels got);
+    Alcotest.(check bool)
+      "the other share equals the serial run" true
+      ([ List.nth got 0; List.nth got 2; List.nth got 4 ]
+      = Pool.run ~jobs:(Pool.Jobs 1) [ task 0; task 2; task 4 ])
   end
 
 let test_nested_rejection () =
@@ -233,9 +233,10 @@ let suite =
         Alcotest.test_case "pool result ordering" `Quick test_ordering;
         Alcotest.test_case "task failure containment" `Quick
           test_failure_containment;
-        Alcotest.test_case "per-task timeout kill" `Quick test_timeout;
         Alcotest.test_case "worker-crash containment" `Quick
           test_crash_containment;
+        Alcotest.test_case "repeated crashes in one share" `Quick
+          test_repeated_crash;
         Alcotest.test_case "nested-use rejection" `Quick test_nested_rejection;
         Alcotest.test_case "large results, -j 2 == serial" `Quick
           test_large_results;
