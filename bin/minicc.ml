@@ -46,12 +46,9 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let die fmt =
-  Format.kasprintf
-    (fun msg ->
-      Format.eprintf "minicc: %s@." msg;
-      exit 1)
-    fmt
+(* Reject bad input: the error boundary at the bottom of this file turns
+   the message into one "minicc: <message>" line and exit 1. *)
+let die fmt = Format.kasprintf failwith fmt
 
 (* The one config-spec entry point for every command that takes a spec
    (run, workload, diversify, serve-client): a bad spec always prints
@@ -92,11 +89,11 @@ let profile_arg =
     & info [ "profile" ] ~docv:"FILE"
         ~doc:"Execution profile (from $(b,profile)) guiding $(b,--config).")
 
-let load_profile = function
-  | Some path -> (
-      try Profile.of_string (read_file path)
-      with Failure msg -> die "%s: %s" path msg)
-  | None -> Profile.empty
+(* The one text-profile reader: [Profile.of_string] cannot name the
+   file, so its errors get the path here. *)
+let load_profile path =
+  try Profile.of_string (read_file path)
+  with Failure msg -> die "%s: %s" path msg
 
 (* How to build: an optimization pipeline plus verification policy,
    assembled from --opt-level / -O0/-O1/-O2 / --passes / --verify-each. *)
@@ -132,6 +129,16 @@ let args_arg =
     value
     & opt (conv (parse, print)) []
     & info [ "args" ] ~docv:"INTS" ~doc:"Comma-separated program arguments.")
+
+(* A count that must be at least 1: zero or less is a usage error, not a
+   crash, an empty table or a serving loop that never advances. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let build_term =
   let level_conv =
@@ -208,18 +215,19 @@ let trace_arg =
            them to $(docv) in Chrome trace-event JSON (load in \
            chrome://tracing or Perfetto).")
 
+(* A command that fails writes no trace, so its error stays the one line
+   on stderr and an unwritable trace path is reported like any other. *)
 let with_trace trace_file f =
   match trace_file with
   | None -> f ()
   | Some file ->
       Trace.start ();
-      Fun.protect
-        ~finally:(fun () ->
-          Trace.stop ();
-          Trace.write file;
-          Format.eprintf "trace: %d events written to %s@."
-            (Trace.event_count ()) file)
-        f
+      let r = f () in
+      Trace.stop ();
+      Trace.write file;
+      Format.eprintf "trace: %d events written to %s@." (Trace.event_count ())
+        file;
+      r
 
 (* --NAME[=FORMAT]: off by default, a table when given bare. *)
 let report_format_arg name ~doc =
@@ -297,17 +305,12 @@ let link_cmd =
   in
   let run objects output trace =
     with_trace trace (fun () ->
-        let units, image =
-          try
-            let units = List.map Objfile.load objects in
-            let funcs = List.concat_map (fun u -> u.Objfile.funcs) units in
-            let globals =
-              List.concat_map (fun u -> u.Objfile.globals) units
-            in
-            (units, Link.link_objects ~objects:funcs ~globals ())
-          with Failure msg ->
-            Format.eprintf "minicc: %s@." msg;
-            exit 1
+        let units = List.map Objfile.load objects in
+        let image =
+          Link.link_objects
+            ~objects:(List.concat_map (fun u -> u.Objfile.funcs) units)
+            ~globals:(List.concat_map (fun u -> u.Objfile.globals) units)
+            ()
         in
         Link.save image output;
         Format.printf "%s: linked %d unit(s), %d bytes of .text, %d functions@."
@@ -345,7 +348,7 @@ let sample_arg =
 let top_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some pos_int) None
     & info [ "top" ] ~docv:"N"
         ~doc:"Truncate profile tables to the $(docv) hottest rows.")
 
@@ -357,12 +360,6 @@ let validate_period = function
       die "sample period must exceed the per-sample cost of %g cycles (got %d)"
         Timing.default.sample_cost n
   | p -> p
-
-let load_image path =
-  try Link.load path
-  with Failure msg ->
-    Format.eprintf "minicc: %s@." msg;
-    exit 1
 
 (* A program run with the wrong number of arguments is an input error,
    reported before anything executes. *)
@@ -388,12 +385,10 @@ let sim_term =
 
 let simulate o (image : Link.image) ~args =
   check_arity ~arity:image.Link.main_arity args;
-  try
-    Driver.run_image image
-      ~profile:(o.sim_profile <> None)
-      ?sample_period:(validate_period o.sample)
-      ~args
-  with Sim.Fault msg -> die "fault: %s" msg
+  Driver.run_image image
+    ~profile:(o.sim_profile <> None)
+    ?sample_period:(validate_period o.sample)
+    ~args
 
 (* The --sim-profile and --sim-profile-sample reports of one run. *)
 let print_sim_profiles o image name (r : Sim.result) =
@@ -428,13 +423,15 @@ let run_cmd =
     with_trace trace (fun () ->
         let image =
           match variant with
-          | None -> load_image binary
+          | None -> Link.load binary
           | Some (config, version) ->
               let c =
                 Driver.compile ~name:(Filename.basename binary)
                   (read_file binary)
               in
-              let profile = load_profile profile_path in
+              let profile =
+                Option.fold ~none:Profile.empty ~some:load_profile profile_path
+              in
               fst (Driver.diversify_linked c ~config ~profile ~version)
         in
         let r = simulate sim image ~args in
@@ -466,21 +463,12 @@ let period_arg =
           (Printf.sprintf "Cycles between PC samples (default %d)."
              Sim.default_sample_period))
 
-let load_sprof path =
-  try Sprof.load path
-  with Failure msg ->
-    Format.eprintf "minicc: %s@." msg;
-    exit 1
-
 let profile_train_cmd =
   let run source output args build trace =
     with_trace trace (fun () ->
         let c = compile_source ~build source in
         check_arity ~arity:c.Driver.main_arity args;
-        let profile =
-          try Driver.train c ~args
-          with Interp.Trap msg -> die "training run trapped: %s" msg
-        in
+        let profile = Driver.train c ~args in
         let oc = open_out output in
         output_string oc (Profile.to_string profile);
         close_out oc;
@@ -520,7 +508,7 @@ let profile_record_cmd =
   in
   let run binary output args period workload config seed trace =
     with_trace trace (fun () ->
-        let image = load_image binary in
+        let image = Link.load binary in
         let workload =
           Option.value workload ~default:(Filename.basename binary)
         in
@@ -529,10 +517,8 @@ let profile_record_cmd =
         in
         check_arity ~arity:image.Link.main_arity args;
         let sprof, r =
-          try
-            Driver.record_profile ~sample_period:period ~config ~seed image
-              ~workload ~args
-          with Sim.Fault msg -> die "fault: %s" msg
+          Driver.record_profile ~sample_period:period ~config ~seed image
+            ~workload ~args
         in
         print_string r.Sim.output;
         Sprof.save sprof output;
@@ -581,7 +567,7 @@ let profile_merge_cmd =
         (List.length weights) (List.length inputs);
     let merged =
       List.fold_left2
-        (fun acc path w -> Sprof.merge acc (load_sprof path) ~weight:w)
+        (fun acc path w -> Sprof.merge acc (Sprof.load path) ~weight:w)
         Sprof.empty inputs weights
     in
     Sprof.save merged output;
@@ -601,7 +587,7 @@ let profile_show_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable output.")
   in
   let run path top json =
-    let sprof = load_sprof path in
+    let sprof = Sprof.load path in
     if json then print_endline (Sprof.to_json ?top sprof)
     else Format.printf "%a" (Sprof.pp ?top) sprof
   in
@@ -615,18 +601,15 @@ let profile_diff_cmd =
     Arg.(required & pos 1 (some file) None & info [] ~docv:"FRESH")
   in
   let run path fresh_path =
-    let sprof = load_sprof path in
+    let sprof = Sprof.load path in
     (* The reference side is either another sampled recording or an exact
        training profile (the text format `minicc profile` writes); the
        PSDPROF magic says which loader owns the file, so a corrupt
        recording gets the recording loader's error. *)
-    let contents = read_file fresh_path in
     let fresh =
-      if String.starts_with ~prefix:Sprof.magic contents then
-        Sprof.to_profile (load_sprof fresh_path)
-      else
-        try Profile.of_string contents
-        with Failure msg -> die "%s: %s" fresh_path msg
+      if String.starts_with ~prefix:Sprof.magic (read_file fresh_path) then
+        Sprof.to_profile (Sprof.load fresh_path)
+      else load_profile fresh_path
     in
     Format.printf "%a" Sprof.pp_staleness (Sprof.staleness ~fresh sprof)
   in
@@ -673,8 +656,8 @@ let diversify_cmd =
         let c = compile_source ~build source in
         let profile =
           match (sampled_path, profile_path) with
-          | Some sp, _ -> Driver.train_from_profile c (load_sprof sp)
-          | None, p -> load_profile p
+          | Some sp, _ -> Driver.train_from_profile c (Sprof.load sp)
+          | None, p -> Option.fold ~none:Profile.empty ~some:load_profile p
         in
         (match config.Config.strategy with
         | Config.Profiled _ when Profile.is_empty profile ->
@@ -786,7 +769,20 @@ let disas_cmd =
 
 let workload_cmd =
   let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME")
+    let parse name =
+      match Workloads.find name with
+      | w -> Ok w
+      | exception Not_found ->
+          Error
+            (`Msg
+              (Printf.sprintf "unknown workload %S (known: %s)" name
+                 (String.concat ", " Workloads.names)))
+    in
+    let print ppf (w : Workload.t) = Format.pp_print_string ppf w.name in
+    Arg.(
+      required
+      & pos 0 (some (conv (parse, print))) None
+      & info [] ~docv:"NAME")
   in
   let ref_arg =
     Arg.(value & flag & info [ "ref" ] ~doc:"Use the ref input (default: train).")
@@ -798,9 +794,8 @@ let workload_cmd =
          workload's training input, then diversify under this \
          configuration spec."
   in
-  let run name use_ref variant sim trace =
+  let run (w : Workload.t) use_ref variant sim trace =
     with_trace trace (fun () ->
-        let w = Workloads.find name in
         let c = Driver.compile ~name:w.Workload.name w.source in
         let args = if use_ref then w.ref_args else w.train_args in
         let image =
@@ -836,7 +831,7 @@ let jobs_conv =
 let fuzz_cmd =
   let count_arg =
     Arg.(
-      value & opt int 100
+      value & opt pos_int 100
       & info [ "count" ] ~docv:"N" ~doc:"Number of programs to generate.")
   in
   let seed_arg =
@@ -947,7 +942,7 @@ let serve_cmd =
   in
   let batch_arg =
     Arg.(
-      value & opt int 16
+      value & opt pos_int 16
       & info [ "batch" ] ~docv:"N"
           ~doc:"Max requests prepared and fanned out per pool run.")
   in
@@ -1116,10 +1111,7 @@ let serve_client_cmd =
                           close_out oc)
                     b.Sproto.variants
             in
-            let report =
-              try Sclient.replay ~verify ~on_built fd trace_reqs
-              with Failure msg -> die "%s" msg
-            in
+            let report = Sclient.replay ~verify ~on_built fd trace_reqs in
             Format.printf
               "replayed %d request(s): %d built (%d variants), %d shed, %d \
                errors in %.2fs@."
@@ -1139,7 +1131,7 @@ let serve_client_cmd =
                 exit 1
               end;
             if stats then begin
-              let s = try Sclient.stats fd with Failure msg -> die "%s" msg in
+              let s = Sclient.stats fd in
               Format.printf
                 "daemon: %Ld requests, %Ld variants built, %Ld shed, %Ld \
                  errors@."
@@ -1147,8 +1139,7 @@ let serve_client_cmd =
                 s.Sproto.errors;
               Format.printf "  store: %d entries@." s.Sproto.store_entries
             end;
-            if shutdown then
-              try Sclient.shutdown fd with Failure msg -> die "%s" msg))
+            if shutdown then Sclient.shutdown fd))
   in
   Cmd.v
     (Cmd.info "serve-client"
@@ -1172,12 +1163,20 @@ let () =
         fuzz_cmd; serve_cmd; serve_client_cmd;
       ]
   in
-  (* A file that cannot be opened or written (a missing directory, no
-     permission) is a one-line error like any other bad argument; every
-     other exception is still an internal error (exit 125). *)
+  (* The error boundary: bad input anywhere below -- a source that does
+     not compile, a corrupt file, a file that cannot be opened or
+     written, a faulting or trapping run -- ends here in one
+     "minicc: <message>" line and exit 1.  Every other exception is a
+     bug, an internal error (exit 125). *)
+  let fail msg =
+    Format.eprintf "minicc: %s@." msg;
+    exit 1
+  in
   match Cmd.eval ~catch:false cmd with
   | code -> exit code
-  | exception Sys_error msg -> die "%s" msg
+  | exception (Failure msg | Sys_error msg) -> fail msg
+  | exception Sim.Fault msg -> fail ("fault: " ^ msg)
+  | exception Interp.Trap msg -> fail ("training run trapped: " ^ msg)
   | exception e ->
       Format.eprintf "minicc: internal error, uncaught exception:@\n%s@."
         (Printexc.to_string e);

@@ -49,7 +49,7 @@ let compile ?(opt = Pipeline.O2) ?passes ?(verify_each = false) ~name src =
     ~args:
       [ ("program", name); ("pipeline", Pipeline.descr_to_string descr) ]
     (fun () ->
-      let cctx = Cctx.create ~verify_each name in
+      let cctx = Cctx.create name in
       let modul, dt =
         Trace.with_span "front" ~args:[ ("program", name) ] (fun () ->
             Cctx.timed (fun () -> Minic.compile_exn src))

@@ -121,7 +121,9 @@ let merge s =
   List.iter
     (fun (k, _, vs) ->
       let h = histogram k in
-      List.iter (fun v -> observe h v) vs)
+      (* [vs] is newest-first: replay it oldest-first, in the order the
+         worker observed it. *)
+      List.iter (observe h) (List.rev vs))
     s.s_histograms
 
 (* ---- dumping ---- *)

@@ -385,6 +385,7 @@ let listen_socket cfg =
       fd
 
 let run cfg =
+  if cfg.batch < 1 then invalid_arg "Sdaemon.run: batch must be at least 1";
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
   | exception Invalid_argument _ -> ());

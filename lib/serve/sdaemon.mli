@@ -49,4 +49,5 @@ val run : cfg -> unit
     and serve until a {!Sproto.Shutdown} arrives; requests admitted
     before the shutdown are still answered.  The socket file is removed
     on exit.  Raises [Unix.Unix_error] if the address cannot be
-    bound. *)
+    bound, and [Invalid_argument] if [cfg.batch < 1] (a drain that
+    never takes a request would spin forever). *)

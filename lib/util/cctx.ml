@@ -21,14 +21,10 @@ type agg = {
 
 type t = {
   cname : string;
-  cverify_each : bool;
   mutable recorded : stat list;  (* reverse chronological *)
 }
 
-let create ?(verify_each = false) cname =
-  { cname; cverify_each = verify_each; recorded = [] }
-
-let verify_each t = t.cverify_each
+let create cname = { cname; recorded = [] }
 
 let timed f =
   (* Monotonic: a stepped system clock cannot make a stage time negative. *)

@@ -9,7 +9,9 @@
     fixpoint pipeline contributes one record per iteration); {!aggregate}
     folds them into the per-pass table the [--pass-stats] flag prints.
 
-    The context itself knows nothing about IR or machine code — stages
+    The context only collects records: it carries no compile options
+    (the pass pipeline and its [~verify_each] are arguments of
+    [Pipeline.run]).  It knows nothing about IR or machine code — stages
     describe themselves with strings — so it can live below every layer
     of the compiler and be threaded through all of them. *)
 
@@ -39,12 +41,8 @@ type agg = {
 
 type t
 
-val create : ?verify_each:bool -> string -> t
-(** [create name] makes an empty context for program [name].
-    [verify_each] records the caller's intent to re-verify the IR after
-    every pass; the pass manager consults it via {!verify_each}. *)
-
-val verify_each : t -> bool
+val create : string -> t
+(** [create name] makes an empty context for program [name]. *)
 
 val timed : (unit -> 'a) -> 'a * float
 (** Run a thunk and measure its wall time on the monotonic {!Clock}, so

@@ -1,8 +1,10 @@
 #!/bin/sh
 # minicc on bad input: every case must fail with a usage error (exit 124)
-# or a one-line "minicc: <message>" (exit 1), never an uncaught
-# exception.  Prints each case's command, exit code, stdout and stderr;
-# test/dune diffs the output against cli/expected.out.
+# for a malformed option value, exit 2 for a bad --config spec, or a
+# one-line "minicc: <message>" (exit 1) for every other bad input --
+# never an uncaught exception (exit 125).  Prints each case's command,
+# exit code, stdout and stderr; test/dune diffs the output against
+# cli/expected.out.
 #
 #   sh cli/cases.sh MINICC DIV_ZERO_SOURCE
 minicc=$1
@@ -18,15 +20,25 @@ case_ () {
   cat case.err
 }
 
-# Fixtures: a 1-ary program that divides by its argument, and a sampled
-# recording of it with one payload byte overwritten; two malformed
-# training profiles are written before their cases.
+# Overwrite one payload byte of file $1, writing the result to $2.
+corrupt () {
+  head -c 20 "$1" >"$2"
+  printf 'X' >>"$2"
+  tail -c +22 "$1" >>"$2"
+}
+
+# Fixtures: a 1-ary program that divides by its argument, its image and a
+# sampled recording of it, each also with one payload byte overwritten,
+# and three sources that do not compile; two malformed training
+# profiles are written before their cases.
 cp "$src" div.mc
 "$minicc" compile div.mc -o div.bin >/dev/null
 "$minicc" profile record div.bin --args 1 -o good.psdprof >/dev/null
-head -c 20 good.psdprof >corrupt.psdprof
-printf 'X' >>corrupt.psdprof
-tail -c +22 good.psdprof >>corrupt.psdprof
+corrupt good.psdprof corrupt.psdprof
+corrupt div.bin corrupt.bin
+printf 'int main(int a) {\n  return a +;\n}\n' >syntax.mc
+printf 'int main(int a) {\n  return b;\n}\n' >undeclared.mc
+printf 'int f(int a) {\n  return a;\n}\n' >nomain.mc
 
 case_ run div.bin --args x
 case_ run div.bin --args 1,2
@@ -46,3 +58,17 @@ case_ profile record div.bin --args 1 --period 10 -o short.psdprof
 case_ compile div.mc -o /nonexistent/d/x.bin
 case_ profile train div.mc --args 1 -o /nonexistent/p.prof
 case_ profile div.mc --args 1
+case_ compile syntax.mc -o x.bin
+case_ compile undeclared.mc -o x.bin
+case_ compile nomain.mc -o x.bin
+case_ diversify syntax.mc -o x.bin
+case_ run syntax.mc --config p0-30 --args 1
+case_ gadgets corrupt.bin
+case_ survivor corrupt.bin div.bin
+case_ attack corrupt.bin
+case_ disas corrupt.bin
+case_ workload nosuch
+case_ fuzz --count=-1
+case_ serve --batch=0
+case_ run div.bin --args 1 --top=0
+case_ run div.bin --args 1 --trace /nonexistent/t.json

@@ -222,6 +222,9 @@ let test_snapshot_delta_merge () =
   let after = Metrics.dump_json () in
   Metrics.merge d;
   Alcotest.(check int) "histogram grew by the delta" 5 (Metrics.histogram_count h);
+  Alcotest.(check (list (float 0.)))
+    "merged values replay oldest-first" [ 1.; 2.; 3.; 2.; 3. ]
+    (Metrics.histogram_values h);
   Alcotest.(check int64) "counter doubled its delta" 9L (Metrics.counter_value c);
   ignore after;
   Metrics.reset ()

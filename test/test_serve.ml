@@ -271,6 +271,15 @@ let test_queue_timeout_shed () =
           | r -> Alcotest.failf "reply 2: unexpected %d" (Sproto.response_id r)))
 
 let test_error_paths_on_socket () =
+  (* A batch below 1 would never drain the queue: rejected before the
+     socket is bound. *)
+  Alcotest.check_raises "batch 0 rejected"
+    (Invalid_argument "Sdaemon.run: batch must be at least 1") (fun () ->
+      Sdaemon.run
+        {
+          (Sdaemon.default_cfg (Sdaemon.Unix_sock "batch0.sock")) with
+          Sdaemon.batch = 0;
+        });
   with_daemon ~tag:"errors" Fun.id (fun addr ->
       (* A corrupt frame (valid length prefix) answers Error_reply and
          leaves the connection usable: the next, valid request on the
