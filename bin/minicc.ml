@@ -858,7 +858,7 @@ let fuzz_cmd =
   in
   let versions_arg =
     Arg.(
-      value & opt int 3
+      value & opt pos_int 3
       & info [ "versions" ] ~docv:"N"
           ~doc:"Diversified versions per configuration (default 3).")
   in
@@ -934,7 +934,7 @@ let serve_cmd =
   in
   let queue_cap_arg =
     Arg.(
-      value & opt int 64
+      value & opt pos_int 64
       & info [ "queue-cap" ] ~docv:"N"
           ~doc:
             "Bounded-queue capacity: requests arriving beyond $(docv) \

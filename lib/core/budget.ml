@@ -34,7 +34,7 @@ let item_cost (m : Timing.model) (item : Asm.item) =
   | Asm.Mov_sym _ -> m.Timing.alu_cost (* mov r32, imm32 *)
 
 (* One insertion site per non-label item — the same eligibility rule as
-   Algorithm 1 (Nop_insert.is_insn). *)
+   Algorithm 1 (Nop_insert's walk). *)
 let is_site = function Asm.Label _ -> false | _ -> true
 
 type block = {

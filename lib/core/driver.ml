@@ -85,7 +85,7 @@ let compile ?(opt = Pipeline.O2) ?passes ?(verify_each = false) ~name src =
         match Ir.find_func modul "main" with
         | f -> f
         | exception Not_found ->
-            failwith ("Driver.compile: " ^ name ^ " has no main")
+            failwith (name ^ " has no main")
       in
       let objects =
         Trace.with_span "machine" ~args:[ ("program", name) ] (fun () ->

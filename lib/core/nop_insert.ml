@@ -9,14 +9,20 @@ let add a b =
     bytes_added = a.bytes_added + b.bytes_added;
   }
 
-(* Is this item an instruction for the purposes of Algorithm 1?  Labels
-   emit no bytes; everything else is a machine instruction. *)
-let is_insn = function Asm.Label _ -> false | _ -> true
-
 (* Labels for the jumped-over dummy blocks of the §6 extension.  Real
    block labels come from the IR builder and stay small; this range
    cannot collide. *)
 let shift_label_base = 1_000_000
+
+(* The candidate NOPs as ready-made items with their encoded lengths, so
+   an insertion allocates nothing and encodes nothing.  [Rng.choose]
+   over these arrays draws exactly as it does over [Nops.default] and
+   [Nops.with_xchg]. *)
+let items_of candidates =
+  Array.map (fun nop -> (Asm.Ins nop, Encode.length nop)) candidates
+
+let default_items = items_of Nops.default
+let xchg_items = items_of Nops.with_xchg
 
 (* Basic-block shifting (paper §6): prepend "jmp past; <sled>; past:" to
    the function, displacing everything in it — including its first
@@ -24,17 +30,12 @@ let shift_label_base = 1_000_000
 let shift_function ~rng ~candidates (f : Asm.func) =
   let target = 1 + Rng.int rng 15 in
   let rec sled acc len =
-    if len >= target then acc
+    if len >= target then (acc, len)
     else
-      let nop = Rng.choose rng candidates in
-      sled (Asm.Ins nop :: acc) (len + Encode.length nop)
+      let nop, n = Rng.choose rng candidates in
+      sled (nop :: acc) (len + n)
   in
-  let sled_items = sled [] 0 in
-  let bytes =
-    List.fold_left
-      (fun acc item -> acc + Asm.item_size item)
-      0 sled_items
-  in
+  let sled_items, bytes = sled [] 0 in
   let skip = shift_label_base in
   ( {
       f with
@@ -43,60 +44,66 @@ let shift_function ~rng ~candidates (f : Asm.func) =
     },
     5 + bytes (* the jmp and the sled *) )
 
+(* The block's pNOP as a function of its label, for one function. *)
+let block_prob ?prob ~config ~profile ~xmax name =
+  match prob with
+  | Some p -> p name
+  | None -> (
+      match config.Config.strategy with
+      | Config.Off -> fun _ -> 0.0
+      | Config.Uniform p -> fun _ -> p
+      | Config.Profiled { pmin; pmax; shape; scope } ->
+          let max_count =
+            match scope with
+            | `Program -> xmax
+            | `Function -> Profile.max_count_func profile name
+          in
+          fun label ->
+            let count =
+              match label with
+              | Some l -> Profile.block_count profile ~func:name l
+              | None -> 0L
+            in
+            Heuristic.pnop shape ~pmin ~pmax ~count ~max_count)
+
+(* Algorithm 1 over one function's item stream.  Every non-label item is
+   an instruction eligible for a preceding NOP.  The block's probability
+   is evaluated once, at the first instruction after its label (or at the
+   function's first instruction, for the unlabelled entry); it is a pure
+   function of the label, so the draws are those of evaluating it at
+   every instruction. *)
 let run_with_xmax ?prob ~config ~profile ~rng ~xmax (f : Asm.func) =
   let candidates =
-    if config.Config.use_xchg then Nops.with_xchg else Nops.default
+    if config.Config.use_xchg then xchg_items else default_items
   in
   let f, shift_bytes =
     if config.Config.bb_shift then shift_function ~rng ~candidates f
     else (f, 0)
   in
-  let prob_of_block label =
-    match prob with
-    | Some p -> p f.Asm.name label
-    | None -> (
-    match config.Config.strategy with
-    | Config.Off -> 0.0
-    | Config.Uniform p -> p
-    | Config.Profiled { pmin; pmax; shape; scope } ->
-        let count =
-          match label with
-          | Some l -> Profile.block_count profile ~func:f.Asm.name l
-          | None -> 0L
-        in
-        let max_count =
-          match scope with
-          | `Program -> xmax
-          | `Function -> Profile.max_count_func profile f.Asm.name
-        in
-        Heuristic.pnop shape ~pmin ~pmax ~count ~max_count)
+  let prob_of_block = block_prob ?prob ~config ~profile ~xmax f.Asm.name in
+  let seen = ref 0 and inserted = ref 0 and added = ref shift_bytes in
+  (* [p] is the current block's probability, [nan] until its first
+     instruction. *)
+  let rec walk block p acc = function
+    | [] -> List.rev acc
+    | (Asm.Label l as item) :: rest ->
+        walk (Some l) Float.nan (item :: acc) rest
+    | item :: rest ->
+        incr seen;
+        let p = if Float.is_nan p then prob_of_block block else p in
+        (* Two sources of randomness (§3): whether to insert, and which
+           candidate to insert. *)
+        if Rng.bernoulli rng p then begin
+          let nop, n = Rng.choose rng candidates in
+          incr inserted;
+          added := !added + n;
+          walk block p (item :: nop :: acc) rest
+        end
+        else walk block p (item :: acc) rest
   in
-  let stats = ref { zero with bytes_added = shift_bytes } in
-  let diversified =
-    Asm.map_insns
-      (fun label item ->
-        if not (is_insn item) then [ item ]
-        else begin
-          stats := add !stats { zero with insns_seen = 1 };
-          let p = prob_of_block label in
-          (* Two sources of randomness (§3): whether to insert, and which
-             candidate to insert. *)
-          if Rng.bernoulli rng p then begin
-            let nop = Rng.choose rng candidates in
-            stats :=
-              add !stats
-                {
-                  insns_seen = 0;
-                  nops_inserted = 1;
-                  bytes_added = Encode.length nop;
-                };
-            [ Asm.Ins nop; item ]
-          end
-          else [ item ]
-        end)
-      f
-  in
-  (diversified, !stats)
+  let items = walk None Float.nan [] f.Asm.items in
+  ( { f with Asm.items },
+    { insns_seen = !seen; nops_inserted = !inserted; bytes_added = !added } )
 
 let run ~config ~profile ~rng f =
   match config.Config.strategy with

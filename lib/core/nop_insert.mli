@@ -10,7 +10,14 @@
     §3.
 
     Block labels in the stream carry the profile attribution: the
-    probability changes at each [Asm.Label] marker. *)
+    probability changes at each [Asm.Label] marker.  It is evaluated once
+    per block, at the block's first instruction (the instructions before
+    a function's first label form a block with label [None]); a block
+    without instructions is never evaluated.  The probability is a pure
+    function of the label, so this draws exactly as evaluating it at
+    every instruction would: per instruction, one Bernoulli trial, then
+    one candidate choice on success, and no draw at all for the trial
+    when p <= 0 or p >= 1. *)
 
 type stats = {
   insns_seen : int;  (** instructions eligible for a preceding NOP *)
@@ -46,6 +53,6 @@ val run_program :
     paper normalizes by the maximum execution count in the program).
     [prob] overrides the per-block probability entirely (the budgeted
     mode supplies the {!Budget} planner here); it receives the function
-    name and the current block label.  Without it the strategy's
+    name and the current block label, once per block.  Without it the strategy's
     uniform/profiled probability applies unchanged — and the RNG draw
     sequence is bit-identical to the pre-override implementation. *)

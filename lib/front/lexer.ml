@@ -12,7 +12,7 @@ type token =
   | EQEQ | NEQ | LT | LE | GT | GE
   | AMPAMP | PIPEPIPE
   | EOF
-[@@deriving eq, show]
+[@@deriving eq]
 
 exception Error of string * Ast.pos
 
@@ -22,6 +22,29 @@ let keywords =
     ("for", KW_FOR); ("return", KW_RETURN); ("break", KW_BREAK);
     ("continue", KW_CONTINUE); ("global", KW_GLOBAL);
   ]
+
+let describe tok =
+  let text =
+    match tok with
+    | NUM n -> Int32.to_string n
+    | IDENT name -> name
+    | EOF -> ""
+    | KW_INT -> "int" | KW_IF -> "if" | KW_ELSE -> "else"
+    | KW_WHILE -> "while" | KW_FOR -> "for" | KW_RETURN -> "return"
+    | KW_BREAK -> "break" | KW_CONTINUE -> "continue" | KW_GLOBAL -> "global"
+    | LPAREN -> "(" | RPAREN -> ")" | LBRACE -> "{" | RBRACE -> "}"
+    | LBRACKET -> "[" | RBRACKET -> "]" | SEMI -> ";" | COMMA -> ","
+    | PLUS -> "+" | MINUS -> "-" | STAR -> "*" | SLASH -> "/"
+    | PERCENT -> "%" | AMP -> "&" | PIPE -> "|" | CARET -> "^"
+    | TILDE -> "~" | BANG -> "!" | LTLT -> "<<" | GTGT -> ">>" | EQ -> "="
+    | EQEQ -> "==" | NEQ -> "!=" | LT -> "<" | LE -> "<=" | GT -> ">"
+    | GE -> ">=" | AMPAMP -> "&&" | PIPEPIPE -> "||"
+  in
+  match tok with
+  | NUM _ -> "number " ^ text
+  | IDENT _ -> Printf.sprintf "identifier '%s'" text
+  | EOF -> "end of input"
+  | _ -> Printf.sprintf "'%s'" text
 
 type state = {
   src : string;

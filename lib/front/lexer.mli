@@ -14,7 +14,11 @@ type token =
   | EQEQ | NEQ | LT | LE | GT | GE
   | AMPAMP | PIPEPIPE
   | EOF
-[@@deriving eq, show]
+[@@deriving eq]
+
+val describe : token -> string
+(** The token as error messages name it: its source text in quotes
+    ([';'], ['int']), [identifier 'x'], [number 3] or [end of input]. *)
 
 exception Error of string * Ast.pos
 (** Lexical error with position. *)

@@ -18,21 +18,21 @@ let advance st =
 let expect st tok what =
   let got, _ = peek st in
   if Lexer.equal_token got tok then advance st
-  else error st "expected %s, found %s" what (Lexer.show_token got)
+  else error st "expected '%s', found %s" what (Lexer.describe got)
 
 let expect_ident st =
   match peek st with
   | Lexer.IDENT name, _ ->
       advance st;
       name
-  | got, _ -> error st "expected identifier, found %s" (Lexer.show_token got)
+  | got, _ -> error st "expected identifier, found %s" (Lexer.describe got)
 
 let expect_num st =
   match peek st with
   | Lexer.NUM v, _ ->
       advance st;
       v
-  | got, _ -> error st "expected number, found %s" (Lexer.show_token got)
+  | got, _ -> error st "expected number, found %s" (Lexer.describe got)
 
 let accept st tok =
   let got, _ = peek st in
@@ -129,7 +129,7 @@ and parse_primary st =
           expect st Lexer.RBRACKET "]";
           { Ast.desc = Ast.Index (name, idx); pos }
       | _ -> { Ast.desc = Ast.Var name; pos })
-  | tok -> error st "expected expression, found %s" (Lexer.show_token tok)
+  | tok -> error st "expected expression, found %s" (Lexer.describe tok)
 
 let parse_expression st = parse_expr_prec st 0
 
@@ -195,8 +195,8 @@ let parse_simple st =
               more []
           in
           { Ast.sdesc = Ast.Expr { desc = Ast.Call (name, args); pos }; spos = pos }
-      | tok -> error st "expected statement, found %s" (Lexer.show_token tok))
-  | tok -> error st "expected statement, found %s" (Lexer.show_token tok)
+      | tok -> error st "expected statement, found %s" (Lexer.describe tok))
+  | tok -> error st "expected statement, found %s" (Lexer.describe tok)
 
 let rec parse_stmt st =
   let tok, pos = peek st in
@@ -333,6 +333,6 @@ let parse src =
     | Lexer.KW_INT ->
         advance st;
         toplevel globals (parse_func st pos :: funcs)
-    | tok -> error st "expected declaration, found %s" (Lexer.show_token tok)
+    | tok -> error st "expected declaration, found %s" (Lexer.describe tok)
   in
   toplevel [] []

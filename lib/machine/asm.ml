@@ -26,39 +26,40 @@ let item_size = function
 
 let func_size f = List.fold_left (fun acc i -> acc + item_size i) 0 f.items
 
+(* Block offsets by label, without the generic table's polymorphic hash
+   and compare. *)
+module Offsets = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash l = l land max_int
+end)
+
+(* One pass: each item is encoded once, straight into the buffer, and
+   label offsets are recorded as the walk reaches them.  Local branches
+   are written with a zero rel32 and back-patched at the end, when every
+   label is known; a displacement is relative to the end of its branch,
+   which is 4 bytes past the rel32 field. *)
 let assemble f =
-  (* Pass 1: label offsets. *)
-  let offsets = Hashtbl.create 16 in
-  let labels_in_order = ref [] in
-  let pos = ref 0 in
-  List.iter
-    (fun item ->
-      (match item with
-      | Label l ->
-          Hashtbl.replace offsets l !pos;
-          labels_in_order := (l, !pos) :: !labels_in_order
-      | _ -> ());
-      pos := !pos + item_size item)
-    f.items;
-  let target l =
-    match Hashtbl.find_opt offsets l with
-    | Some o -> o
-    | None -> failwith (Printf.sprintf "Asm.assemble: unknown label L%d in %s" l f.name)
-  in
-  (* Pass 2: bytes.  Branch displacements are relative to the end of the
-     branch instruction. *)
   let buf = Buffer.create 256 in
+  let offsets = Offsets.create 16 in
+  let labels_in_order = ref [] in
+  let branches = ref [] in
   let relocs = ref [] in
   List.iter
     (fun item ->
       let here = Buffer.length buf in
       match item with
-      | Label _ -> ()
+      | Label l ->
+          Offsets.replace offsets l here;
+          labels_in_order := (l, here) :: !labels_in_order
       | Ins i -> Encode.insn_into buf i
       | Jmp_sym l ->
-          Encode.insn_into buf (Insn.Jmp_rel (Int32.of_int (target l - (here + 5))))
+          branches := (here + 1, l) :: !branches;
+          Encode.insn_into buf (Insn.Jmp_rel 0l)
       | Jcc_sym (c, l) ->
-          Encode.insn_into buf (Insn.Jcc (c, Int32.of_int (target l - (here + 6))))
+          branches := (here + 2, l) :: !branches;
+          Encode.insn_into buf (Insn.Jcc (c, 0l))
       | Call_sym sym ->
           relocs := Rel32 (here + 1, sym) :: !relocs;
           Encode.insn_into buf (Insn.Call_rel 0l)
@@ -66,22 +67,21 @@ let assemble f =
           relocs := Abs32 (here + 1, sym) :: !relocs;
           Encode.insn_into buf (Insn.Mov_r_imm (r, 0l)))
     f.items;
+  let bytes = Buffer.to_bytes buf in
+  List.iter
+    (fun (site, l) ->
+      match Offsets.find_opt offsets l with
+      | Some target ->
+          Bytes.set_int32_le bytes site (Int32.of_int (target - (site + 4)))
+      | None ->
+          failwith
+            (Printf.sprintf "Asm.assemble: unknown label L%d in %s" l f.name))
+    (List.rev !branches);
   {
-    bytes = Buffer.contents buf;
+    bytes = Bytes.unsafe_to_string bytes;
     relocs = List.rev !relocs;
     label_offsets = List.rev !labels_in_order;
   }
-
-let map_insns fn f =
-  let current = ref None in
-  let items =
-    List.concat_map
-      (fun item ->
-        (match item with Label l -> current := Some l | _ -> ());
-        fn !current item)
-      f.items
-  in
-  { f with items }
 
 let insns f =
   List.filter_map (function Ins i -> Some i | _ -> None) f.items

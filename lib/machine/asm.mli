@@ -10,7 +10,7 @@
 
     All unresolved branches use fixed-size encodings ([JMP rel32 = 5]
     bytes, [Jcc rel32 = 6], [CALL rel32 = 5], [MOV r32,imm32 = 5]), so
-    layout needs a single sizing pass. *)
+    no branch's size depends on where its target lands. *)
 
 type item =
   | Label of Ir.label  (** basic-block boundary marker (emits nothing) *)
@@ -38,13 +38,13 @@ val item_size : item -> int
 val func_size : func -> int
 
 val assemble : func -> assembled
-(** Resolve local branches and lay out the bytes.  Raises [Failure] on a
-    branch to an unknown label. *)
-
-val map_insns : (Ir.label option -> item -> item list) -> func -> func
-(** [map_insns f fn] rewrites the item stream; [f] receives the current
-    basic-block label (from the most recent [Label] marker) and the item.
-    This is the hook the NOP-insertion pass uses. *)
+(** Resolve local branches and lay out the bytes, in one pass over the
+    items: each item is encoded once, label offsets are recorded as they
+    are reached, and local branches are back-patched once every label is
+    known.  The bytes are those of encoding every item at its final
+    offset, so their length is {!func_size} and [label_offsets] are the
+    prefix sums of {!item_size}.  Raises [Failure] naming the label and
+    the function on a branch to an unknown label. *)
 
 val insns : func -> Insn.t list
 (** Just the concrete instructions, in order (labels and symbolic items

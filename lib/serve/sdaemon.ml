@@ -386,6 +386,8 @@ let listen_socket cfg =
 
 let run cfg =
   if cfg.batch < 1 then invalid_arg "Sdaemon.run: batch must be at least 1";
+  if cfg.queue_cap < 1 then
+    invalid_arg "Sdaemon.run: queue_cap must be at least 1";
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
   | exception Invalid_argument _ -> ());

@@ -50,4 +50,5 @@ val run : cfg -> unit
     before the shutdown are still answered.  The socket file is removed
     on exit.  Raises [Unix.Unix_error] if the address cannot be
     bound, and [Invalid_argument] if [cfg.batch < 1] (a drain that
-    never takes a request would spin forever). *)
+    never takes a request would spin forever) or [cfg.queue_cap < 1] (a
+    queue that admits nothing sheds every request). *)

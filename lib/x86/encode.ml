@@ -2,14 +2,8 @@ open Insn
 
 let fits_int8 (v : int32) = v >= -128l && v <= 127l
 
-let byte buf n = Buffer.add_char buf (Char.chr (n land 0xFF))
-
-let int32_le buf (v : int32) =
-  let v = Int32.to_int v in
-  byte buf v;
-  byte buf (v asr 8);
-  byte buf (v asr 16);
-  byte buf (v asr 24)
+let byte buf n = Buffer.add_char buf (Char.unsafe_chr (n land 0xFF))
+let int32_le = Buffer.add_int32_le
 
 let int16_le buf v =
   byte buf v;
@@ -19,38 +13,34 @@ let scale_bits = function S1 -> 0 | S2 -> 1 | S4 -> 2 | S8 -> 3
 
 (* ModRM byte: mod(7:6) reg(5:3) rm(2:0); SIB: scale(7:6) index(5:3)
    base(2:0).  [reg_field] is either a register number or an opcode
-   extension digit. *)
+   extension digit.  Plain functions rather than local closures: every
+   memory operand of every assembled instruction comes through here. *)
+let mrm buf md reg_field rm = byte buf ((md lsl 6) lor (reg_field lsl 3) lor rm)
+
+let sib buf index base_bits =
+  match index with
+  | None -> byte buf ((0b100 lsl 3) lor base_bits)
+  | Some (i, s) ->
+      byte buf ((scale_bits s lsl 6) lor (Reg.encode i lsl 3) lor base_bits)
+
 let modrm buf ~reg_field operand =
-  let mrm md rm = byte buf ((md lsl 6) lor (reg_field lsl 3) lor rm) in
   match operand with
-  | Reg r -> mrm 0b11 (Reg.encode r)
+  | Reg r -> mrm buf 0b11 reg_field (Reg.encode r)
   | Mem { base; index; disp } -> (
-      let sib ~index_bits ~base_bits =
-        let scale, idx =
-          match index_bits with
-          | None -> (0, 0b100)
-          | Some (i, s) -> (scale_bits s, Reg.encode i)
-        in
-        byte buf ((scale lsl 6) lor (idx lsl 3) lor base_bits)
-      in
-      match (base, index) with
-      | None, None ->
-          (* Absolute [disp32]: mod=00, rm=101. *)
-          mrm 0b00 0b101;
+      (match index with
+      | Some (i, _) when Reg.equal i Reg.ESP ->
+          invalid_arg "Encode: ESP cannot be an index register"
+      | _ -> ());
+      match base with
+      | None ->
+          (* Absolute [disp32]: mod=00, rm=101.  Index without base:
+             mod=00 rm=100, SIB base=101, disp32. *)
+          if Option.is_none index then mrm buf 0b00 reg_field 0b101
+          else (
+            mrm buf 0b00 reg_field 0b100;
+            sib buf index 0b101);
           int32_le buf disp
-      | None, Some (i, s) ->
-          if Reg.equal i Reg.ESP then
-            invalid_arg "Encode: ESP cannot be an index register";
-          (* Index without base: mod=00 rm=100, SIB base=101, disp32. *)
-          mrm 0b00 0b100;
-          sib ~index_bits:(Some (i, s)) ~base_bits:0b101;
-          int32_le buf disp
-      | Some b, idx ->
-          (match idx with
-          | Some (i, _) when Reg.equal i Reg.ESP ->
-              invalid_arg "Encode: ESP cannot be an index register"
-          | _ -> ());
-          let needs_sib = idx <> None || Reg.equal b Reg.ESP in
+      | Some b ->
           let base_bits = Reg.encode b in
           (* mod=00 with base EBP means [disp32] instead, so EBP always
              carries an explicit displacement. *)
@@ -59,10 +49,10 @@ let modrm buf ~reg_field operand =
             else if fits_int8 disp then 0b01
             else 0b10
           in
-          if needs_sib then (
-            mrm md 0b100;
-            sib ~index_bits:idx ~base_bits)
-          else mrm md base_bits;
+          if Option.is_some index || Reg.equal b Reg.ESP then (
+            mrm buf md reg_field 0b100;
+            sib buf index base_bits)
+          else mrm buf md reg_field base_bits;
           if md = 0b01 then byte buf (Int32.to_int disp)
           else if md = 0b10 then int32_le buf disp)
 

@@ -70,5 +70,8 @@ case_ disas corrupt.bin
 case_ workload nosuch
 case_ fuzz --count=-1
 case_ serve --batch=0
+case_ serve --queue-cap=0
+case_ serve --queue-cap=-1
+case_ fuzz --versions=0
 case_ run div.bin --args 1 --top=0
 case_ run div.bin --args 1 --trace /nonexistent/t.json

@@ -246,6 +246,80 @@ let test_inserted_are_candidates () =
         div)
     c.Driver.asm
 
+(* The per-block probability is queried once per block, at its first
+   instruction, under the block's label: [None] for the unlabelled entry,
+   the latest [Label] after it, never for an empty block.  With basic-block
+   shifting, the jmp and sled make up the unlabelled entry and the
+   function's original entry instructions sit under [shift_label_base]. *)
+let test_block_label_tracking () =
+  let f =
+    {
+      Asm.name = "t";
+      items =
+        [
+          Asm.Ins Insn.Cdq;
+          Asm.Label 7;
+          Asm.Ins (Insn.Inc_r Reg.EAX);
+          Asm.Ins (Insn.Dec_r Reg.EAX);
+          Asm.Label 8;
+          Asm.Label 9;
+          Asm.Ins (Insn.Inc_r Reg.EBX);
+          Asm.Jmp_sym 7;
+        ];
+    }
+  in
+  let diversify config =
+    let queries = ref [] in
+    (* Only block 9 is certain to get NOPs; p = 0 and p = 1 draw no
+       Bernoulli trial. *)
+    let prob name label =
+      queries := (name, label) :: !queries;
+      if label = Some 9 then 1.0 else 0.0
+    in
+    let out, stats =
+      Nop_insert.run_program ~prob ~config ~profile:Profile.empty
+        ~rng:(Rng.create 3L) [ f ]
+    in
+    (List.hd out, stats, List.rev !queries)
+  in
+  let labels = Alcotest.(list (pair string (option int))) in
+  let out, stats, queries = diversify (Config.uniform 0.5) in
+  Alcotest.check labels "one query per non-empty block"
+    [ ("t", None); ("t", Some 7); ("t", Some 9) ]
+    queries;
+  Alcotest.(check int) "two NOPs" 2 stats.Nop_insert.nops_inserted;
+  (match out.Asm.items with
+  | [
+   Asm.Ins Insn.Cdq;
+   Asm.Label 7;
+   Asm.Ins (Insn.Inc_r Reg.EAX);
+   Asm.Ins (Insn.Dec_r Reg.EAX);
+   Asm.Label 8;
+   Asm.Label 9;
+   Asm.Ins n1;
+   Asm.Ins (Insn.Inc_r Reg.EBX);
+   Asm.Ins n2;
+   Asm.Jmp_sym 7;
+  ] ->
+      Alcotest.(check bool) "candidates" true
+        (Nops.is_candidate n1 && Nops.is_candidate n2)
+  | _ -> Alcotest.fail "NOPs only before block 9's instructions");
+  let shifted, _, queries =
+    diversify { (Config.uniform 0.5) with Config.bb_shift = true }
+  in
+  Alcotest.check labels "sled in the entry, old entry under the shift label"
+    [
+      ("t", None);
+      ("t", Some Nop_insert.shift_label_base);
+      ("t", Some 7);
+      ("t", Some 9);
+    ]
+    queries;
+  match shifted.Asm.items with
+  | Asm.Jmp_sym l :: _ ->
+      Alcotest.(check int) "jmp past the sled" Nop_insert.shift_label_base l
+  | _ -> Alcotest.fail "shifted function starts with a jmp"
+
 let test_bb_shift () =
   (* The §6 extension: every function gets a jumped-over sled, semantics
      are preserved, and even a p=0 build is displaced. *)
@@ -375,6 +449,8 @@ let suite =
         Alcotest.test_case "inserted are candidates" `Quick
           test_inserted_are_candidates;
         Alcotest.test_case "basic-block shifting" `Quick test_bb_shift;
+        Alcotest.test_case "block label tracking" `Quick
+          test_block_label_tracking;
         Alcotest.test_case "population" `Quick test_population;
         Alcotest.test_case "variants leave the cctx alone" `Quick
           test_variants_leave_cctx;

@@ -56,6 +56,97 @@ let test_rng_isolation () =
       done)
     Workloads.all
 
+(* ---- the one-pass assembler and the nop stats, on every workload ---- *)
+
+(* [Asm.assemble] against an independent account of the same function:
+   the byte length is [func_size], the block offsets are the prefix sums
+   of [item_size], every local branch decodes to a branch that lands on
+   its label's offset, and every relocation field is four zero bytes. *)
+let check_assembled what (f : Asm.func) =
+  let a = Asm.assemble f in
+  let msg m = Printf.sprintf "%s %s: %s" what f.Asm.name m in
+  Alcotest.(check int) (msg "length") (Asm.func_size f)
+    (String.length a.Asm.bytes);
+  let _, labels, branches =
+    List.fold_left
+      (fun (pos, labels, branches) item ->
+        let labels =
+          match item with Asm.Label l -> (l, pos) :: labels | _ -> labels
+        in
+        let branches =
+          match item with
+          | Asm.Jmp_sym _ | Asm.Jcc_sym _ -> (pos, item) :: branches
+          | _ -> branches
+        in
+        (pos + Asm.item_size item, labels, branches))
+      (0, [], []) f.Asm.items
+  in
+  Alcotest.(check (list (pair int int)))
+    (msg "label offsets") (List.rev labels) a.Asm.label_offsets;
+  List.iter
+    (fun (pos, item) ->
+      let lands l d len =
+        Alcotest.(check int)
+          (msg (Printf.sprintf "branch at %d" pos))
+          (List.assoc l labels)
+          (pos + len + Int32.to_int d)
+      in
+      match (item, Decode.insn ~pos a.Asm.bytes) with
+      | Asm.Jmp_sym l, Some (Insn.Jmp_rel d, 5) -> lands l d 5
+      | Asm.Jcc_sym (c, l), Some (Insn.Jcc (c', d), 6) when c = c' ->
+          lands l d 6
+      | _ -> Alcotest.fail (msg (Printf.sprintf "no branch at %d" pos)))
+    branches;
+  List.iter
+    (fun (Asm.Rel32 (o, _) | Asm.Abs32 (o, _)) ->
+      Alcotest.(check string)
+        (msg (Printf.sprintf "reloc field at %d" o))
+        "\000\000\000\000" (String.sub a.Asm.bytes o 4))
+    a.Asm.relocs
+
+let count_items funcs =
+  List.fold_left (fun n (f : Asm.func) -> n + List.length f.Asm.items) 0 funcs
+
+let total_size funcs =
+  List.fold_left (fun n f -> n + Asm.func_size f) 0 funcs
+
+(* Every function of every workload, undiversified and diversified under
+   p0-30 (versions 0-2) and the full portfolio (version 0), built pass by
+   pass as [Driver.diversify_linked] builds it.  Around the nop pass its
+   stats are checked against the stream: one added item per NOP and
+   [bytes_added] the growth in [func_size]. *)
+let test_assemble_every_workload () =
+  let specs = [ ("p0-30", [ 0; 1; 2 ]); ("p0-30+sched+regperm+subst", [ 0 ]) ] in
+  List.iter
+    (fun (w : Workload.t) ->
+      let c = Driver.compile_cached ~name:w.name w.source in
+      let profile = Driver.train_cached c ~args:w.train_args in
+      List.iter (check_assembled (w.name ^ " baseline")) c.Driver.asm;
+      List.iter
+        (fun (spec, versions) ->
+          let config = ok_spec spec in
+          List.iter
+            (fun version ->
+              let what = Printf.sprintf "%s %s v%d" w.name spec version in
+              let ctx = { Divpass.prog = c.Driver.name; config; profile; version } in
+              let run funcs (p : Divpass.pass) =
+                if not (p.Divpass.enabled config.Config.passes) then funcs
+                else
+                  let out, s = p.Divpass.run ctx funcs in
+                  if p.Divpass.pname = "nop" then begin
+                    Alcotest.(check int) (what ^ " nops = added items")
+                      (count_items out - count_items funcs) s.Divpass.changed;
+                    Alcotest.(check int) (what ^ " bytes = size growth")
+                      (total_size out - total_size funcs) s.Divpass.bytes_added
+                  end;
+                  out
+              in
+              List.iter (check_assembled what)
+                (List.fold_left run c.Driver.asm Divpass.registry))
+            versions)
+        specs)
+    Workloads.all
+
 (* ---- semantics per transform ---- *)
 
 let semantics_specs =
@@ -425,6 +516,11 @@ let suite =
       [
         Alcotest.test_case "pass toggles never perturb the nop stream" `Slow
           test_rng_isolation;
+      ] );
+    ( "divpass.assemble",
+      [
+        Alcotest.test_case "every workload function, one pass" `Slow
+          test_assemble_every_workload;
       ] );
     ( "divpass.semantics",
       [

@@ -729,9 +729,18 @@ let test_sema_errors () =
     "int f(int a, int a) { return a; } int main() { return 0; }"
 
 let test_parse_errors () =
-  check_error "missing semi" "expected" "int main() { return 1 }";
-  check_error "missing paren" "expected" "int main( { return 1; }";
-  check_error "bad toplevel" "expected declaration" "return 1;";
+  (* Tokens are named as they read in the source. *)
+  check_error "missing semi" "expected ';', found '}'" "int main() { return 1 }";
+  check_error "missing paren" "expected 'int', found '{'"
+    "int main( { return 1; }";
+  check_error "bad toplevel" "expected declaration, found 'return'" "return 1;";
+  check_error "dangling operator" "expected expression, found ';'"
+    "int main() { return 1 +; }";
+  check_error "two names" "expected ';', found identifier 'y'"
+    "int main() { int x y; return 0; }";
+  check_error "bare number" "expected declaration, found number 7" "7";
+  check_error "truncated" "expected statement, found end of input"
+    "int main() { return 1;";
   check_error "bad char" "unexpected character" "int main() { return 1 @ 2; }"
 
 (* ---------------- interp counts (profiling oracle) ---------------- *)

@@ -181,9 +181,19 @@ let test_asm_backward_branch () =
   Alcotest.(check int) "backward disp" 0xF9 (Char.code a.Asm.bytes.[3])
 
 let test_asm_unknown_label () =
-  let f = { Asm.name = "t"; items = [ Asm.Jmp_sym 42 ] } in
+  (* The branches are resolved after the walk; the first unknown label in
+     stream order is the one named, with the function. *)
+  let f =
+    {
+      Asm.name = "t";
+      items =
+        [ Asm.Label 1; Asm.Jcc_sym (Cond.E, 1); Asm.Jmp_sym 42; Asm.Jmp_sym 43 ];
+    }
+  in
   match Asm.assemble f with
-  | exception Failure _ -> ()
+  | exception Failure msg ->
+      Alcotest.(check string) "message" "Asm.assemble: unknown label L42 in t"
+        msg
   | _ -> Alcotest.fail "expected failure on unknown label"
 
 let test_asm_relocs () =
@@ -198,27 +208,6 @@ let test_asm_relocs () =
     (match a.Asm.relocs with
     | [ Asm.Rel32 (1, "callee"); Asm.Abs32 (6, "glob") ] -> true
     | _ -> false)
-
-let test_map_insns_tracks_labels () =
-  let f =
-    {
-      Asm.name = "t";
-      items =
-        [ Asm.Label 7; Asm.Ins Insn.Nop; Asm.Label 9; Asm.Ins Insn.Ret ];
-    }
-  in
-  let seen = ref [] in
-  let _ =
-    Asm.map_insns
-      (fun label item ->
-        (match item with
-        | Asm.Ins _ -> seen := label :: !seen
-        | _ -> ());
-        [ item ])
-      f
-  in
-  Alcotest.(check (list (option int))) "labels tracked" [ Some 9; Some 7 ]
-    !seen
 
 (* ---------------- frame / calling convention ---------------- *)
 
@@ -282,8 +271,6 @@ let suite =
         Alcotest.test_case "backward branch" `Quick test_asm_backward_branch;
         Alcotest.test_case "unknown label" `Quick test_asm_unknown_label;
         Alcotest.test_case "relocations" `Quick test_asm_relocs;
-        Alcotest.test_case "map_insns label tracking" `Quick
-          test_map_insns_tracks_labels;
       ] );
     ( "machine.frame",
       [

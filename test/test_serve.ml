@@ -272,13 +272,21 @@ let test_queue_timeout_shed () =
 
 let test_error_paths_on_socket () =
   (* A batch below 1 would never drain the queue: rejected before the
-     socket is bound. *)
+     socket is bound, as is a queue cap below 1. *)
   Alcotest.check_raises "batch 0 rejected"
     (Invalid_argument "Sdaemon.run: batch must be at least 1") (fun () ->
       Sdaemon.run
         {
           (Sdaemon.default_cfg (Sdaemon.Unix_sock "batch0.sock")) with
           Sdaemon.batch = 0;
+        });
+  (* A queue cap below 1 would shed every request. *)
+  Alcotest.check_raises "queue cap 0 rejected"
+    (Invalid_argument "Sdaemon.run: queue_cap must be at least 1") (fun () ->
+      Sdaemon.run
+        {
+          (Sdaemon.default_cfg (Sdaemon.Unix_sock "cap0.sock")) with
+          Sdaemon.queue_cap = 0;
         });
   with_daemon ~tag:"errors" Fun.id (fun addr ->
       (* A corrupt frame (valid length prefix) answers Error_reply and
