@@ -1,14 +1,17 @@
-(* Table 3: gadgets surviving at the same location in at least 2, 5, and
-   12 of the 25 diversified versions, per configuration — the
-   attack-a-subset analysis.  The original binary is not part of the
-   population. *)
+(* Table 3: gadgets surviving at the same location in at least k of the
+   n diversified versions, per configuration — the attack-a-subset
+   analysis.  The original binary is not part of the population.
 
-let thresholds = [ 2; 5; 12 ]
+   n is the paper's 25 by default; --population N regrows the census to
+   N versions per workload and config, with the thresholds scaled to
+   match (Population.thresholds: the paper's 2, 5 and 12, plus 8%, 20%
+   and 48% of N).  Writes table3.json: n, the thresholds and every
+   at_least count, all deterministic. *)
 
 let run () =
-  Format.printf
-    "@.Table 3: gadgets surviving in at least k of %d versions@."
-    Suite.security_population;
+  let n = !Suite.population in
+  let thresholds = Population.thresholds n in
+  Format.printf "@.Table 3: gadgets surviving in at least k of %d versions@." n;
   Suite.hr Format.std_formatter;
   Format.printf "%-16s" "Benchmark";
   List.iter
@@ -20,7 +23,7 @@ let run () =
   Format.printf "@.";
   (* One pool task per workload row; Population.analyze stays serial
      inside the task (nested pools are rejected), which is the right
-     grain anyway — a row diversifies and scans 25 versions per config. *)
+     grain anyway — a row diversifies and scans n versions per config. *)
   let prepared = List.map Suite.prepared (Suite.workloads ()) in
   let measured =
     Suite.grid ~what:"table3"
@@ -28,25 +31,54 @@ let run () =
       (fun p ->
         List.map
           (fun (cname, config) ->
-            let texts =
-              Suite.texts_of_population p config Suite.security_population
-            in
+            let texts = Suite.texts_of_population p config n in
             (cname, (Population.analyze ~thresholds texts).Population.at_least))
           Suite.configs)
       prepared
   in
-  List.iter2
-    (fun p -> function
-      | None -> ()
-      | Some reports ->
-          Format.printf "%-16s" p.Suite.workload.Workload.name;
+  let rows =
+    List.filter_map
+      (fun (p, m) -> Option.map (fun r -> (p.Suite.workload.Workload.name, r)) m)
+      (List.combine prepared measured)
+  in
+  List.iter
+    (fun (wname, reports) ->
+      Format.printf "%-16s" wname;
+      List.iter
+        (fun k ->
           List.iter
-            (fun k ->
-              List.iter
-                (fun cname ->
-                  let at_least = List.assoc cname reports in
-                  Format.printf "%10d" (List.assoc k at_least))
-                Suite.config_names)
-            thresholds;
-          Format.printf "@.")
-    prepared measured
+            (fun cname ->
+              let at_least = List.assoc cname reports in
+              Format.printf "%10d" (List.assoc k at_least))
+            Suite.config_names)
+        thresholds;
+      Format.printf "@.")
+    rows;
+  let counts at_least =
+    Jsonw.List
+      (List.map
+         (fun (k, count) ->
+           Jsonw.Obj [ ("k", Jsonw.int k); ("gadgets", Jsonw.int count) ])
+         at_least)
+  in
+  Suite.write_report ~experiment:"table3"
+    ~deterministic:
+      [
+        ("n", Jsonw.int n);
+        ("thresholds", Jsonw.List (List.map Jsonw.int thresholds));
+        ( "rows",
+          Jsonw.List
+            (List.map
+               (fun (wname, reports) ->
+                 Jsonw.Obj
+                   [
+                     ("workload", Jsonw.Str wname);
+                     ( "at_least",
+                       Jsonw.Obj
+                         (List.map
+                            (fun (cname, at_least) -> (cname, counts at_least))
+                            reports) );
+                   ])
+               rows) );
+      ]
+    ()

@@ -9,16 +9,19 @@
      dune exec bench/main.exe -- --jobs auto telemetry
      dune exec bench/main.exe -- --trace bench.trace telemetry
      dune exec bench/main.exe -- --out-dir reports telemetry
+     dune exec bench/main.exe -- --population 1000 table3
 
    Experiments: table1 figure4 table2 table3 php-attack heuristic
    ablation micro fuzz-coverage telemetry incremental pgo-loop
-   sim-speedup serve portfolio.
-   The report-writing experiments (telemetry, incremental, pgo-loop,
-   sim-speedup, serve, portfolio) each write
+   sim-speedup portfolio.
+   The report-writing experiments (table3, telemetry, incremental,
+   pgo-loop, sim-speedup, portfolio) each write
    <out-dir>/<experiment>.json in the one psd-bench/1 envelope (see
    Suite.write_report); --out-dir defaults to bench-out/, which git
    ignores, so the committed BENCH_PR*.json reference reports are never
    overwritten.  sim-speedup timing is serial regardless of --jobs.
+   --population N sets table3's census size (default 25, the paper's);
+   its thresholds scale with N (Population.thresholds).
    --jobs N|auto runs each experiment's workload grid on the parallel
    pool — the reports' deterministic sections are byte-identical at
    every -j.  Any failed cell or experiment is reported at the end and
@@ -39,14 +42,13 @@ let experiments =
     ("incremental", Exp_incremental.run);
     ("pgo-loop", Exp_pgo.run);
     ("sim-speedup", Exp_simspeed.run);
-    ("serve", Exp_serve.run);
     ("portfolio", Exp_portfolio.run);
   ]
 
 let usage () =
   Format.printf
     "usage: main.exe [--versions N] [--workloads A,B,..] [--jobs N|auto] \
-     [--trace FILE] [--out-dir DIR] [--serve-population N] \
+     [--trace FILE] [--out-dir DIR] [--population N] \
      [experiment...]@.";
   Format.printf "experiments: %s@."
     (String.concat " " (List.map fst experiments));
@@ -87,10 +89,10 @@ let () =
     | "--out-dir" :: dir :: rest ->
         Suite.out_dir := dir;
         parse selected rest
-    | "--serve-population" :: n :: rest -> (
+    | "--population" :: n :: rest -> (
         match int_of_string_opt n with
         | Some v when v > 0 ->
-            Suite.serve_population := v;
+            Suite.population := v;
             parse selected rest
         | _ -> usage ())
     | ("-h" | "--help") :: _ -> usage ()

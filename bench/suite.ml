@@ -36,9 +36,9 @@ let perf_versions = ref 3
 let selected_workloads = ref Workloads.all
 let workloads () = !selected_workloads
 
-(* How many versions the serve experiment's population-at-scale
-   survivor run builds. *)
-let serve_population = ref 1000
+(* How many versions table3's population census builds per workload and
+   config (bench's --population flag); the paper's 25 by default. *)
+let population = ref security_population
 
 (* Where every report-writing experiment puts its report (bench's
    --out-dir flag).  The default is ignored by git, so a full bench run

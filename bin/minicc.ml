@@ -635,10 +635,10 @@ let diversify_cmd =
   let variant_term =
     variant_term ~default:(Some "p0-30")
       ~doc:
-        "Configuration: p50 p30 p25-50 p10-50 p0-30, uniform:P, \
-         range:LO:HI, with optional +xchg +shift +sched +regperm +subst \
-         +nonop +b<PCT> suffixes (the divpass portfolio and an overhead \
-         budget of PCT percent)."
+        "Configuration: p50 p30 p25-50 p10-50 p0-30, or any p<P> or \
+         p<LO>-<HI>[-lin][-fn] in whole percents, with optional +xchg \
+         +shift +sched +regperm +subst +nonop +b<PCT> suffixes (the \
+         divpass portfolio and an overhead budget of PCT percent)."
   in
   let sampled_arg =
     Arg.(

@@ -36,14 +36,25 @@ let off =
     budget_pct = None;
   }
 
+let pct p = int_of_float ((p *. 100.0) +. 0.5)
+
+(* Names print probabilities as whole percents, so a config built from
+   any other probability would share its name, and with it its report
+   key and RNG streams, with the rounded config. *)
+let check_pct fn p =
+  if not (p >= 0.0 && p <= 1.0 && float_of_int (pct p) /. 100.0 = p) then
+    invalid_arg
+      (Printf.sprintf "Config.%s: %g is not a whole percent in [0,1]" fn p)
+
 let uniform ?(seed = 0L) p =
-  if p < 0.0 || p > 1.0 then invalid_arg "Config.uniform: p outside [0,1]";
+  check_pct "uniform" p;
   { off with strategy = Uniform p; seed }
 
 let profiled ?(seed = 0L) ?(shape = Heuristic.Logarithmic) ?(scope = `Program)
     ~pmin ~pmax () =
-  if pmin < 0.0 || pmax > 1.0 || pmin > pmax then
-    invalid_arg "Config.profiled: invalid range";
+  check_pct "profiled" pmin;
+  check_pct "profiled" pmax;
+  if pmin > pmax then invalid_arg "Config.profiled: invalid range";
   { off with strategy = Profiled { pmin; pmax; shape; scope }; seed }
 
 let with_budget t pct =
@@ -58,8 +69,6 @@ let paper_configs =
     ("p10-50", profiled ~pmin:0.10 ~pmax:0.50 ());
     ("p0-30", profiled ~pmin:0.0 ~pmax:0.30 ());
   ]
-
-let pct p = int_of_float ((p *. 100.0) +. 0.5)
 
 (* Budgets print compactly ("1", "2.5") and must re-parse to the same
    float, so cap the precision instead of using %g's default. *)
@@ -101,8 +110,7 @@ let name t =
   | None -> ""
   | Some b -> "+b" ^ budget_to_string b
 
-(* ---- spec parsing: the inverse of [name], plus the explicit
-   uniform:P / range:LO:HI escapes ---- *)
+(* ---- spec parsing: the inverse of [name] ---- *)
 
 let parse_suffixes t suffixes =
   List.fold_left
@@ -163,38 +171,18 @@ let parse_base base =
 (* The one config grammar every entry point shares: minicc's --config,
    the serve protocol's request field, and the bench harness all resolve
    specs here, so a daemon and its clients can never disagree about what
-   a name means.  Accepts everything [name] can print (so any config
-   round-trips), plus uniform:P and range:LO:HI. *)
+   a name means.  Accepts exactly what [name] can print, so every spec
+   round-trips. *)
 let of_spec spec =
   match String.split_on_char '+' spec with
   | [] -> Error "empty config spec"
   | base :: suffixes -> (
-      let parsed_base =
-        match parse_base base with
-        | Some t -> Ok (Some t)
-        | None -> (
-            match String.split_on_char ':' base with
-            | [ "uniform"; p ] -> (
-                match float_of_string_opt p with
-                | Some p when p >= 0.0 && p <= 1.0 -> Ok (Some (uniform p))
-                | _ ->
-                    Error (Printf.sprintf "uniform: bad probability %S" p))
-            | [ "range"; lo; hi ] -> (
-                match (float_of_string_opt lo, float_of_string_opt hi) with
-                | Some pmin, Some pmax
-                  when pmin >= 0.0 && pmax <= 1.0 && pmin <= pmax ->
-                    Ok (Some (profiled ~pmin ~pmax ()))
-                | _ ->
-                    Error (Printf.sprintf "range: bad bounds %S:%S" lo hi))
-            | _ -> Ok None)
-      in
-      match parsed_base with
-      | Error e -> Error e
-      | Ok None ->
+      match parse_base base with
+      | Some t -> parse_suffixes t suffixes
+      | None ->
           Error
             (Printf.sprintf
                "unknown config %S (use p50 p30 p25-50 p10-50 p0-30, off, \
-                uniform:P, range:LO:HI, p<LO>-<HI>[-lin][-fn], with optional \
+                p<P>, p<LO>-<HI>[-lin][-fn] in whole percents, with optional \
                 +xchg +shift +sched +regperm +subst +nonop +b<PCT> suffixes)"
-               spec)
-      | Ok (Some t) -> parse_suffixes t suffixes)
+               spec))

@@ -48,11 +48,17 @@ type t = {
 }
 
 val off : t
+
 val uniform : ?seed:int64 -> float -> t
+(** Raises [Invalid_argument] unless the probability is a whole percent
+    in [\[0, 1\]] (0.3, not 0.375): {!name} prints whole percents, so
+    any other value would collide with the rounded config's name. *)
 
 val profiled :
   ?seed:int64 -> ?shape:Heuristic.shape -> ?scope:[ `Program | `Function ] ->
   pmin:float -> pmax:float -> unit -> t
+(** Raises [Invalid_argument] unless [pmin] and [pmax] are whole
+    percents in [\[0, 1\]] with [pmin <= pmax]. *)
 
 val with_budget : t -> float -> t
 (** [with_budget t pct] enables budgeted mode at [pct] percent overhead.
@@ -64,10 +70,10 @@ val paper_configs : (string * t) list
 
 val of_spec : string -> (t, string) result
 (** Resolve a configuration spec: a paper-config name (["p0-30"]),
-    ["off"]/["baseline"], ["uniform:P"], ["range:LO:HI"], or any name
-    {!name} can print (["p25-50-lin-fn"]), with optional [+xchg]
-    [+shift] [+sched] [+regperm] [+subst] [+nonop] [+b<PCT>] suffixes
-    (["p0-30+sched+subst+b1"]).  The one grammar shared by [minicc
+    ["off"]/["baseline"], or any name {!name} can print (["p38"],
+    ["p25-50-lin-fn"]: probabilities in whole percents), with optional
+    [+xchg] [+shift] [+sched] [+regperm] [+subst] [+nonop] [+b<PCT>]
+    suffixes (["p0-30+sched+subst+b1"]).  The one grammar shared by [minicc
     --config], the serve protocol and the bench harness.  The error
     names the offending part of the spec.  Inverse of {!name}: every
     printable config re-parses to an equal config. *)

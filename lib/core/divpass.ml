@@ -33,35 +33,46 @@ let fn_rng ctx pname fname =
       fname;
     ]
 
-(* Lift a per-function (func -> func * seen * changed) transform with a
-   private per-function RNG stream into a program-level pass. *)
-let per_function pname transform : pass =
+(* Lift a per-function (func -> func * seen * changed * bytes added)
+   transform with a private per-function RNG stream into a
+   program-level pass. *)
+let per_function pname ~enabled transform : pass =
   {
     pname;
-    enabled =
-      (fun p ->
-        match pname with
-        | "sched" -> p.Config.sched
-        | "regperm" -> p.Config.regperm
-        | _ -> assert false);
+    enabled;
     run =
       (fun ctx funcs ->
-        let seen = ref 0 and changed = ref 0 in
+        let seen = ref 0 and changed = ref 0 and bytes = ref 0 in
         let out =
           List.map
             (fun f ->
               let rng = fn_rng ctx pname f.Asm.name in
-              let f', s, c = transform ~rng f in
+              let f', s, c, b = transform ~rng f in
               seen := !seen + s;
               changed := !changed + c;
+              bytes := !bytes + b;
               f')
             funcs
         in
-        (out, { pass = pname; seen = !seen; changed = !changed; bytes_added = 0 }));
+        let stats =
+          { pass = pname; seen = !seen; changed = !changed; bytes_added = !bytes }
+        in
+        (out, stats));
   }
 
-let sched_pass = per_function "sched" Sched.run
-let regperm_pass = per_function "regperm" Regperm.run
+(* Scheduling and renaming move or rename instructions without changing
+   their encodings' total size. *)
+let same_size run ~rng f =
+  let f', s, c = run ~rng f in
+  (f', s, c, 0)
+
+let sched_pass =
+  per_function "sched" ~enabled:(fun p -> p.Config.sched) (same_size Sched.run)
+
+let regperm_pass =
+  per_function "regperm"
+    ~enabled:(fun p -> p.Config.regperm)
+    (same_size Regperm.run)
 
 (* ---- equivalent-instruction substitution: the Subst rules driven by a
    flags-liveness scan over the item stream ---- *)
@@ -115,31 +126,7 @@ let subst_func ~rng (f : Asm.func) =
   ({ f with Asm.items }, !seen, !changed, !bytes)
 
 let subst_pass =
-  {
-    pname = "subst";
-    enabled = (fun p -> p.Config.subst);
-    run =
-      (fun ctx funcs ->
-        let seen = ref 0 and changed = ref 0 and bytes = ref 0 in
-        let out =
-          List.map
-            (fun f ->
-              let rng = fn_rng ctx "subst" f.Asm.name in
-              let f', s, c, b = subst_func ~rng f in
-              seen := !seen + s;
-              changed := !changed + c;
-              bytes := !bytes + b;
-              f')
-            funcs
-        in
-        ( out,
-          {
-            pass = "subst";
-            seen = !seen;
-            changed = !changed;
-            bytes_added = !bytes;
-          } ));
-  }
+  per_function "subst" ~enabled:(fun p -> p.Config.subst) subst_func
 
 let nop_pass =
   {

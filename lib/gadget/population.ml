@@ -1,3 +1,7 @@
+let thresholds n =
+  let frac pct = max 2 (n * pct / 100) in
+  List.sort_uniq compare ([ 2; 5; 12 ] @ [ frac 8; frac 20; frac 48 ])
+
 type report = { population : int; at_least : (int * int) list }
 
 (* The per-version half: which (offset, normalized bytes) pairs does this

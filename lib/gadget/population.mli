@@ -8,6 +8,12 @@
     offset, which is why the paper observes {e more} gadgets in "≥2 of
     25" than in the original. *)
 
+val thresholds : int -> int list
+(** [thresholds n] is the paper's Table 3 thresholds for an [n]-version
+    population: the absolute 2, 5 and 12, plus the same fractions of
+    [n] (8%, 20% and 48%, at least 2), sorted and deduplicated.  At the
+    paper's [n = 25] this is exactly [[2; 5; 12]]. *)
+
 type report = {
   population : int;  (** number of versions analyzed *)
   at_least : (int * int) list;

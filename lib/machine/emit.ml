@@ -317,8 +317,3 @@ let func (f : Mir.func) (assignment : Regalloc.assignment) : Asm.func =
         inject all
   in
   { Asm.name = f.name; items }
-
-let compile_func irf =
-  let mf = Isel.func irf in
-  let assignment = Regalloc.allocate mf in
-  func mf assignment

@@ -19,7 +19,3 @@
 
 val func : Mir.func -> Regalloc.assignment -> Asm.func
 (** Expand one function, including prologue and epilogue. *)
-
-val compile_func : Ir.func -> Asm.func
-(** Convenience pipeline: instruction selection, register allocation,
-    expansion. *)

@@ -1,9 +1,8 @@
 (** The machine-level lowering pipeline as explicit, instrumented stages.
 
     Instruction selection, liveness analysis, register allocation and
-    expansion to symbolic assembly — the same work {!Emit.compile_func}
-    performs — but each stage timed and recorded into the compilation
-    context, under the ["machine"] stage label:
+    expansion to symbolic assembly, each stage timed and recorded into
+    the compilation context, under the ["machine"] stage label:
 
     - ["isel"]: IR size in, MIR size out;
     - ["liveness"]: MIR size (no rewrite);

@@ -34,18 +34,20 @@ let connect_once (addr : Sdaemon.addr) =
       fd
 
 (* The daemon signals readiness by the socket accepting connections, so
-   startup is a retry loop, not a sleep. *)
+   startup is a retry loop, not a sleep.  The wait starts at 1 ms and
+   doubles up to 50 ms: a daemon that is up within a few milliseconds
+   costs its client a few milliseconds, not a whole 50 ms step. *)
 let connect ?(retry_for = 10.0) addr =
   let deadline = Unix.gettimeofday () +. retry_for in
-  let rec go () =
+  let rec go wait =
     match connect_once addr with
     | fd -> fd
     | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
       when Unix.gettimeofday () < deadline ->
-        Unix.sleepf 0.05;
-        go ()
+        Unix.sleepf wait;
+        go (Float.min (2.0 *. wait) 0.05)
   in
-  go ()
+  go 0.001
 
 let rpc ?max_frame fd (req : Sproto.request) : Sproto.response =
   Sproto.write_all fd (Sproto.encode_request req);

@@ -4,6 +4,7 @@
 val connect : ?retry_for:float -> Sdaemon.addr -> Unix.file_descr
 (** Connect, retrying [ECONNREFUSED]/[ENOENT] for up to [retry_for]
     seconds (default 10) — the daemon signals readiness by accepting.
+    The wait between attempts starts at 1 ms and doubles up to 50 ms.
     Raises the final [Unix.Unix_error] on exhaustion. *)
 
 val rpc : ?max_frame:int -> Unix.file_descr -> Sproto.request -> Sproto.response

@@ -453,6 +453,44 @@ let test_spec_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "negative budget accepted"
 
+(* Names print whole percents, so a config with any other probability
+   would share its name, report key and RNG streams with another config
+   (range:0.001:0.3 with p0-30; uniform:0.375 as p38, which parses back
+   to 0.38).  Neither the grammar nor the constructors admit one, and
+   every spec in the table round-trips through its name. *)
+let test_spec_whole_percents () =
+  List.iter
+    (fun spec ->
+      match Config.of_spec spec with
+      | Error _ -> ()
+      | Ok c -> Alcotest.failf "%s accepted as %s" spec (Config.name c))
+    [ "range:0.001:0.3"; "uniform:0.375" ];
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | c -> Alcotest.failf "%s accepted as %s" what (Config.name c)
+  in
+  rejects "uniform 0.375" (fun () -> Config.uniform 0.375);
+  rejects "profiled 0.001..0.3" (fun () ->
+      Config.profiled ~pmin:0.001 ~pmax:0.3 ());
+  rejects "profiled 0..1.5" (fun () -> Config.profiled ~pmin:0.0 ~pmax:1.5 ());
+  let table =
+    [
+      "off"; "p0"; "p38"; "p100"; "p50"; "p30"; "p25-50"; "p10-50"; "p0-30";
+      "p0-30-lin"; "p0-30-fn"; "p25-50-lin-fn+xchg+shift"; "p0-30+b1";
+      "p50+xchg+b2.5";
+    ]
+    @ List.map fst semantics_specs
+  in
+  List.iter
+    (fun spec ->
+      let c = ok_spec spec in
+      Alcotest.(check bool)
+        (spec ^ ": of_spec (name c) = Ok c")
+        true
+        (Config.of_spec (Config.name c) = Ok c))
+    table
+
 let arb_config =
   let open QCheck.Gen in
   let pct_float = map (fun k -> float_of_int k /. 100.0) (int_bound 100) in
@@ -550,6 +588,8 @@ let suite =
       [
         Alcotest.test_case "spec errors name the offender" `Quick
           test_spec_errors;
+        Alcotest.test_case "whole percents only" `Quick
+          test_spec_whole_percents;
         QCheck_alcotest.to_alcotest prop_spec_roundtrip;
       ] );
   ]

@@ -243,6 +243,29 @@ let test_population_thresholds () =
   Alcotest.(check int) "in >=2: shared ret + pop eax;ret" 2 (get 2);
   Alcotest.(check bool) "monotone" true (get 1 >= get 2 && get 2 >= get 3)
 
+(* Table 3's thresholds at any population size: the paper's 2, 5 and 12,
+   plus 8%, 20% and 48% of n, which at n = 25 are 2, 5 and 12 again. *)
+let test_thresholds_scale () =
+  Alcotest.(check (list int)) "n = 25" [ 2; 5; 12 ] (Population.thresholds 25);
+  Alcotest.(check (list int))
+    "n = 1000" [ 2; 5; 12; 80; 200; 480 ]
+    (Population.thresholds 1000);
+  let w = Workloads.find "429.mcf" in
+  let c = Driver.compile_cached ~name:w.Workload.name w.Workload.source in
+  let profile = Driver.train_cached c ~args:w.Workload.train_args in
+  let texts =
+    List.map
+      (fun (img : Link.image) -> img.Link.text)
+      (Driver.population c
+         ~config:(List.assoc "p0-30" Config.paper_configs)
+         ~profile ~n:25)
+  in
+  Alcotest.(check (list (pair int int)))
+    "analyze at n = 25: thresholds 25 = [2; 5; 12]"
+    (Population.analyze ~thresholds:[ 2; 5; 12 ] texts).Population.at_least
+    (Population.analyze ~thresholds:(Population.thresholds 25) texts)
+      .Population.at_least
+
 (* ---------------- attack ---------------- *)
 
 let test_classify () =
@@ -336,7 +359,11 @@ let suite =
           test_survivor_monotone_in_probability;
       ] );
     ( "gadget.population",
-      [ Alcotest.test_case "thresholds" `Quick test_population_thresholds ] );
+      [
+        Alcotest.test_case "thresholds" `Quick test_population_thresholds;
+        Alcotest.test_case "thresholds scale with n" `Quick
+          test_thresholds_scale;
+      ] );
     ( "gadget.attack",
       [
         Alcotest.test_case "classification" `Quick test_classify;

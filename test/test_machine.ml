@@ -216,7 +216,7 @@ let test_frame_convention () =
     "int f(int a, int b) { int arr[4]; arr[1] = a; return arr[1] + b; } int main() { return f(1,2); }")
   in
   let f = Ir.find_func m "f" in
-  let asm = Emit.compile_func f in
+  let asm = Stages.func ~cctx:(Cctx.create "frame") f in
   let insns = Asm.insns asm in
   (* Prologue starts with push ebp; mov ebp, esp. *)
   (match insns with

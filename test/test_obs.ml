@@ -260,7 +260,7 @@ let test_profile_sums_across_configs () =
       ("baseline", None);
       ("p50", List.assoc_opt "p50" Config.paper_configs);
       ("p0-30", List.assoc_opt "p0-30" Config.paper_configs);
-      ("uniform:0.8+xchg", Some { (Config.uniform 0.8) with use_xchg = true });
+      ("p80+xchg", Some { (Config.uniform 0.8) with use_xchg = true });
     ]
   in
   List.iter
