@@ -73,19 +73,17 @@ let shift_security () =
   let baseline = Driver.link_baseline compiled in
   let original = baseline.Link.text in
   let user_survivors config =
-    let images =
-      Driver.population compiled ~config ~profile ~n:Suite.security_population
+    let n = Suite.security_population in
+    let total =
+      Driver.population compiled ~config ~profile ~n ~init:0
+        (fun total (img : Link.image) ->
+          List.fold_left
+            (fun total (g : Finder.t) ->
+              if g.offset >= baseline.Link.user_start then total + 1 else total)
+            total
+            (Survivor.surviving_gadgets ~original ~diversified:img.Link.text ()))
     in
-    Stats.mean
-      (List.map
-         (fun (img : Link.image) ->
-           let offsets =
-             Survivor.surviving_offsets ~original ~diversified:img.Link.text ()
-           in
-           float_of_int
-             (List.length
-                (List.filter (fun o -> o >= baseline.Link.user_start) offsets)))
-         images)
+    float_of_int total /. float_of_int n
   in
   let user_baseline =
     List.length

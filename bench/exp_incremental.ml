@@ -46,19 +46,17 @@ let build_population (w : Workload.t) ~config =
   let s0 = stage_counts () and st0 = store_counts () in
   let t0 = Unix.gettimeofday () in
   let c = Driver.compile ~name:w.Workload.name w.Workload.source in
-  let imgs =
+  let digests =
     Driver.population c ~config ~profile:Profile.empty
-      ~n:Suite.security_population
+      ~n:Suite.security_population ~init:[] (fun acc (i : Link.image) ->
+        Digest.to_hex (Digest.string i.Link.text) :: acc)
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   {
     wall_s;
     stage_runs = delta s0 (stage_counts ());
     store = delta st0 (store_counts ());
-    texts =
-      List.map
-        (fun (i : Link.image) -> Digest.to_hex (Digest.string i.Link.text))
-        imgs;
+    texts = List.rev digests;
   }
 
 let measure (w : Workload.t) ~config =

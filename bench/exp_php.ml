@@ -43,42 +43,40 @@ let run () =
      the weakest setting (p0-30) and re-run both scanners on the gadgets
      that survived diversification. *)
   let config = Config.profiled ~pmin:0.0 ~pmax:0.30 () in
+  (* Each scanner's view of the baseline, scanned once for every
+     profile and version. *)
+  let scanned =
+    List.map (fun s -> (s, Attack.scan s baseline.Link.text)) scanners
+  in
   let attackable = ref 0 in
-  let total = ref 0 in
   List.iter
     (fun (prof : Phpvm.profile_program) ->
       let profile =
         Driver.train compiled ~args:[ prof.prog_id; prof.train_n ]
       in
-      let versions =
+      let feasible_count =
         Driver.population compiled ~config ~profile
-          ~n:Suite.security_population
+          ~n:Suite.security_population ~init:0 (fun count (img : Link.image) ->
+            let surviving = Hashtbl.create 256 in
+            List.iter
+              (fun (g : Finder.t) -> Hashtbl.replace surviving g.offset ())
+              (Survivor.surviving_gadgets ~original:baseline.Link.text
+                 ~diversified:img.Link.text ());
+            (* Restrict each scanner to gadgets still present at their
+               original offsets, then ask for attack feasibility. *)
+            let feasible (scanner, gadgets) =
+              (Attack.attack_on_gadgets scanner
+                 (List.filter
+                    (fun (g : Finder.t) -> Hashtbl.mem surviving g.offset)
+                    gadgets))
+                .Attack.feasible
+            in
+            count + List.length (List.filter feasible scanned))
       in
-      let feasible_count = ref 0 in
-      List.iter
-        (fun (img : Link.image) ->
-          incr total;
-          let offsets =
-            Survivor.surviving_offsets ~original:baseline.Link.text
-              ~diversified:img.Link.text ()
-          in
-          (* Restrict each scanner to gadgets still present at their
-             original offsets, then ask for attack feasibility. *)
-          List.iter
-            (fun scanner ->
-              let gadgets =
-                List.filter
-                  (fun (g : Finder.t) -> List.mem g.offset offsets)
-                  (Attack.scan scanner baseline.Link.text)
-              in
-              let v = Attack.attack_on_gadgets scanner gadgets in
-              if v.Attack.feasible then incr feasible_count)
-            scanners)
-        versions;
-      if !feasible_count > 0 then incr attackable;
+      if feasible_count > 0 then incr attackable;
       Format.printf
         "profile %-14s %2d/%d versions attackable (surviving-gadget sets)@."
-        prof.prog_name !feasible_count
+        prof.prog_name feasible_count
         (Suite.security_population * List.length scanners))
     Workloads.php_profiles;
   Format.printf

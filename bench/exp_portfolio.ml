@@ -78,26 +78,24 @@ let measure_cell (p : Suite.prepared) ~(base : Sim.result) spec =
     acc_max := Float.max !acc_max overhead
   done;
   let original = p.Suite.baseline.Link.text in
-  let texts = Suite.texts_of_population p config Suite.security_population in
-  let surviving_sets =
-    List.map
-      (fun diversified ->
-        Survivor.surviving_gadgets ~original ~diversified ())
-      texts
+  let n = Suite.security_population in
+  (* One pass over the security population: each version is counted
+     into the Table-3 table, compared against the original and judged,
+     then dropped. *)
+  let counts = Population.create () in
+  let surviving, feasible =
+    Driver.population p.Suite.compiled ~config ~profile:p.Suite.profile ~n
+      ~init:(0, 0) (fun (surviving, feasible) img ->
+        let diversified = img.Link.text in
+        Population.add counts (Population.section_keys diversified);
+        let s = Survivor.surviving_gadgets ~original ~diversified () in
+        ( surviving + List.length s,
+          if (Attack.attack_on_gadgets Attack.Ropgadget s).Attack.feasible then
+            feasible + 1
+          else feasible ))
   in
-  let surviving_mean =
-    Stats.mean (List.map (fun s -> float_of_int (List.length s)) surviving_sets)
-  in
-  let feasible =
-    List.filter
-      (fun s -> (Attack.attack_on_gadgets Attack.Ropgadget s).Attack.feasible)
-      surviving_sets
-  in
-  (* analyze's serial pieces, not Population.analyze itself: this runs
-     inside a grid task and nested pools are rejected. *)
   let population_ge2 =
-    let keys = List.map (fun t -> Population.section_keys t) texts in
-    let report = Population.of_keys ~thresholds:[ 2 ] keys in
+    let report = Population.report ~thresholds:[ 2 ] counts in
     List.assoc 2 report.Population.at_least
   in
   let budget =
@@ -114,11 +112,9 @@ let measure_cell (p : Suite.prepared) ~(base : Sim.result) spec =
     spec;
     overhead_mean_pct = Suite.pct (!acc /. float_of_int versions);
     overhead_max_pct = Suite.pct !acc_max;
-    surviving_mean;
+    surviving_mean = float_of_int surviving /. float_of_int n;
     population_ge2;
-    attack_feasible_share =
-      float_of_int (List.length feasible)
-      /. float_of_int Suite.security_population;
+    attack_feasible_share = float_of_int feasible /. float_of_int n;
     budget;
   }
 

@@ -17,18 +17,16 @@ let measure_row p =
   let averages =
     List.map
       (fun (cname, config) ->
-        let texts =
-          Suite.texts_of_population p config Suite.security_population
-        in
+        let n = Suite.security_population in
         let survivors =
-          List.map
-            (fun diversified ->
-              float_of_int
-                (Survivor.compare_sections ~original ~diversified ())
-                  .Survivor.surviving)
-            texts
+          Driver.population p.Suite.compiled ~config ~profile:p.Suite.profile
+            ~n ~init:0 (fun total img ->
+              total
+              + List.length
+                  (Survivor.surviving_gadgets ~original
+                     ~diversified:img.Link.text ()))
         in
-        (cname, Stats.mean survivors))
+        (cname, float_of_int survivors /. float_of_int n))
       Suite.configs
   in
   { bench = w.name; baseline_gadgets; averages }

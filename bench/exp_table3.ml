@@ -21,9 +21,10 @@ let run () =
         Suite.config_names)
     thresholds;
   Format.printf "@.";
-  (* One pool task per workload row; Population.analyze stays serial
-     inside the task (nested pools are rejected), which is the right
-     grain anyway — a row diversifies and scans n versions per config. *)
+  (* One pool task per workload row; the census stays serial inside the
+     task (nested pools are rejected), which is the right grain anyway —
+     a row diversifies and scans n versions per config, one at a time,
+     so memory follows the distinct pairs, not n. *)
   let prepared = List.map Suite.prepared (Suite.workloads ()) in
   let measured =
     Suite.grid ~what:"table3"
@@ -31,8 +32,14 @@ let run () =
       (fun p ->
         List.map
           (fun (cname, config) ->
-            let texts = Suite.texts_of_population p config n in
-            (cname, (Population.analyze ~thresholds texts).Population.at_least))
+            let counts =
+              Driver.population p.Suite.compiled ~config
+                ~profile:p.Suite.profile ~n ~init:(Population.create ())
+                (fun counts img ->
+                  Population.add counts (Population.section_keys img.Link.text);
+                  counts)
+            in
+            (cname, (Population.report ~thresholds counts).Population.at_least))
           Suite.configs)
       prepared
   in

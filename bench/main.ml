@@ -21,7 +21,9 @@
    ignores, so the committed BENCH_PR*.json reference reports are never
    overwritten.  sim-speedup timing is serial regardless of --jobs.
    --population N sets table3's census size (default 25, the paper's);
-   its thresholds scale with N (Population.thresholds).
+   its thresholds scale with N (Population.thresholds).  The census
+   builds, scans and drops one version at a time, so its memory follows
+   the distinct gadgets, not N.
    --jobs N|auto runs each experiment's workload grid on the parallel
    pool — the reports' deterministic sections are byte-identical at
    every -j.  Any failed cell or experiment is reported at the end and

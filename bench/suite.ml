@@ -80,11 +80,6 @@ let run_version p config version ~args =
   in
   Driver.run_image image ~args
 
-let texts_of_population p config n =
-  List.map
-    (fun (img : Link.image) -> img.Link.text)
-    (Driver.population p.compiled ~config ~profile:p.profile ~n)
-
 let pct x = x *. 100.0
 
 let hr ppf = Format.fprintf ppf "%s@." (String.make 78 '-')

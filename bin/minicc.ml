@@ -710,15 +710,15 @@ let survivor_cmd =
   let run original diversified =
     let o = Link.load original in
     let d = Link.load diversified in
-    let outcome =
-      Survivor.compare_sections ~original:o.Link.text
-        ~diversified:d.Link.text ()
+    let baseline = Finder.count o.Link.text in
+    let surviving =
+      List.length
+        (Survivor.surviving_gadgets ~original:o.Link.text
+           ~diversified:d.Link.text ())
     in
-    Format.printf "baseline gadgets: %d@." outcome.Survivor.baseline_gadgets;
-    Format.printf "surviving:        %d (%.2f%%)@." outcome.Survivor.surviving
-      (100.0
-      *. float_of_int outcome.Survivor.surviving
-      /. float_of_int (max 1 outcome.Survivor.baseline_gadgets))
+    Format.printf "baseline gadgets: %d@." baseline;
+    Format.printf "surviving:        %d (%.2f%%)@." surviving
+      (100.0 *. float_of_int surviving /. float_of_int (max 1 baseline))
   in
   Cmd.v
     (Cmd.info "survivor"

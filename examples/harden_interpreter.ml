@@ -44,8 +44,10 @@ let () =
       in
       (* Security: the surviving gadget set must not support an attack. *)
       let offsets =
-        Survivor.surviving_offsets ~original:baseline.Link.text
-          ~diversified:image.Link.text ()
+        List.map
+          (fun (g : Finder.t) -> g.Finder.offset)
+          (Survivor.surviving_gadgets ~original:baseline.Link.text
+             ~diversified:image.Link.text ())
       in
       let surviving_gadgets =
         List.filter

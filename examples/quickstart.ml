@@ -64,13 +64,8 @@ let () =
 
   (* 5. The versions really are different binaries. *)
   let texts =
-    List.map
-      (fun v ->
-        let image, _ =
-          Driver.diversify_linked compiled ~config ~profile ~version:v
-        in
-        image.Link.text)
-      [ 0; 1; 2 ]
+    Driver.population compiled ~config ~profile ~n:3 ~init:[]
+      (fun acc (image : Link.image) -> image.Link.text :: acc)
   in
   Format.printf "distinct .text sections: %d of 3@."
     (List.length (List.sort_uniq compare texts))

@@ -57,10 +57,6 @@ let profiled ?(seed = 0L) ?(shape = Heuristic.Logarithmic) ?(scope = `Program)
   if pmin > pmax then invalid_arg "Config.profiled: invalid range";
   { off with strategy = Profiled { pmin; pmax; shape; scope }; seed }
 
-let with_budget t pct =
-  if pct <= 0.0 then invalid_arg "Config.with_budget: budget must be positive";
-  { t with budget_pct = Some pct }
-
 let paper_configs =
   [
     ("p50", uniform 0.50);
@@ -82,6 +78,16 @@ let budget_to_string b =
     String.sub s 0 i
   in
   s
+
+(* A budget is in the name, so it must survive printing: finite,
+   positive, and exact at the name's four decimals. *)
+let valid_budget b =
+  Float.is_finite b && b > 0.0 && float_of_string (budget_to_string b) = b
+
+let with_budget t pct =
+  if not (valid_budget pct) then
+    invalid_arg (Printf.sprintf "Config.with_budget: bad budget %g" pct);
+  { t with budget_pct = Some pct }
 
 (* Every field that changes behaviour must appear in the name: the name
    keys reports, and its base (below) seeds every divpass RNG stream
@@ -130,10 +136,11 @@ let parse_suffixes t suffixes =
                  && s.[0] = 'b'
                  && float_of_string_opt (String.sub s 1 (String.length s - 1))
                     <> None -> (
-              match
-                float_of_string_opt (String.sub s 1 (String.length s - 1))
-              with
-              | Some b when b > 0.0 -> Ok { t with budget_pct = Some b }
+              (* A budget only in its printed form, so the spec is its name. *)
+              let text = String.sub s 1 (String.length s - 1) in
+              match float_of_string_opt text with
+              | Some b when valid_budget b && budget_to_string b = text ->
+                  Ok { t with budget_pct = Some b }
               | _ -> Error (Printf.sprintf "bad budget suffix %S" s))
           | s -> Error (Printf.sprintf "unknown suffix %S" s)))
     (Ok t) suffixes
@@ -146,8 +153,10 @@ let parse_base base =
     let parts =
       String.split_on_char '-' (String.sub base 1 (String.length base - 1))
     in
+    (* Only what [name] prints, not "050", "0x1e" or "3_0", which
+       int_of_string reads as the same number. *)
     let is_pct s = match int_of_string_opt s with
-      | Some n -> n >= 0 && n <= 100
+      | Some n -> n >= 0 && n <= 100 && string_of_int n = s
       | None -> false
     in
     let pct_of s = float_of_int (int_of_string s) /. 100.0 in

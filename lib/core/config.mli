@@ -62,7 +62,8 @@ val profiled :
 
 val with_budget : t -> float -> t
 (** [with_budget t pct] enables budgeted mode at [pct] percent overhead.
-    Raises [Invalid_argument] on a non-positive budget. *)
+    Raises [Invalid_argument] unless [pct] is finite, positive and has
+    at most 4 decimals — the precision {!name} prints. *)
 
 val paper_configs : (string * t) list
 (** The five configurations of Figure 4 / Tables 2–3, in paper order:
@@ -76,7 +77,9 @@ val of_spec : string -> (t, string) result
     suffixes (["p0-30+sched+subst+b1"]).  The one grammar shared by [minicc
     --config], the serve protocol and the bench harness.  The error
     names the offending part of the spec.  Inverse of {!name}: every
-    printable config re-parses to an equal config. *)
+    printable config re-parses to an equal config, and a spec with its
+    suffixes in {!name}'s order is that config's name (["off"] aside, the
+    alias of ["baseline"]): no ["p050"], ["+b2.50"] or ["+b1e0"]. *)
 
 val base_name : t -> string
 (** The name {e without} the divpass/budget suffixes — the identity of

@@ -216,9 +216,11 @@ let diversify_linked c ~config ~profile ~version =
       in
       (image, report))
 
-let population c ~config ~profile ~n =
-  List.init n (fun version ->
-      fst (diversify_linked c ~config ~profile ~version))
+let population c ~config ~profile ~n ~init f =
+  Seq.fold_left
+    (fun acc version ->
+      f acc (fst (diversify_linked c ~config ~profile ~version)))
+    init (Seq.init n Fun.id)
 
 let run_ir c ~args = Interp.run c.modul ~entry:"main" ~args
 

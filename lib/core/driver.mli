@@ -109,9 +109,13 @@ val population :
   config:Config.t ->
   profile:Profile.t ->
   n:int ->
-  Link.image list
-(** [n] independent versions (the paper builds 25 for Tables 2 and 3),
-    built through {!diversify_linked} — a warm population build performs
+  init:'a ->
+  ('a -> Link.image -> 'a) ->
+  'a
+(** Fold [f] over versions [0 .. n-1] in order (the paper builds 25
+    for Tables 2 and 3): each image is built through
+    {!diversify_linked}, handed to [f] and dropped, so a census of any
+    size holds one image at a time.  A warm population build performs
     zero isel/liveness/regalloc stage runs. *)
 
 val run_ir : compiled -> args:int32 list -> Interp.result

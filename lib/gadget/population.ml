@@ -37,27 +37,31 @@ let section_keys text =
       | normalized -> keys := (start, String.concat ";" normalized) :: !keys);
   List.rev !keys
 
-(* The merge half: how many versions contain each pair? *)
-let of_keys ~thresholds keyed_sections =
-  let counts : (int * string, int) Hashtbl.t = Hashtbl.create 1024 in
-  List.iter
-    (fun keys ->
-      List.iter
-        (fun key ->
-          let old = Option.value (Hashtbl.find_opt counts key) ~default:0 in
-          Hashtbl.replace counts key (old + 1))
-        keys)
-    keyed_sections;
-  let at_least =
-    List.map
-      (fun k ->
-        let n =
-          Hashtbl.fold (fun _ c acc -> if c >= k then acc + 1 else acc) counts 0
-        in
-        (k, n))
-      thresholds
-  in
-  { population = List.length keyed_sections; at_least }
+(* The merge half: how many versions contain each pair?  One version's
+   keys are added at a time, so a census holds the table and never the
+   population. *)
+type counts = {
+  table : (int * string, int) Hashtbl.t;
+  mutable versions : int;
+}
 
-let analyze ~thresholds sections =
-  of_keys ~thresholds (List.map section_keys sections)
+let create () = { table = Hashtbl.create 1024; versions = 0 }
+
+let add t keys =
+  List.iter
+    (fun key ->
+      let old = Option.value (Hashtbl.find_opt t.table key) ~default:0 in
+      Hashtbl.replace t.table key (old + 1))
+    keys;
+  t.versions <- t.versions + 1
+
+let report ~thresholds t =
+  let at_least k =
+    (k, Hashtbl.fold (fun _ c n -> if c >= k then n + 1 else n) t.table 0)
+  in
+  { population = t.versions; at_least = List.map at_least thresholds }
+
+let of_keys ~thresholds keyed_sections =
+  let t = create () in
+  List.iter (add t) keyed_sections;
+  report ~thresholds t

@@ -22,15 +22,24 @@ type report = {
 
 val section_keys : string -> (int * string) list
 (** One version's distinct (offset, normalized-sequence rendering) pairs
-    under the default {!Finder.params}, sorted — the per-version scan that {!analyze} maps and
-    {!of_keys} merges.  Plain data, so a pool task can ship it across
+    under the default {!Finder.params}, sorted — the per-version scan
+    that {!add} counts.  Plain data, so a pool task can ship it across
     a process boundary. *)
 
-val of_keys : thresholds:int list -> (int * string) list list -> report
-(** Merge per-version key sets: for each threshold [k], count the
-    distinct pairs appearing in at least [k] of the versions. *)
+type counts
+(** A census in progress: for every pair seen so far, the number of
+    versions containing it.  Its size is the number of distinct pairs,
+    not the number of versions. *)
 
-val analyze : thresholds:int list -> string list -> report
-(** [analyze ~thresholds sections] scans every version's [.text] and
-    counts, for each threshold [k], the distinct (offset, normalized
-    sequence) pairs appearing in at least [k] versions. *)
+val create : unit -> counts
+
+val add : counts -> (int * string) list -> unit
+(** Count one version's {!section_keys}. *)
+
+val report : thresholds:int list -> counts -> report
+(** For each threshold [k], the distinct pairs counted in at least [k]
+    of the versions added so far; [population] is the number of adds.
+    Independent of the order in which versions were added. *)
+
+val of_keys : thresholds:int list -> (int * string) list list -> report
+(** {!add} every key set to a fresh {!create}, then {!report}. *)

@@ -1,7 +1,3 @@
-type outcome = { baseline_gadgets : int; surviving : int }
-
-let normalize insns = Nops.strip insns
-
 (* Decode a straight-line free-branch-terminated sequence at a fixed
    offset of the diversified section, mirroring the finder's validity
    rule.  The diversified sequence may be longer than the original's
@@ -29,7 +25,7 @@ let baseline_scan original =
   Memo.find_or_add baselines (Digest.string original) (fun () ->
       Finder.scan original)
 
-let survivors gadgets diversified =
+let surviving_gadgets ~original ~diversified () =
   let d = Finder.decoder diversified in
   List.filter
     (fun (g : Finder.t) ->
@@ -38,21 +34,6 @@ let survivors gadgets diversified =
       | Some div_insns ->
           (* Normalizing both sides may only increase similarity — the
              deliberate overestimate. *)
-          let a = normalize g.insns and b = normalize div_insns in
+          let a = Nops.strip g.insns and b = Nops.strip div_insns in
           a <> [] && List.equal Insn.equal a b)
-    gadgets
-
-let surviving_gadgets ~original ~diversified () =
-  survivors (baseline_scan original) diversified
-
-let compare_sections ~original ~diversified () =
-  let baseline = baseline_scan original in
-  {
-    baseline_gadgets = List.length baseline;
-    surviving = List.length (survivors baseline diversified);
-  }
-
-let surviving_offsets ~original ~diversified () =
-  List.map
-    (fun (g : Finder.t) -> g.offset)
-    (surviving_gadgets ~original ~diversified ())
+    (baseline_scan original)

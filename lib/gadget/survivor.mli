@@ -13,24 +13,12 @@
     analysis independent of ASLR-style base randomization.  Both
     sections are read at the scanner depth of {!Finder.default_params}. *)
 
-type outcome = {
-  baseline_gadgets : int;  (** gadgets in the original section *)
-  surviving : int;  (** candidates equal after normalization *)
-}
-
-val normalize : Insn.t list -> Insn.t list
-(** Strip every Table-1 NOP candidate. *)
-
-val compare_sections : original:string -> diversified:string -> unit -> outcome
-
-val surviving_offsets :
-  original:string -> diversified:string -> unit -> int list
-(** The offsets of the surviving gadgets (for attack-surface analysis on
-    the surviving set). *)
-
 val surviving_gadgets :
   original:string -> diversified:string -> unit -> Finder.t list
-(** The surviving gadgets themselves (the original-section decodings at
-    the surviving offsets) — the set {!Attack.attack_on_gadgets} judges,
-    so the Table-2 census and the PHP-style feasibility verdict share
-    one scan. *)
+(** The gadgets of [original] that survive in [diversified], in offset
+    order: the original-section decodings at the surviving offsets.
+    The one Survivor entry point — Table 2 counts the list, the attack
+    checker judges it ({!Attack.attack_on_gadgets}), and attack-surface
+    analyses read its offsets.  [original] is scanned once and
+    memoized, since a census compares one original against every
+    version. *)

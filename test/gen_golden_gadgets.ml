@@ -6,8 +6,8 @@
 
    - [baseline_keys_md5]: the baseline's [Population.section_keys];
    - [version_keys_md5]: versions 0-4's [section_keys], in order;
-   - [survivors_md5]: versions 0-4's [Survivor.surviving_offsets]
-     against the baseline, in order;
+   - [survivors_md5]: the offsets of versions 0-4's
+     [Survivor.surviving_gadgets] against the baseline, in order;
    - [insns_md5]: [Insn.to_string] at every decodable offset of the
      baseline, one "offset text" line each.
 
@@ -65,8 +65,9 @@ let () =
           (md5 (keys_lines (Population.section_keys original)))
           (per_version (fun text -> keys_lines (Population.section_keys text)))
           (per_version (fun diversified ->
-               List.map (Printf.sprintf "%d\n")
-                 (Survivor.surviving_offsets ~original ~diversified ())))
+               List.map
+                 (fun (g : Finder.t) -> Printf.sprintf "%d\n" g.offset)
+                 (Survivor.surviving_gadgets ~original ~diversified ())))
           (md5 (insn_lines original)))
       Workloads.all
   in

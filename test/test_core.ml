@@ -336,9 +336,10 @@ let test_bb_shift () =
     (stats.Divpass.bytes_added > 0);
   (* Gadgets shift even at p=0: the whole function is displaced. *)
   let baseline = Driver.link_baseline c in
-  let outcome =
-    Survivor.compare_sections ~original:baseline.Link.text
-      ~diversified:image.Link.text ()
+  let surviving =
+    List.length
+      (Survivor.surviving_gadgets ~original:baseline.Link.text
+         ~diversified:image.Link.text ())
   in
   let libc_gadgets =
     List.length
@@ -348,20 +349,29 @@ let test_bb_shift () =
   in
   Alcotest.(check bool)
     (Printf.sprintf "user gadgets displaced (%d survive, %d in libc)"
-       outcome.Survivor.surviving libc_gadgets)
+       surviving libc_gadgets)
     true
-    (outcome.Survivor.surviving <= libc_gadgets + 2);
+    (surviving <= libc_gadgets + 2);
   Alcotest.(check string) "config name reflects shift" "p0+shift"
     (Config.name config)
 
+(* The population fold hands over versions 0..n-1 in order, each the
+   image diversify_linked builds for that version. *)
 let test_population () =
   let c = compile hot_loop_src in
   let profile = Driver.train c ~args:[ 10l ] in
-  let images =
-    Driver.population c ~config:(Config.uniform 0.5) ~profile ~n:5
+  let config = Config.uniform 0.5 in
+  let texts =
+    List.rev
+      (Driver.population c ~config ~profile ~n:5 ~init:[]
+         (fun acc (i : Link.image) -> i.Link.text :: acc))
   in
-  Alcotest.(check int) "five versions" 5 (List.length images);
-  let texts = List.map (fun (i : Link.image) -> i.Link.text) images in
+  Alcotest.(check int) "five versions" 5 (List.length texts);
+  Alcotest.(check (list string))
+    "versions 0..4 in order, as diversify_linked builds them"
+    (List.init 5 (fun version ->
+         (fst (Driver.diversify_linked c ~config ~profile ~version)).Link.text))
+    texts;
   let distinct = List.sort_uniq compare texts in
   Alcotest.(check int) "all distinct" 5 (List.length distinct)
 

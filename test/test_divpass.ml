@@ -456,15 +456,23 @@ let test_spec_errors () =
 (* Names print whole percents, so a config with any other probability
    would share its name, report key and RNG streams with another config
    (range:0.001:0.3 with p0-30; uniform:0.375 as p38, which parses back
-   to 0.38).  Neither the grammar nor the constructors admit one, and
-   every spec in the table round-trips through its name. *)
+   to 0.38).  Neither the grammar nor the constructors admit one.  The
+   same holds for spellings of a percent or budget that name would not
+   print (p050 is p50; +b0.00001 would be named p0-30+b0, which does not
+   parse; +b1.23456 would be named +b1.2346, a different config).  Every
+   spec in the table round-trips through its name, and is its name. *)
 let test_spec_whole_percents () =
   List.iter
     (fun spec ->
       match Config.of_spec spec with
       | Error _ -> ()
       | Ok c -> Alcotest.failf "%s accepted as %s" spec (Config.name c))
-    [ "range:0.001:0.3"; "uniform:0.375" ];
+    [
+      "range:0.001:0.3"; "uniform:0.375"; "p0x1e"; "p3_0"; "p050"; "p+5";
+      "p0-030"; "p1000"; "p0-30+b0.00001"; "p0-30+b0.00002";
+      "p0-30+b1.23456"; "p0-30+binf"; "p0-30+bnan"; "p0-30+b1e0";
+      "p0-30+b0x1"; "p0-30+b2.50"; "p0-30+b0";
+    ];
   let rejects what f =
     match f () with
     | exception Invalid_argument _ -> ()
@@ -474,17 +482,28 @@ let test_spec_whole_percents () =
   rejects "profiled 0.001..0.3" (fun () ->
       Config.profiled ~pmin:0.001 ~pmax:0.3 ());
   rejects "profiled 0..1.5" (fun () -> Config.profiled ~pmin:0.0 ~pmax:1.5 ());
+  List.iter
+    (fun b ->
+      rejects (Printf.sprintf "budget %g" b) (fun () ->
+          Config.with_budget Config.off b))
+    [ 0.0; -2.0; Float.infinity; Float.nan; 0.00001; 1.23456 ];
+  Alcotest.(check string) "4 decimals kept" "baseline+b1.2346"
+    (Config.name (Config.with_budget Config.off 1.2346));
+  Alcotest.(check bool) "off is the alias of baseline" true
+    (Config.of_spec "off" = Config.of_spec "baseline");
   let table =
     [
-      "off"; "p0"; "p38"; "p100"; "p50"; "p30"; "p25-50"; "p10-50"; "p0-30";
-      "p0-30-lin"; "p0-30-fn"; "p25-50-lin-fn+xchg+shift"; "p0-30+b1";
-      "p50+xchg+b2.5";
+      "baseline"; "p0"; "p38"; "p100"; "p50"; "p30"; "p25-50"; "p10-50";
+      "p0-30"; "p0-30-lin"; "p0-30-fn"; "p25-50-lin-fn+xchg+shift";
+      "p0-30+b1"; "p50+xchg+b2.5"; "p0-30+b0.0001"; "p0-30+b1.2346";
     ]
     @ List.map fst semantics_specs
   in
   List.iter
     (fun spec ->
       let c = ok_spec spec in
+      Alcotest.(check string) (spec ^ ": name (of_spec s) = s") spec
+        (Config.name c);
       Alcotest.(check bool)
         (spec ^ ": of_spec (name c) = Ok c")
         true

@@ -161,11 +161,16 @@ let test_finder_respects_depth () =
 
 (* ---------------- survivor ---------------- *)
 
+let survivor_offsets ~original ~diversified =
+  List.map
+    (fun (g : Finder.t) -> g.offset)
+    (Survivor.surviving_gadgets ~original ~diversified ())
+
 let test_survivor_identical () =
   let text = Encode.program [ Insn.Pop_r Reg.EAX; Insn.Ret; Insn.Nop; Insn.Ret ] in
-  let o = Survivor.compare_sections ~original:text ~diversified:text () in
   Alcotest.(check int) "all survive in identical sections"
-    o.Survivor.baseline_gadgets o.Survivor.surviving
+    (Finder.count text)
+    (List.length (survivor_offsets ~original:text ~diversified:text))
 
 let test_survivor_nop_normalization () =
   (* Diversified version has a NOP inserted inside the gadget: the
@@ -174,11 +179,10 @@ let test_survivor_nop_normalization () =
   let diversified =
     Encode.program [ Insn.Pop_r Reg.EAX; Insn.Nop; Insn.Ret ]
   in
-  let o = Survivor.compare_sections ~original ~diversified () in
+  let offsets = survivor_offsets ~original ~diversified in
   Alcotest.(check bool) "gadget at offset 0 survives normalization" true
-    (List.mem 0 (Survivor.surviving_offsets ~original ~diversified ()))
-    |> ignore;
-  Alcotest.(check bool) "survives" true (o.Survivor.surviving >= 1)
+    (List.mem 0 offsets);
+  Alcotest.(check bool) "survives" true (List.length offsets >= 1)
 
 let test_survivor_displacement_kills () =
   (* A NOP inserted before the gadget displaces it; at the original
@@ -190,7 +194,7 @@ let test_survivor_displacement_kills () =
     Encode.program
       [ Insn.Nop; Insn.Mov_r_imm (Reg.EBX, 7l); Insn.Pop_r Reg.EAX; Insn.Ret ]
   in
-  let offsets = Survivor.surviving_offsets ~original ~diversified () in
+  let offsets = survivor_offsets ~original ~diversified in
   (* The pop;ret gadget started at offset 5 in the original; at offset 5
      of the diversified section sits the middle of mov's immediate. *)
   Alcotest.(check bool) "displaced gadget dead" true (not (List.mem 5 offsets))
@@ -216,9 +220,9 @@ let test_survivor_monotone_in_probability () =
     let image, _ =
       Driver.diversify_linked c ~config:(Config.uniform p) ~profile ~version:0
     in
-    (Survivor.compare_sections ~original:baseline.Link.text
-       ~diversified:image.Link.text ())
-      .Survivor.surviving
+    List.length
+      (Survivor.surviving_gadgets ~original:baseline.Link.text
+         ~diversified:image.Link.text ())
   in
   let s0 = surv 0.0 in
   let s50 = surv 0.5 in
@@ -230,11 +234,26 @@ let test_survivor_monotone_in_probability () =
 
 (* ---------------- population ---------------- *)
 
+let report =
+  Alcotest.(
+    testable
+      (fun ppf (r : Population.report) ->
+        Format.fprintf ppf "%d: %s" r.population
+          (String.concat " "
+             (List.map
+                (fun (k, n) -> Printf.sprintf ">=%d:%d" k n)
+                r.at_least)))
+      ( = ))
+
 let test_population_thresholds () =
   let a = Encode.program [ Insn.Pop_r Reg.EAX; Insn.Ret ] in
   let b = Encode.program [ Insn.Pop_r Reg.EAX; Insn.Ret ] in
   let c = Encode.program [ Insn.Pop_r Reg.ECX; Insn.Ret ] in
-  let r = Population.analyze ~thresholds:[ 1; 2; 3 ] [ a; b; c ] in
+  let counts = Population.create () in
+  List.iter
+    (fun text -> Population.add counts (Population.section_keys text))
+    [ a; b; c ];
+  let r = Population.report ~thresholds:[ 1; 2; 3 ] counts in
   let get k = List.assoc k r.Population.at_least in
   Alcotest.(check int) "population" 3 r.Population.population;
   (* a and b share both gadgets (pop eax;ret at 0, ret at 1); c shares
@@ -243,8 +262,30 @@ let test_population_thresholds () =
   Alcotest.(check int) "in >=2: shared ret + pop eax;ret" 2 (get 2);
   Alcotest.(check bool) "monotone" true (get 1 >= get 2 && get 2 >= get 3)
 
+(* [population] is the number of adds, whatever they hold: a version
+   without gadgets, or one repeating another, is still a version. *)
+let test_population_counts_adds () =
+  let keys =
+    Population.section_keys (Encode.program [ Insn.Pop_r Reg.EAX; Insn.Ret ])
+  in
+  let counts = Population.create () in
+  let population () =
+    (Population.report ~thresholds:[ 1 ] counts).Population.population
+  in
+  Alcotest.(check int) "fresh" 0 (population ());
+  Population.add counts keys;
+  Population.add counts keys;
+  Population.add counts [];
+  Alcotest.(check int) "three adds" 3 (population ());
+  Alcotest.(check (list (pair int int)))
+    "the repeated version counts twice" [ (1, 2); (2, 2); (3, 0) ]
+    (Population.report ~thresholds:[ 1; 2; 3 ] counts).Population.at_least
+
 (* Table 3's thresholds at any population size: the paper's 2, 5 and 12,
-   plus 8%, 20% and 48% of n, which at n = 25 are 2, 5 and 12 again. *)
+   plus 8%, 20% and 48% of n, which at n = 25 are 2, 5 and 12 again.
+   The census is the Driver fold feeding the count table one version at
+   a time; it must equal [of_keys] over the same key sets, and the
+   report must not depend on the order the versions arrive in. *)
 let test_thresholds_scale () =
   Alcotest.(check (list int)) "n = 25" [ 2; 5; 12 ] (Population.thresholds 25);
   Alcotest.(check (list int))
@@ -253,18 +294,34 @@ let test_thresholds_scale () =
   let w = Workloads.find "429.mcf" in
   let c = Driver.compile_cached ~name:w.Workload.name w.Workload.source in
   let profile = Driver.train_cached c ~args:w.Workload.train_args in
-  let texts =
-    List.map
-      (fun (img : Link.image) -> img.Link.text)
+  let counts = Population.create () in
+  let keys =
+    List.rev
       (Driver.population c
          ~config:(List.assoc "p0-30" Config.paper_configs)
-         ~profile ~n:25)
+         ~profile ~n:25 ~init:[]
+         (fun acc (img : Link.image) ->
+           let k = Population.section_keys img.Link.text in
+           Population.add counts k;
+           k :: acc))
   in
-  Alcotest.(check (list (pair int int)))
-    "analyze at n = 25: thresholds 25 = [2; 5; 12]"
-    (Population.analyze ~thresholds:[ 2; 5; 12 ] texts).Population.at_least
-    (Population.analyze ~thresholds:(Population.thresholds 25) texts)
-      .Population.at_least
+  let folded =
+    Population.report ~thresholds:(Population.thresholds 25) counts
+  in
+  Alcotest.(check report) "fold at n = 25: thresholds 25 = [2; 5; 12]"
+    (Population.report ~thresholds:[ 2; 5; 12 ] counts)
+    folded;
+  Alcotest.(check report) "of_keys = the fold" folded
+    (Population.of_keys ~thresholds:[ 2; 5; 12 ] keys);
+  Alcotest.(check report) "order-independent: reversed" folded
+    (Population.of_keys ~thresholds:[ 2; 5; 12 ] (List.rev keys));
+  let odds, evens =
+    List.partition
+      (fun (i, _) -> i mod 2 = 1)
+      (List.mapi (fun i k -> (i, k)) keys)
+  in
+  Alcotest.(check report) "order-independent: odd versions first" folded
+    (Population.of_keys ~thresholds:[ 2; 5; 12 ] (List.map snd (odds @ evens)))
 
 (* ---------------- attack ---------------- *)
 
@@ -361,6 +418,8 @@ let suite =
     ( "gadget.population",
       [
         Alcotest.test_case "thresholds" `Quick test_population_thresholds;
+        Alcotest.test_case "population counts the adds" `Quick
+          test_population_counts_adds;
         Alcotest.test_case "thresholds scale with n" `Quick
           test_thresholds_scale;
       ] );
