@@ -12,17 +12,15 @@
 
 let subset = [ "429.mcf"; "433.milc"; "456.hmmer"; "482.sphinx3"; "470.lbm" ]
 
-let overhead p config =
+let overhead p variant =
   let w = p.Suite.workload in
   let base = Driver.run_image p.Suite.baseline ~args:w.ref_args in
-  let cycles =
-    List.init !Suite.perf_versions (fun v ->
-        let r = Suite.run_version p config v ~args:w.ref_args in
-        if r.Sim.output <> base.Sim.output then
-          failwith ("ablation: output mismatch in " ^ w.name);
-        r.Sim.cycles)
+  let sum =
+    Suite.fold_versions ~experiment:"ablation" p ~base variant ~init:0.0
+      (fun sum _ r -> sum +. r.Sim.cycles)
   in
-  Suite.pct ((Stats.mean cycles /. base.Sim.cycles) -. 1.0)
+  let mean = sum /. float_of_int !Suite.perf_versions in
+  Suite.pct ((mean /. base.Sim.cycles) -. 1.0)
 
 let variants =
   [
@@ -105,12 +103,12 @@ let run () =
   List.iter (fun b -> Format.printf "%13s" b) subset;
   Format.printf "@.";
   List.iter
-    (fun (vname, config) ->
+    (fun ((vname, _) as variant) ->
       Format.printf "%-20s" vname;
       List.iter
         (fun bname ->
           let p = Suite.prepared (Workloads.find bname) in
-          Format.printf "%12.2f%%" (overhead p config))
+          Format.printf "%12.2f%%" (overhead p variant))
         subset;
       Format.printf "@.")
     variants;

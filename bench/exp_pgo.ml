@@ -53,17 +53,13 @@ let profiled_configs =
       match c.Config.strategy with Config.Profiled _ -> true | _ -> false)
     Suite.configs
 
-let overhead_pct ~(base : Sim.result) (r : Sim.result) =
-  Suite.pct ((r.Sim.cycles /. base.Sim.cycles) -. 1.0)
-
 let measure_config (p : Suite.prepared) ~(base : Sim.result)
     ~(base_train : Sim.result) (cname, config) =
   let w = p.Suite.workload in
-  let check ~expect what (r : Sim.result) =
-    if r.Sim.output <> expect.Sim.output then
-      failwith
-        (Printf.sprintf "pgo-loop: %s/%s %s output mismatch" w.Workload.name
-           cname what)
+  let check ~expect what r =
+    Suite.check_behaviour
+      ~cell:(Printf.sprintf "pgo-loop: %s/%s %s" w.Workload.name cname what)
+      ~expect r
   in
   let diversify profile =
     fst (Driver.diversify_linked p.Suite.compiled ~config ~profile ~version:0)
@@ -120,8 +116,8 @@ let measure_config (p : Suite.prepared) ~(base : Sim.result)
   check ~expect:base "fresh-profile build" fresh_r;
   let final_r = Driver.run_image final ~args:w.Workload.ref_args in
   check ~expect:base "sampled-profile build" final_r;
-  let fresh_overhead_pct = overhead_pct ~base fresh_r in
-  let sampled_overhead_pct = overhead_pct ~base final_r in
+  let fresh_overhead_pct = Suite.pct (Suite.overhead ~base fresh_r) in
+  let sampled_overhead_pct = Suite.pct (Suite.overhead ~base final_r) in
   {
     cname;
     iters;

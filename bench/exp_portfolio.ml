@@ -59,24 +59,13 @@ type row = {
 }
 
 let measure_cell (p : Suite.prepared) ~(base : Sim.result) spec =
-  let w = p.Suite.workload in
   let config = config_of spec in
-  let versions = !Suite.perf_versions in
-  let acc = ref 0.0 and acc_max = ref 0.0 in
-  for version = 0 to versions - 1 do
-    let image, _ =
-      Driver.diversify_linked p.Suite.compiled ~config ~profile:p.Suite.profile
-        ~version
-    in
-    let r = Driver.run_image image ~args:w.Workload.ref_args in
-    if r.Sim.output <> base.Sim.output || r.Sim.status <> base.Sim.status then
-      failwith
-        (Printf.sprintf "portfolio: %s/%s version %d behaviour mismatch"
-           w.Workload.name spec version);
-    let overhead = (r.Sim.cycles /. base.Sim.cycles) -. 1.0 in
-    acc := !acc +. overhead;
-    acc_max := Float.max !acc_max overhead
-  done;
+  let sum, max_overhead =
+    Suite.fold_versions ~experiment:"portfolio" p ~base (spec, config)
+      ~init:(0.0, 0.0) (fun (sum, max_overhead) _ r ->
+        let overhead = Suite.overhead ~base r in
+        (sum +. overhead, Float.max max_overhead overhead))
+  in
   let original = p.Suite.baseline.Link.text in
   let n = Suite.security_population in
   (* One pass over the security population: each version is counted
@@ -110,8 +99,8 @@ let measure_cell (p : Suite.prepared) ~(base : Sim.result) spec =
   in
   {
     spec;
-    overhead_mean_pct = Suite.pct (!acc /. float_of_int versions);
-    overhead_max_pct = Suite.pct !acc_max;
+    overhead_mean_pct = Suite.pct (sum /. float_of_int !Suite.perf_versions);
+    overhead_max_pct = Suite.pct max_overhead;
     surviving_mean = float_of_int surviving /. float_of_int n;
     population_ge2;
     attack_feasible_share = float_of_int feasible /. float_of_int n;
@@ -210,17 +199,8 @@ let run () =
   (* Geometric-mean overhead per config across workloads. *)
   Suite.hr Format.std_formatter;
   let geomeans =
-    List.map
-      (fun spec ->
-        let factors =
-          List.map
-            (fun r ->
-              let c = List.find (fun c -> c.spec = spec) r.cells in
-              1.0 +. (c.overhead_mean_pct /. 100.0))
-            rows
-        in
-        (spec, Suite.pct (Stats.geomean_ratio factors -. 1.0)))
-      specs
+    Suite.geomean_overheads specs rows ~overhead_pct:(fun r spec ->
+        (List.find (fun c -> c.spec = spec) r.cells).overhead_mean_pct)
   in
   Format.printf "%-30s%10s@." "Geometric-mean overhead" "";
   List.iter (fun (s, o) -> Format.printf "  %-28s %8.2f%%@." s o) geomeans;

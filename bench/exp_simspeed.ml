@@ -51,28 +51,6 @@ let time_once ~reference image ~args =
       | Sim.Finished r -> r
       | Sim.Faulted { fault_msg; _ } -> raise (Sim.Fault fault_msg))
 
-let check_identical ~what (i : Sim.result) (b : Sim.result) =
-  let fail fmt =
-    Printf.ksprintf
-      (fun m -> failwith (Printf.sprintf "sim-speedup: %s: %s" what m))
-      fmt
-  in
-  if b.Sim.status <> i.Sim.status then
-    fail "status mismatch (interp %ld, block %ld)" i.Sim.status b.Sim.status;
-  if b.Sim.output <> i.Sim.output then fail "output mismatch";
-  if b.Sim.instructions <> i.Sim.instructions then
-    fail "instruction count mismatch (interp %Ld, block %Ld)"
-      i.Sim.instructions b.Sim.instructions;
-  if b.Sim.nops_retired <> i.Sim.nops_retired then
-    fail "nops_retired mismatch (interp %Ld, block %Ld)" i.Sim.nops_retired
-      b.Sim.nops_retired;
-  if b.Sim.icache_misses <> i.Sim.icache_misses then
-    fail "icache_misses mismatch (interp %Ld, block %Ld)" i.Sim.icache_misses
-      b.Sim.icache_misses;
-  if Int64.bits_of_float b.Sim.cycles <> Int64.bits_of_float i.Sim.cycles then
-    fail "cycles not bit-identical (interp %h, block %h)" i.Sim.cycles
-      b.Sim.cycles
-
 type row = {
   name : string;
   instructions : int64;
@@ -107,7 +85,10 @@ let measure_row (p : Suite.prepared) =
          below measure steady-state execution, not decode. *)
       let ri, _ = time_once ~reference:true p.Suite.baseline ~args in
       let rb, _ = time_once ~reference:false p.Suite.baseline ~args in
-      check_identical ~what:w.Workload.name ri rb;
+      Option.iter
+        (fun m ->
+          failwith (Printf.sprintf "sim-speedup: %s: %s" w.Workload.name m))
+        (Oracle.engine_mismatch (Sim.Finished ri) (Sim.Finished rb));
       let rir, _ = time_ir p ~args in
       check_ir ~what:w.Workload.name rir rb;
       let median_of run =
@@ -171,9 +152,9 @@ let run () =
       prepared
   in
   Suite.hr Format.std_formatter;
-  let geomean = Stats.geomean_ratio (List.map (fun r -> r.speedup) rows) in
+  let geomean = Stats.geomean (List.map (fun r -> r.speedup) rows) in
   let ir_over_block =
-    Stats.geomean_ratio (List.map (fun r -> r.ir_over_block) rows)
+    Stats.geomean (List.map (fun r -> r.ir_over_block) rows)
   in
   Format.printf "%-16s %52.1fx %20.2f@." "Geometric Mean" geomean
     ir_over_block;

@@ -1,6 +1,10 @@
-(* Telemetry: the machine-readable perf trajectory (telemetry.json) plus
-   a direct quantification of the paper's central claim (§3.2, Fig. 4) —
-   that profile-guided insertion pushes NOPs *out of hot code*.
+(* Telemetry: the paper's Figure 4 (§5.1: per-benchmark slowdown of each
+   pNOP config on the ref input, averaged over versions, plus the
+   geometric mean), the machine-readable perf trajectory
+   (telemetry.json), and a direct quantification of the paper's central
+   claim (§3.2) — that profile-guided insertion pushes NOPs *out of hot
+   code*.  The exec-profile hook charges no cycles, so the overheads are
+   those of plain runs.
 
    Protocol, per workload: run the undiversified baseline on the ref
    input with the simulator's runtime-profile hook and classify basic
@@ -72,47 +76,42 @@ let split_by_hotness hot (prof : Simprof.t) =
 
 let i64f = Int64.to_float
 
-let measure_config p ~(base : Sim.result) ~hot (cname, config) =
-  let w = p.Suite.workload in
-  let versions = !Suite.perf_versions in
-  let acc_overhead = ref 0.0
-  and acc_nops = ref 0.0
-  and acc_hot_share = ref 0.0
-  and acc_hot_density = ref 0.0
-  and acc_cold_density = ref 0.0 in
-  for version = 0 to versions - 1 do
-    let image, _ =
-      Driver.diversify_linked p.Suite.compiled ~config ~profile:p.Suite.profile
-        ~version
-    in
-    let r = Driver.run_image image ~profile:true ~args:w.Workload.ref_args in
-    if r.Sim.output <> base.Sim.output then
-      failwith
-        (Printf.sprintf "telemetry: %s/%s version %d output mismatch" w.name
-           cname version);
-    let prof = Simprof.of_result image r in
-    let hi, hn, ci, cn = split_by_hotness hot prof in
-    acc_overhead := !acc_overhead +. ((r.Sim.cycles /. base.Sim.cycles) -. 1.0);
-    acc_nops := !acc_nops +. i64f r.Sim.nops_retired;
-    acc_hot_share :=
-      !acc_hot_share
-      +. (if Int64.compare r.Sim.nops_retired 0L > 0 then
-            i64f hn /. i64f r.Sim.nops_retired
-          else 0.0);
-    acc_hot_density :=
-      !acc_hot_density
-      +. (if Int64.compare hi 0L > 0 then i64f hn /. i64f hi else 0.0);
-    acc_cold_density :=
-      !acc_cold_density
-      +. (if Int64.compare ci 0L > 0 then i64f cn /. i64f ci else 0.0)
-  done;
-  let n = float_of_int versions in
+(* a / b, or 0 when b is 0. *)
+let share a b = if Int64.compare b 0L > 0 then i64f a /. i64f b else 0.0
+
+(* Per-version sums, in version order, of what [attribution] averages. *)
+type sums = {
+  overhead : float;
+  nops : float;
+  hot_share : float;
+  hot_density : float;
+  cold_density : float;
+}
+
+let zero =
+  { overhead = 0.0; nops = 0.0; hot_share = 0.0; hot_density = 0.0;
+    cold_density = 0.0 }
+
+let measure_config p ~(base : Sim.result) ~hot c =
+  let s =
+    Suite.fold_versions ~experiment:"telemetry" ~profile:true p ~base c
+      ~init:zero (fun s image r ->
+        let hi, hn, ci, cn = split_by_hotness hot (Simprof.of_result image r) in
+        {
+          overhead = s.overhead +. Suite.overhead ~base r;
+          nops = s.nops +. i64f r.Sim.nops_retired;
+          hot_share = s.hot_share +. share hn r.Sim.nops_retired;
+          hot_density = s.hot_density +. share hn hi;
+          cold_density = s.cold_density +. share cn ci;
+        })
+  in
+  let n = float_of_int !Suite.perf_versions in
   {
-    overhead_pct = Suite.pct (!acc_overhead /. n);
-    nops_retired = !acc_nops /. n;
-    hot_nop_share_pct = Suite.pct (!acc_hot_share /. n);
-    hot_density_pct = Suite.pct (!acc_hot_density /. n);
-    cold_density_pct = Suite.pct (!acc_cold_density /. n);
+    overhead_pct = Suite.pct (s.overhead /. n);
+    nops_retired = s.nops /. n;
+    hot_nop_share_pct = Suite.pct (s.hot_share /. n);
+    hot_density_pct = Suite.pct (s.hot_density /. n);
+    cold_density_pct = Suite.pct (s.cold_density /. n);
   }
 
 let attribution_json (cname, (a : attribution)) =
@@ -164,10 +163,11 @@ let measure_row (p : Suite.prepared) =
 
 let run () =
   Format.printf
-    "@.Telemetry: per-config overhead and hot-vs-cold NOP attribution (hot \
-     = blocks covering %.0f%%@.of baseline retired instructions; share = \
-     %% of retired NOPs landing in hot blocks)@."
-    (100.0 *. hot_share_target);
+    "@.Figure 4 and telemetry: per-config overhead (slowdown %%, mean of %d \
+     versions on ref)@.and hot-vs-cold NOP attribution (hot = blocks \
+     covering %.0f%% of baseline retired@.instructions; share = %% of \
+     retired NOPs landing in hot blocks)@."
+    !Suite.perf_versions (100.0 *. hot_share_target);
   Suite.hr Format.std_formatter;
   (* Prepare (compile + train + baseline link) in the parent so workers
      inherit a warm artifact cache and the cache-hit counters match the
@@ -201,16 +201,9 @@ let run () =
   Suite.hr Format.std_formatter;
   (* Geometric-mean overhead per config across workloads. *)
   let geomeans =
-    List.map
-      (fun cname ->
-        let factors =
-          List.map
-            (fun (_, _, _, per_config) ->
-              1.0 +. ((List.assoc cname per_config).overhead_pct /. 100.0))
-            rows
-        in
-        (cname, Suite.pct (Stats.geomean_ratio factors -. 1.0)))
-      Suite.config_names
+    Suite.geomean_overheads Suite.config_names rows
+      ~overhead_pct:(fun (_, _, _, per_config) cname ->
+        (List.assoc cname per_config).overhead_pct)
   in
   Format.printf "%-16s" "Geometric Mean";
   List.iter (fun (_, o) -> Format.printf "%9.2f%%" o) geomeans;

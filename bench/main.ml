@@ -3,17 +3,20 @@
    Bechamel microbenchmarks of the underlying kernels.
 
      dune exec bench/main.exe                 # everything
-     dune exec bench/main.exe -- figure4      # one experiment
-     dune exec bench/main.exe -- --versions 5 figure4
+     dune exec bench/main.exe -- telemetry    # one experiment
+     dune exec bench/main.exe -- --versions 5 telemetry
      dune exec bench/main.exe -- --workloads 429.mcf,470.lbm telemetry
      dune exec bench/main.exe -- --jobs auto telemetry
      dune exec bench/main.exe -- --trace bench.trace telemetry
      dune exec bench/main.exe -- --out-dir reports telemetry
      dune exec bench/main.exe -- --population 1000 table3
 
-   Experiments: table1 figure4 table2 table3 php-attack heuristic
-   ablation micro fuzz-coverage telemetry incremental pgo-loop
-   sim-speedup portfolio.
+   Experiments: table1 heuristic table2 table3 php-attack ablation
+   micro fuzz-coverage telemetry incremental pgo-loop sim-speedup
+   portfolio.  Figure 4 (per-benchmark overhead per config, and its
+   geometric mean) is telemetry's overhead column and Geometric Mean
+   row; --versions sets how many versions each cell averages (3 by
+   default, the paper's 5 with --versions 5).
    The report-writing experiments (table3, telemetry, incremental,
    pgo-loop, sim-speedup, portfolio) each write
    <out-dir>/<experiment>.json in the one psd-bench/1 envelope (see
@@ -33,7 +36,6 @@ let experiments =
   [
     ("table1", Exp_table1.run);
     ("heuristic", Exp_heuristic.run);
-    ("figure4", Exp_figure4.run);
     ("table2", Exp_table2.run);
     ("table3", Exp_table3.run);
     ("php-attack", Exp_php.run);
@@ -54,6 +56,8 @@ let usage () =
      [experiment...]@.";
   Format.printf "experiments: %s@."
     (String.concat " " (List.map fst experiments));
+  Format.printf
+    "Figure 4 is telemetry's overhead column and Geometric Mean row.@.";
   exit 1
 
 let () =

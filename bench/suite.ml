@@ -10,7 +10,7 @@ type prepared = {
   baseline : Link.image;
 }
 
-let prepare (w : Workload.t) =
+let prepared (w : Workload.t) =
   let compiled = Driver.compile_cached ~name:w.name w.source in
   {
     workload = w;
@@ -19,14 +19,14 @@ let prepare (w : Workload.t) =
     baseline = Driver.link_baseline_cached compiled;
   }
 
-let prepared = prepare
-
 let configs = Config.paper_configs
 let config_names = List.map fst configs
 
 (* The paper builds 25 versions for the security tables and 5 for the
    performance figure (3 runs each; our simulator is deterministic, so
-   re-running a version is pointless and we run each once). *)
+   re-running a version is pointless and we run each once).  The
+   overhead walk builds 3 by default; bench's --versions 5 gives the
+   paper's count. *)
 let security_population = 25
 let perf_versions = ref 3
 
@@ -74,13 +74,50 @@ let grid ~what ~label f items =
           None)
     items outcomes
 
-let run_version p config version ~args =
-  let image, _ =
-    Driver.diversify_linked p.compiled ~config ~profile:p.profile ~version
-  in
-  Driver.run_image image ~args
-
 let pct x = x *. 100.0
+
+(* Cycle overhead of run [r] over the baseline run [base], as a fraction. *)
+let overhead ~(base : Sim.result) (r : Sim.result) =
+  (r.Sim.cycles /. base.Sim.cycles) -. 1.0
+
+(* The one behaviour check of a diversified run against its baseline run:
+   same exit status, same output.  [cell] names the experiment, workload,
+   config and version (or iteration) in the failure message. *)
+let check_behaviour ~cell ~(expect : Sim.result) (r : Sim.result) =
+  if r.Sim.status <> expect.Sim.status then
+    failwith
+      (Printf.sprintf "%s: status %ld, baseline %ld" cell r.Sim.status
+         expect.Sim.status);
+  if not (String.equal r.Sim.output expect.Sim.output) then
+    failwith (Printf.sprintf "%s: output differs from the baseline" cell)
+
+(* The one overhead walk: fold [f] over versions 0..!perf_versions-1 of
+   [config], each built through [Driver.population], run on the ref
+   input ([profile] is the simulator's exec-profile hook) and checked
+   against the baseline ref run [base]. *)
+let fold_versions ~experiment ?profile p ~base (cname, config) ~init f =
+  let w = p.workload in
+  fst
+    (Driver.population p.compiled ~config ~profile:p.profile
+       ~n:!perf_versions ~init:(init, 0) (fun (acc, version) image ->
+         let r = Driver.run_image image ?profile ~args:w.Workload.ref_args in
+         check_behaviour
+           ~cell:
+             (Printf.sprintf "%s: %s/%s version %d" experiment w.Workload.name
+                cname version)
+           ~expect:base r;
+         (f acc image r, version + 1)))
+
+(* Per config, the geometric mean across workloads of the overheads (%)
+   [overhead_pct row name] reads from each row, as an overhead %. *)
+let geomean_overheads names rows ~overhead_pct =
+  List.map
+    (fun name ->
+      let factors =
+        List.map (fun row -> 1.0 +. (overhead_pct row name /. 100.0)) rows
+      in
+      (name, pct (Stats.geomean factors -. 1.0)))
+    names
 
 let hr ppf = Format.fprintf ppf "%s@." (String.make 78 '-')
 

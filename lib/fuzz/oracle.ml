@@ -8,16 +8,18 @@
    interp ⊑ sim ⊑ block-sim ⊑ diversified.  Observable behaviour (return
    value, printed output, trap/no-trap) must agree up the lattice at a
    fixed level; across levels, halting behaviours must agree while
-   optimization is allowed to delete trapping dead code.  The two
-   engines run every machine image (baseline and diversified) and must
-   agree on the *full* observable tuple — status, output, retired
+   optimization is allowed to delete trapping dead code.  Every machine
+   image (baseline and diversified) runs under the reference engine,
+   the block engine with the exec-profile hook on, and the block engine
+   with every hook off (the production path); they must agree on the
+   *full* observable tuple ([engine_mismatch]) — status, output, retired
    instructions and NOPs, icache misses, cycles bit for bit, the
-   per-offset execution profile, and on a trap the fault message plus
-   every partial counter — with no skips: engine disagreement of any
-   kind is a divergence.  On top of the behavioural checks, every
-   halting interpreter run is used to validate the edge profiling
-   machinery: the counts reconstructed from spanning-tree edge counters
-   must equal the interpreter's exact block counts. *)
+   per-offset execution profile where both record it, and on a trap the
+   fault message plus every partial counter — with no skips: engine
+   disagreement of any kind is a divergence.  On top of the behavioural
+   checks, every halting interpreter run is used to validate the edge
+   profiling machinery: the counts reconstructed from spanning-tree edge
+   counters must equal the interpreter's exact block counts. *)
 
 type trap_class = Div | Mem | Resource | Other
 
@@ -129,76 +131,110 @@ let run_interp (c : Driver.compiled) ~args =
   | exception Interp.Trap msg ->
       (Trapped { cls = classify msg; msg }, None)
 
-let run_sim ~reference image ~args =
+(* [~profile:false] is the hooks-off block engine: the step family
+   behind every [Sim.run] of the overhead figures and psdbench, with its
+   inline fast paths and mid-run probe elision. *)
+let run_sim ?(profile = true) ~reference image ~args =
   let run = if reference then Sim.Reference.run_outcome else Sim.run_outcome in
-  match run ~fuel:sim_fuel ~profile:true image ~args with
+  match run ~fuel:sim_fuel ~profile image ~args with
   | Sim.Finished r -> (Halted { ret = r.status; output = r.output }, Sim.Finished r)
   | Sim.Faulted f ->
       ( Trapped { cls = classify f.fault_msg; msg = f.fault_msg },
         Sim.Faulted f )
 
-(* Engine parity: the block-cached engine against the simulator's
-   interpreter on the *same image* must agree on everything, not just the
-   behavioural outcome — equal fuel in equal units, equal timing model,
-   so there is no documented asymmetry to skip.  Cycles are compared bit
-   for bit, and the per-offset execution profile element-wise. *)
+(* The engine-parity rule: two runs of the same image must agree on
+   everything, not just the behavioural outcome — equal fuel in equal
+   units, equal timing model, so there is no documented asymmetry to
+   skip.  Cycles and every float of the profiles are compared bit for
+   bit, the per-offset arrays element-wise. *)
 
-let profile_mismatch (a : Sim.exec_profile) (b : Sim.exec_profile) =
-  if a.Sim.insn_counts <> b.Sim.insn_counts then Some "exec_profile insn_counts"
-  else if a.Sim.nop_counts <> b.Sim.nop_counts then
-    Some "exec_profile nop_counts"
-  else begin
-    let n = Array.length a.Sim.cycle_counts in
-    let bad = ref None in
-    for i = 0 to n - 1 do
-      if
-        !bad = None
-        && Int64.bits_of_float a.Sim.cycle_counts.(i)
-           <> Int64.bits_of_float b.Sim.cycle_counts.(i)
-      then bad := Some (Printf.sprintf "exec_profile cycles at offset %d" i)
-    done;
-    !bad
-  end
+let bits_differ a b = Int64.bits_of_float a <> Int64.bits_of_float b
 
-let tuple_mismatch (a : Sim.result) (b : Sim.result) =
-  let d fmt = Printf.ksprintf Option.some fmt in
-  if a.Sim.status <> b.Sim.status then
-    d "status %ld vs %ld" a.Sim.status b.Sim.status
-  else if a.Sim.output <> b.Sim.output then
-    d "output %S vs %S" a.Sim.output b.Sim.output
-  else if a.Sim.instructions <> b.Sim.instructions then
-    d "instructions %Ld vs %Ld" a.Sim.instructions b.Sim.instructions
-  else if a.Sim.nops_retired <> b.Sim.nops_retired then
-    d "nops_retired %Ld vs %Ld" a.Sim.nops_retired b.Sim.nops_retired
-  else if a.Sim.icache_misses <> b.Sim.icache_misses then
-    d "icache_misses %Ld vs %Ld" a.Sim.icache_misses b.Sim.icache_misses
-  else if Int64.bits_of_float a.Sim.cycles <> Int64.bits_of_float b.Sim.cycles
-  then d "cycles %h vs %h" a.Sim.cycles b.Sim.cycles
+let mismatch fmt = Printf.ksprintf Option.some fmt
+
+let cycle_counts_mismatch (a : float array) (b : float array) =
+  let n = Array.length a in
+  if n <> Array.length b then
+    mismatch "exec_profile.cycle_counts length %d vs %d" n (Array.length b)
   else
-    match (a.Sim.exec_profile, b.Sim.exec_profile) with
-    | Some pa, Some pb -> profile_mismatch pa pb
-    | None, None -> None
-    | _ -> Some "exec_profile presence"
+    let rec go i =
+      if i = n then None
+      else if bits_differ a.(i) b.(i) then
+        mismatch "exec_profile.cycle_counts at offset %d: %h vs %h" i a.(i)
+          b.(i)
+      else go (i + 1)
+    in
+    go 0
 
-let engines_agree (a : Sim.outcome) (b : Sim.outcome) =
+let exec_mismatch (a : Sim.exec_profile) (b : Sim.exec_profile) =
+  if a.insn_counts <> b.insn_counts then mismatch "exec_profile.insn_counts"
+  else if a.nop_counts <> b.nop_counts then mismatch "exec_profile.nop_counts"
+  else cycle_counts_mismatch a.cycle_counts b.cycle_counts
+
+let sample_mismatch (a : Sim.sample_profile) (b : Sim.sample_profile) =
+  if bits_differ a.period b.period then
+    mismatch "sample_profile.period %h vs %h" a.period b.period
+  else if a.sample_counts <> b.sample_counts then
+    mismatch "sample_profile.sample_counts"
+  else if a.samples_taken <> b.samples_taken then
+    mismatch "sample_profile.samples_taken %Ld vs %Ld" a.samples_taken
+      b.samples_taken
+  else if bits_differ a.sample_overhead_cycles b.sample_overhead_cycles then
+    mismatch "sample_profile.sample_overhead_cycles %h vs %h"
+      a.sample_overhead_cycles b.sample_overhead_cycles
+  else None
+
+let present_mismatch what f a b =
   match (a, b) with
-  | Sim.Finished x, Sim.Finished y -> (
-      match tuple_mismatch x y with
-      | None -> Agree
-      | Some m -> Diverged ("engine tuple mismatch: " ^ m))
+  | Some x, Some y -> f x y
+  | None, None -> None
+  | _ -> mismatch "%s presence" what
+
+let result_mismatch (a : Sim.result) (b : Sim.result) =
+  if a.status <> b.status then mismatch "status %ld vs %ld" a.status b.status
+  else if a.output <> b.output then
+    mismatch "output %S vs %S" a.output b.output
+  else if a.instructions <> b.instructions then
+    mismatch "instructions %Ld vs %Ld" a.instructions b.instructions
+  else if a.nops_retired <> b.nops_retired then
+    mismatch "nops_retired %Ld vs %Ld" a.nops_retired b.nops_retired
+  else if a.icache_misses <> b.icache_misses then
+    mismatch "icache_misses %Ld vs %Ld" a.icache_misses b.icache_misses
+  else if bits_differ a.cycles b.cycles then
+    mismatch "cycles %h vs %h" a.cycles b.cycles
+  else
+    match
+      present_mismatch "exec_profile" exec_mismatch a.exec_profile b.exec_profile
+    with
+    | Some _ as m -> m
+    | None ->
+        present_mismatch "sample_profile" sample_mismatch a.sample_profile
+          b.sample_profile
+
+let engine_mismatch (a : Sim.outcome) (b : Sim.outcome) =
+  match (a, b) with
+  | Sim.Finished x, Sim.Finished y -> result_mismatch x y
   | Sim.Faulted x, Sim.Faulted y ->
       if x.fault_msg <> y.fault_msg then
-        Diverged
-          (Printf.sprintf "engine fault mismatch: %S vs %S" x.fault_msg
-             y.fault_msg)
-      else (
-        match tuple_mismatch x.partial y.partial with
-        | None -> Agree
-        | Some m -> Diverged ("engine tuple mismatch at fault: " ^ m))
+        mismatch "fault_msg %S vs %S" x.fault_msg y.fault_msg
+      else
+        Option.map
+          (fun m -> "partial " ^ m)
+          (result_mismatch x.partial y.partial)
   | Sim.Finished _, Sim.Faulted f ->
-      Diverged ("block engine trapped, sim interp halted: " ^ f.fault_msg)
+      mismatch "outcome finished vs faulted (%s)" f.fault_msg
   | Sim.Faulted f, Sim.Finished _ ->
-      Diverged ("sim interp trapped, block engine halted: " ^ f.fault_msg)
+      mismatch "outcome faulted (%s) vs finished" f.fault_msg
+
+let engine_cmp a b =
+  match engine_mismatch a b with
+  | None -> Agree
+  | Some m -> Diverged ("engine mismatch: " ^ m)
+
+let without_exec_profile = function
+  | Sim.Finished r -> Sim.Finished { r with exec_profile = None }
+  | Sim.Faulted f ->
+      Sim.Faulted { f with partial = { f.partial with exec_profile = None } }
 
 (* ------------------------------------------------------------------ *)
 (* Profile invariant: for every function, reconstructing edge counts from
@@ -294,6 +330,27 @@ let check ?(levels = levels_all) ?(configs = default_configs)
           (Stop { left; right; left_outcome = a; right_outcome = b; detail })
   in
   let interp_outcomes = ref [] in
+  let args = p.Gen.args in
+  (* One machine image under every engine: the reference interpreter,
+     whose outcome must match [against] exactly; the hooked block engine
+     (full parity with the reference); and the hooks-off block engine
+     (full parity with the hooked run minus its exec profile — sampling
+     is off, so cycles still match bit for bit).  Returns the reference
+     outcome. *)
+  let machine ~left ~against ~label image =
+    incr runs;
+    let o, r = run_sim ~reference:true image ~args in
+    record_cmp ~left ~right:("sim@" ^ label) against o (exact against o);
+    incr runs;
+    let ob, rb = run_sim ~reference:false image ~args in
+    record_cmp ~left:("sim@" ^ label) ~right:("block-sim@" ^ label) o ob
+      (engine_cmp r rb);
+    incr runs;
+    let op, rp = run_sim ~profile:false ~reference:false image ~args in
+    record_cmp ~left:("block-sim@" ^ label) ~right:("plain-sim@" ^ label) ob op
+      (engine_cmp (without_exec_profile rb) rp);
+    o
+  in
   let divergence =
     try
       List.iter
@@ -314,7 +371,6 @@ let check ?(levels = levels_all) ?(configs = default_configs)
                      detail = "generated program rejected: " ^ msg;
                    })
           in
-          let args = p.Gen.args in
           incr runs;
           let oi, ir_result = run_interp c ~args in
           interp_outcomes := (ln, oi) :: !interp_outcomes;
@@ -335,14 +391,9 @@ let check ?(levels = levels_all) ?(configs = default_configs)
                        }))
           | None -> ());
           let baseline = Driver.link_baseline c in
-          incr runs;
-          let os, rs = run_sim ~reference:true baseline ~args in
-          record_cmp ~left:("interp@" ^ ln) ~right:("sim@" ^ ln) oi os
-            (exact oi os);
-          incr runs;
-          let ob, rbk = run_sim ~reference:false baseline ~args in
-          record_cmp ~left:("sim@" ^ ln) ~right:("block-sim@" ^ ln) os ob
-            (engines_agree rs rbk);
+          let os =
+            machine ~left:("interp@" ^ ln) ~against:oi ~label:ln baseline
+          in
           (* Diversified variants must be observationally identical to
              the baseline binary at the same level, for every paper
              config and several independent seeds. *)
@@ -357,18 +408,8 @@ let check ?(levels = levels_all) ?(configs = default_configs)
                 let image, _stats =
                   Driver.diversify_linked c ~config ~profile ~version
                 in
-                incr runs;
-                let od, rd = run_sim ~reference:true image ~args in
-                let right =
-                  Printf.sprintf "sim@%s/%s/v%d" ln cname version
-                in
-                record_cmp ~left:("sim@" ^ ln) ~right os od (exact os od);
-                incr runs;
-                let _odb, rdb = run_sim ~reference:false image ~args in
-                record_cmp ~left:right
-                  ~right:(Printf.sprintf "block-sim@%s/%s/v%d" ln cname version)
-                  od _odb
-                  (engines_agree rd rdb)
+                let label = Printf.sprintf "%s/%s/v%d" ln cname version in
+                ignore (machine ~left:("sim@" ^ ln) ~against:os ~label image)
               done)
             configs)
         levels;

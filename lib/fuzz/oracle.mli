@@ -7,12 +7,12 @@
     - at a fixed level, the interpreter, the baseline binary under the
       simulator, and every diversified binary observe the same behaviour
       (return value, printed output, trap/no-trap);
-    - every machine image (baseline and diversified) executes under both
-      simulator engines — the fetch-decode interpreter and the
-      block-cached engine — which must agree on the full observable
-      tuple: status, output, retired instructions and NOPs, icache
-      misses, cycles bit for bit, the per-offset execution profile, and
-      on a trap the fault message and every partial counter.  Engine
+    - every machine image (baseline and diversified) executes under the
+      fetch-decode interpreter and the block-cached engine with the
+      exec-profile hook on, which must agree on the full observable
+      tuple ({!engine_mismatch}), and under the block engine with every
+      hook off (the path behind {!Sim.run}), which must agree with the
+      hooked block run minus its execution profile.  Engine
       disagreement is always a divergence, never a skip;
     - across levels, halting behaviours agree (optimization may delete
       dead trapping code, so a trap on one level against a halt on
@@ -54,6 +54,18 @@ type report = {
   skips : (string * string) list;  (** (oracle pair, documented reason) *)
   divergence : divergence option;  (** the first divergence, if any *)
 }
+
+val engine_mismatch : Sim.outcome -> Sim.outcome -> string option
+(** The engine-parity rule: [None] when two runs of the same image agree
+    on the full observable tuple — status, output, retired instructions
+    and NOPs, icache misses, cycles bit for bit, the execution profile
+    and the sample profile (element-wise, floats bit for bit), and on a
+    fault the fault message and every partial counter.  Otherwise
+    [Some m], where [m] begins with the first differing field:
+    ["status"], ["output"], ["instructions"], ["nops_retired"],
+    ["icache_misses"], ["cycles"], ["exec_profile..."],
+    ["sample_profile..."], ["fault_msg"], ["partial <field>"] or
+    ["outcome"] (one run finished, the other faulted). *)
 
 val default_configs : (string * Config.t) list
 (** The default config lattice: the five paper NOP configs, each divpass

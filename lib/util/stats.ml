@@ -14,61 +14,10 @@ let geomean = function
       in
       exp (log_sum /. float_of_int (List.length xs))
 
-let geomean_ratio = geomean
-
-let sorted xs = List.sort compare xs
-
 let median xs =
-  match sorted xs with
+  match List.sort compare xs with
   | [] -> nan
   | s ->
       let a = Array.of_list s in
       let n = Array.length a in
       if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-let percentile p xs =
-  match sorted xs with
-  | [] -> nan
-  | s ->
-      let a = Array.of_list s in
-      let n = Array.length a in
-      if n = 1 then a.(0)
-      else
-        let rank = p /. 100.0 *. float_of_int (n - 1) in
-        let lo = int_of_float (Float.floor rank) in
-        let hi = min (lo + 1) (n - 1) in
-        let frac = rank -. float_of_int lo in
-        (a.(lo) *. (1.0 -. frac)) +. (a.(hi) *. frac)
-
-let stddev xs =
-  let n = List.length xs in
-  if n < 2 then 0.0
-  else
-    let m = mean xs in
-    let ss = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs in
-    sqrt (ss /. float_of_int (n - 1))
-
-let min_max = function
-  | [] -> invalid_arg "Stats.min_max: empty list"
-  | x :: rest ->
-      List.fold_left (fun (lo, hi) v -> (min lo v, max hi v)) (x, x) rest
-
-let histogram ~bins xs =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  match xs with
-  | [] -> invalid_arg "Stats.histogram: empty list"
-  | _ ->
-      let lo, hi = min_max xs in
-      let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-      let counts = Array.make bins 0 in
-      List.iter
-        (fun x ->
-          let i = int_of_float ((x -. lo) /. width) in
-          let i = if i >= bins then bins - 1 else if i < 0 then 0 else i in
-          counts.(i) <- counts.(i) + 1)
-        xs;
-      Array.mapi
-        (fun i c ->
-          let blo = lo +. (float_of_int i *. width) in
-          (blo, blo +. width, c))
-        counts

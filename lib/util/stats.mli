@@ -11,26 +11,6 @@ val geomean : float list -> float
 (** Geometric mean of positive values.  [nan] on the empty list; raises
     [Invalid_argument] if any value is non-positive. *)
 
-val geomean_ratio : float list -> float
-(** Geometric mean suited to slowdown factors that may dip slightly below
-    zero overhead: values are ratios (e.g. 1.013 = 1.3% slowdown) and must
-    be positive. Alias of {!geomean} with a clearer call-site name. *)
-
 val median : float list -> float
 (** Median (average of the two central elements for even lengths).  [nan]
     on the empty list. *)
-
-val percentile : float -> float list -> float
-(** [percentile p xs] for [p] in [0;100], nearest-rank with linear
-    interpolation.  [nan] on the empty list. *)
-
-val stddev : float list -> float
-(** Sample standard deviation (n-1 denominator); [0.] for lists shorter
-    than 2. *)
-
-val min_max : float list -> float * float
-(** Smallest and largest element.  Raises [Invalid_argument] on []. *)
-
-val histogram : bins:int -> float list -> (float * float * int) array
-(** [histogram ~bins xs] buckets [xs] into [bins] equal-width bins over
-    [min;max]; each cell is (lo, hi, count).  Raises on [] or [bins <= 0]. *)

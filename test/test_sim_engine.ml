@@ -41,78 +41,10 @@ let result_of what = function
 
 (* ---------------- full-tuple equality ---------------- *)
 
-let bits = Int64.bits_of_float
-
-let check_floats_equal what a b =
-  if bits a <> bits b then
-    Alcotest.failf "%s: %h vs %h (not bit-identical)" what a b
-
-let check_float_array what (a : float array) (b : float array) =
-  Alcotest.(check int) (what ^ " length") (Array.length a) (Array.length b);
-  Array.iteri
-    (fun i x -> check_floats_equal (Printf.sprintf "%s.(%d)" what i) x b.(i))
-    a
-
-let check_exec_profile what (a : Sim.exec_profile option)
-    (b : Sim.exec_profile option) =
-  match (a, b) with
-  | None, None -> ()
-  | Some a, Some b ->
-      Alcotest.(check bool)
-        (what ^ " insn_counts") true
-        (a.Sim.insn_counts = b.Sim.insn_counts);
-      Alcotest.(check bool)
-        (what ^ " nop_counts") true
-        (a.Sim.nop_counts = b.Sim.nop_counts);
-      check_float_array (what ^ " cycle_counts") a.Sim.cycle_counts
-        b.Sim.cycle_counts
-  | _ -> Alcotest.failf "%s: exec_profile presence differs" what
-
-let check_sample_profile what (a : Sim.sample_profile option)
-    (b : Sim.sample_profile option) =
-  match (a, b) with
-  | None, None -> ()
-  | Some a, Some b ->
-      check_floats_equal (what ^ " period") a.Sim.period b.Sim.period;
-      Alcotest.(check bool)
-        (what ^ " sample_counts") true
-        (a.Sim.sample_counts = b.Sim.sample_counts);
-      Alcotest.(check int64)
-        (what ^ " samples_taken") a.Sim.samples_taken b.Sim.samples_taken;
-      check_floats_equal
-        (what ^ " sample_overhead_cycles")
-        a.Sim.sample_overhead_cycles b.Sim.sample_overhead_cycles
-  | _ -> Alcotest.failf "%s: sample_profile presence differs" what
-
-(* Interp result [i] vs block result [b]: everything must match. *)
-let check_results_equal what (i : Sim.result) (b : Sim.result) =
-  Alcotest.(check int32) (what ^ " status") i.Sim.status b.Sim.status;
-  Alcotest.(check string) (what ^ " output") i.Sim.output b.Sim.output;
-  Alcotest.(check int64)
-    (what ^ " instructions") i.Sim.instructions b.Sim.instructions;
-  Alcotest.(check int64)
-    (what ^ " nops_retired") i.Sim.nops_retired b.Sim.nops_retired;
-  Alcotest.(check int64)
-    (what ^ " icache_misses") i.Sim.icache_misses b.Sim.icache_misses;
-  check_floats_equal (what ^ " cycles") i.Sim.cycles b.Sim.cycles;
-  check_exec_profile (what ^ " exec_profile") i.Sim.exec_profile
-    b.Sim.exec_profile;
-  check_sample_profile (what ^ " sample_profile") i.Sim.sample_profile
-    b.Sim.sample_profile
-
-let check_outcomes_equal what (i : Sim.outcome) (b : Sim.outcome) =
-  match (i, b) with
-  | Sim.Finished ri, Sim.Finished rb -> check_results_equal what ri rb
-  | Sim.Faulted fi, Sim.Faulted fb ->
-      Alcotest.(check string)
-        (what ^ " fault message") fi.fault_msg fb.fault_msg;
-      check_results_equal (what ^ " partial") fi.partial fb.partial
-  | Sim.Finished _, Sim.Faulted f ->
-      Alcotest.failf "%s: block engine faulted (%s), interp finished" what
-        f.fault_msg
-  | Sim.Faulted f, Sim.Finished _ ->
-      Alcotest.failf "%s: interp faulted (%s), block engine finished" what
-        f.fault_msg
+(* Interp outcome [i] vs block outcome [b]: everything must match
+   (Oracle.engine_mismatch is the one parity rule). *)
+let check_parity what (i : Sim.outcome) (b : Sim.outcome) =
+  Option.iter (Alcotest.failf "%s: %s" what) (Oracle.engine_mismatch i b)
 
 (* ---------------- the workload equivalence grid ---------------- *)
 
@@ -144,7 +76,7 @@ let test_workload_grid (w : Workload.t) () =
       in
       let ri = run ~reference:true in
       let rb = run ~reference:false in
-      check_results_equal what ri rb;
+      check_parity what (Sim.Finished ri) (Sim.Finished rb);
       (* The production recording built from each run must also be
          byte-identical — the whole PGO loop sits on top of it. *)
       let sprof r =
@@ -187,7 +119,7 @@ let corpus_trap_parity run () =
           let oi = run ~reference:true image ~args in
           let ob = run ~reference:false image ~args in
           (match oi with Sim.Faulted _ -> incr faulted | _ -> ());
-          check_outcomes_equal
+          check_parity
             (Printf.sprintf "%s@%s" file (Oracle.level_name level))
             oi ob)
         [ Pipeline.O0; Pipeline.O2 ])
@@ -227,7 +159,7 @@ let test_fuel_exhaustion_parity () =
   in
   let oi = run ~reference:true in
   let ob = run ~reference:false in
-  check_outcomes_equal "fuel exhaustion" oi ob;
+  check_parity "fuel exhaustion" oi ob;
   match oi with
   | Sim.Faulted { fault_msg; partial } ->
       Alcotest.(check string) "fuel fault message" "fuel exhausted" fault_msg;
@@ -255,7 +187,7 @@ let test_fuel_sweep_parity () =
             ~args:w.Workload.train_args
         in
         let oi = run ~reference:true in
-        check_outcomes_equal
+        check_parity
           (Printf.sprintf "fuel %Ld profile %b" fuel profile)
           oi (run ~reference:false);
         match oi with
@@ -312,7 +244,7 @@ let test_fuel_sweep_whole_program () =
         let what =
           Printf.sprintf "fuel %d sampled %b" k (Option.is_some sample_period)
         in
-        check_outcomes_equal what oi (run ~reference:false);
+        check_parity what oi (run ~reference:false);
         match oi with
         | Sim.Faulted { fault_msg = "fuel exhausted"; partial }
           when Int64.compare fuel need < 0 ->
@@ -376,7 +308,7 @@ let test_run_at_parity () =
         run_at_outcome ~reference ~fuel:50_000L
           ~stack_image:[ 0x20l; 0x40l; 0x60l ] baseline ~start_offset
       in
-      check_outcomes_equal
+      check_parity
         (Printf.sprintf "run_at offset %d" start_offset)
         (run ~reference:true) (run ~reference:false))
     offsets
@@ -392,7 +324,7 @@ let test_run_at_window_parity () =
       run_at_outcome ~reference ~fuel:5_000L
         ~stack_image:[ 0x20l; 0x40l; 0x60l ] baseline ~start_offset
     in
-    check_outcomes_equal
+    check_parity
       (Printf.sprintf "run_at offset %d" start_offset)
       (run ~reference:true) (run ~reference:false)
   done
@@ -418,7 +350,7 @@ let test_cold_cache_entry_order () =
           ~stack_image:[ 0x20l; 0x40l; 0x60l ] image ~start_offset
       in
       let ob = run ~reference:false in
-      check_outcomes_equal
+      check_parity
         (Printf.sprintf "%s: run_at offset %d" pass start_offset)
         (run ~reference:true) ob
     done
@@ -428,7 +360,7 @@ let test_cold_cache_entry_order () =
     run_outcome ~reference image ~args:w.Workload.train_args
   in
   let ob = run ~reference:false in
-  check_outcomes_equal "full run after window" (run ~reference:true) ob;
+  check_parity "full run after window" (run ~reference:true) ob;
   window "warm window"
 
 (* Hooked and plain runs take turns on one cache: profile, plain,
@@ -447,7 +379,7 @@ let test_hooks_interleaved () =
           ~args:w.Workload.train_args
       in
       let ob = run ~reference:false in
-      check_outcomes_equal
+      check_parity
         (Printf.sprintf "run %d (%s)" k label)
         (run ~reference:true) ob)
     [
@@ -456,6 +388,103 @@ let test_hooks_interleaved () =
       ("sampled", false, Some sample_period);
       ("plain", false, None);
       ("profile", true, None);
+    ]
+
+(* ---------------- the parity rule itself ---------------- *)
+
+(* Oracle.engine_mismatch on a real run with both profiles: perturbing
+   any one field of the tuple is reported under that field's name, and
+   equal outcomes (the same run, or a second run of the same image)
+   agree. *)
+let test_parity_rule_fields () =
+  let image =
+    Driver.link_baseline (Driver.compile ~name:"fuel-sweep" fuel_sweep_src)
+  in
+  let run () = Sim.run ~profile:true ~sample_period:11 image ~args:[] in
+  let r = run () in
+  let ep = Option.get r.Sim.exec_profile in
+  let sp = Option.get r.Sim.sample_profile in
+  let bump a =
+    let a = Array.copy a in
+    a.(0) <- Int64.succ a.(0);
+    a
+  in
+  let fin r = Sim.Finished r in
+  let fault ?(msg = "fuel exhausted") partial =
+    Sim.Faulted { fault_msg = msg; partial }
+  in
+  let exec e = fin { r with Sim.exec_profile = Some e } in
+  let sample s = fin { r with Sim.sample_profile = Some s } in
+  let agree what a b =
+    Alcotest.(check (option string)) what None (Oracle.engine_mismatch a b)
+  in
+  agree "same run" (fin r) (fin r);
+  agree "second run" (fin r) (fin (run ()));
+  agree "same fault" (fault r) (fault (run ()));
+  List.iter
+    (fun (field, a, b) ->
+      match Oracle.engine_mismatch a b with
+      | None -> Alcotest.failf "%s: perturbation not reported" field
+      | Some m ->
+          if not (String.starts_with ~prefix:(field ^ " ") (m ^ " ")) then
+            Alcotest.failf "%s: reported as %S" field m)
+    [
+      ("status", fin r, fin { r with Sim.status = Int32.succ r.Sim.status });
+      ("output", fin r, fin { r with Sim.output = r.Sim.output ^ "!" });
+      ( "instructions",
+        fin r,
+        fin { r with Sim.instructions = Int64.succ r.Sim.instructions } );
+      ( "nops_retired",
+        fin r,
+        fin { r with Sim.nops_retired = Int64.succ r.Sim.nops_retired } );
+      ( "icache_misses",
+        fin r,
+        fin { r with Sim.icache_misses = Int64.succ r.Sim.icache_misses } );
+      ("cycles", fin r, fin { r with Sim.cycles = Float.succ r.Sim.cycles });
+      ("exec_profile presence", fin r, fin { r with Sim.exec_profile = None });
+      ( "exec_profile.insn_counts",
+        fin r,
+        exec { ep with Sim.insn_counts = bump ep.Sim.insn_counts } );
+      ( "exec_profile.nop_counts",
+        fin r,
+        exec { ep with Sim.nop_counts = bump ep.Sim.nop_counts } );
+      ( "exec_profile.cycle_counts",
+        fin r,
+        exec
+          {
+            ep with
+            Sim.cycle_counts =
+              Array.mapi
+                (fun i c -> if i = 0 then Float.succ c else c)
+                ep.Sim.cycle_counts;
+          } );
+      ( "sample_profile presence",
+        fin r,
+        fin { r with Sim.sample_profile = None } );
+      ( "sample_profile.period",
+        fin r,
+        sample { sp with Sim.period = Float.succ sp.Sim.period } );
+      ( "sample_profile.sample_counts",
+        fin r,
+        sample { sp with Sim.sample_counts = bump sp.Sim.sample_counts } );
+      ( "sample_profile.samples_taken",
+        fin r,
+        sample { sp with Sim.samples_taken = Int64.succ sp.Sim.samples_taken }
+      );
+      ( "sample_profile.sample_overhead_cycles",
+        fin r,
+        sample
+          {
+            sp with
+            Sim.sample_overhead_cycles =
+              Float.succ sp.Sim.sample_overhead_cycles;
+          } );
+      ("fault_msg", fault r, fault ~msg:"division error" r);
+      ( "partial cycles",
+        fault r,
+        fault { r with Sim.cycles = Float.succ r.Sim.cycles } );
+      ("outcome", fin r, fault r);
+      ("outcome", fault r, fin r);
     ]
 
 (* ---------------- call r/m reads its target first ---------------- *)
@@ -486,7 +515,7 @@ let test_call_rm_target_first () =
       run_at_outcome ~reference ~fuel:100L ~stack_image image ~start_offset:0
     in
     let oi = run ~reference:true in
-    check_outcomes_equal "engines agree" oi (run ~reference:false);
+    check_parity "engines agree" oi (run ~reference:false);
     oi
   in
   (* call [esp] | hlt | mov eax,7 | hlt *)
@@ -531,7 +560,7 @@ let test_block_rerun_deterministic () =
   let run () =
     Sim.run ~profile:true ~sample_period baseline ~args:w.Workload.train_args
   in
-  check_results_equal "block re-run" (run ()) (run ())
+  check_parity "block re-run" (Sim.Finished (run ())) (Sim.Finished (run ()))
 
 (* ---------------- sim.* metrics recorded once, identically ------- *)
 
@@ -553,7 +582,8 @@ let sim_metric_delta f =
   let c0 = counters () and h0 = List.length (overheads ()) in
   ignore (f ());
   ( List.combine sim_counters (List.map2 Int64.sub (counters ()) c0),
-    List.filteri (fun i _ -> i >= h0) (overheads ()) |> List.map bits )
+    List.filteri (fun i _ -> i >= h0) (overheads ())
+    |> List.map Int64.bits_of_float )
 
 let check_delta what (counters, overheads) (counters', overheads') =
   Alcotest.(check (list (pair string int64)))
@@ -621,6 +651,8 @@ let suite =
         Alcotest.test_case "block re-run deterministic" `Quick
           test_block_rerun_deterministic;
         Alcotest.test_case "sim metrics parity" `Quick test_metrics_parity;
+        Alcotest.test_case "parity rule names each field" `Quick
+          test_parity_rule_fields;
       ] );
     ( "sim_engine.grid",
       List.map

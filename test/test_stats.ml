@@ -17,37 +17,6 @@ let test_median () =
   Alcotest.check feq "even" 2.5 (Stats.median [ 4.0; 1.0; 2.0; 3.0 ]);
   Alcotest.(check bool) "empty is nan" true (Float.is_nan (Stats.median []))
 
-let test_percentile () =
-  let xs = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
-  Alcotest.check feq "p0" 1.0 (Stats.percentile 0.0 xs);
-  Alcotest.check feq "p50" 3.0 (Stats.percentile 50.0 xs);
-  Alcotest.check feq "p100" 5.0 (Stats.percentile 100.0 xs);
-  Alcotest.check feq "p25 interpolates" 2.0 (Stats.percentile 25.0 xs);
-  Alcotest.check feq "singleton" 7.0 (Stats.percentile 90.0 [ 7.0 ])
-
-let test_stddev () =
-  Alcotest.check feq "known value" 2.0
-    (Stats.stddev [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] *. sqrt (7.0 /. 8.0));
-  Alcotest.check feq "short list" 0.0 (Stats.stddev [ 42.0 ])
-
-let test_min_max () =
-  let lo, hi = Stats.min_max [ 3.0; -1.0; 7.0 ] in
-  Alcotest.check feq "min" (-1.0) lo;
-  Alcotest.check feq "max" 7.0 hi
-
-let test_histogram () =
-  let h = Stats.histogram ~bins:2 [ 0.0; 1.0; 2.0; 3.0 ] in
-  Alcotest.(check int) "two bins" 2 (Array.length h);
-  let _, _, c0 = h.(0) and _, _, c1 = h.(1) in
-  Alcotest.(check int) "total preserved" 4 (c0 + c1);
-  Alcotest.(check int) "low bin" 2 c0
-
-let test_histogram_constant () =
-  (* All-equal input must not divide by zero. *)
-  let h = Stats.histogram ~bins:3 [ 5.0; 5.0; 5.0 ] in
-  let total = Array.fold_left (fun acc (_, _, c) -> acc + c) 0 h in
-  Alcotest.(check int) "total preserved" 3 total
-
 let suite =
   [
     ( "stats",
@@ -55,10 +24,5 @@ let suite =
         Alcotest.test_case "mean" `Quick test_mean;
         Alcotest.test_case "geomean" `Quick test_geomean;
         Alcotest.test_case "median" `Quick test_median;
-        Alcotest.test_case "percentile" `Quick test_percentile;
-        Alcotest.test_case "stddev" `Quick test_stddev;
-        Alcotest.test_case "min_max" `Quick test_min_max;
-        Alcotest.test_case "histogram" `Quick test_histogram;
-        Alcotest.test_case "histogram constant" `Quick test_histogram_constant;
       ] );
   ]
