@@ -12,9 +12,9 @@
 
 let subset = [ "429.mcf"; "433.milc"; "456.hmmer"; "482.sphinx3"; "470.lbm" ]
 
-let overhead p variant =
-  let w = p.Suite.workload in
-  let base = Driver.run_image p.Suite.baseline ~args:w.ref_args in
+(* [base] is the workload's baseline ref run, made once and shared by
+   every variant. *)
+let overhead (p, base) variant =
   let sum =
     Suite.fold_versions ~experiment:"ablation" p ~base variant ~init:0.0
       (fun sum _ r -> sum +. r.Sim.cycles)
@@ -102,14 +102,19 @@ let run () =
   Format.printf "%-20s" "Variant";
   List.iter (fun b -> Format.printf "%13s" b) subset;
   Format.printf "@.";
+  let cells =
+    List.map
+      (fun bname ->
+        let p = Suite.prepared (Workloads.find bname) in
+        (p, Driver.run_image p.Suite.baseline ~args:p.Suite.workload.ref_args))
+      subset
+  in
   List.iter
     (fun ((vname, _) as variant) ->
       Format.printf "%-20s" vname;
       List.iter
-        (fun bname ->
-          let p = Suite.prepared (Workloads.find bname) in
-          Format.printf "%12.2f%%" (overhead p variant))
-        subset;
+        (fun cell -> Format.printf "%12.2f%%" (overhead cell variant))
+        cells;
       Format.printf "@.")
     variants;
   Format.printf

@@ -69,6 +69,13 @@ let tests () =
     Test.make ~name:"figure4.simulate-ref"
       (Staged.stage (fun () ->
            ignore (Driver.run_image p.baseline ~args:w.ref_args)));
+    (* The same run with the profile and sample hooks on: the hooked
+       step family behind telemetry's attribution and the PGO record. *)
+    Test.make ~name:"figure4.simulate-ref-hooked"
+      (Staged.stage (fun () ->
+           ignore
+             (Driver.run_image p.baseline ~profile:true
+                ~sample_period:Sim.default_sample_period ~args:w.ref_args)));
     (* Table 2: one Survivor comparison. *)
     Test.make ~name:"table2.survivor-compare"
       (Staged.stage (fun () ->

@@ -135,10 +135,6 @@ let train c ~args =
   Trace.with_span "train" ~args:[ ("program", c.name) ] (fun () ->
       Profile.collect c.modul ~entry:"main" ~args)
 
-let train_many c ~args_list =
-  Trace.with_span "train" ~args:[ ("program", c.name) ] (fun () ->
-      Profile.collect_many c.modul ~entry:"main" ~args_list)
-
 let train_cached c ~args =
   let key =
     c.cache_key ^ "|" ^ String.concat "," (List.map Int32.to_string args)

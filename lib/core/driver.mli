@@ -67,9 +67,6 @@ val train : compiled -> args:int32 list -> Profile.t
 val train_cached : compiled -> args:int32 list -> Profile.t
 (** Like {!train}, memoized on the compilation's cache key and [args]. *)
 
-val train_many : compiled -> args_list:int32 list list -> Profile.t
-(** Accumulated profile over several training inputs. *)
-
 val link_baseline : compiled -> Link.image
 (** The undiversified binary. *)
 

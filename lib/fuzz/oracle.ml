@@ -132,8 +132,9 @@ let run_interp (c : Driver.compiled) ~args =
       (Trapped { cls = classify msg; msg }, None)
 
 (* [~profile:false] is the hooks-off block engine: the step family
-   behind every [Sim.run] of the overhead figures and psdbench, with its
-   inline fast paths and mid-run probe elision. *)
+   behind every [Sim.run] of the overhead figures and psdbench, whose
+   steps are the hooked family's cores without the hooks wrapper, with
+   mid-run probe elision. *)
 let run_sim ?(profile = true) ~reference image ~args =
   let run = if reference then Sim.Reference.run_outcome else Sim.run_outcome in
   match run ~fuel:sim_fuel ~profile image ~args with

@@ -8,32 +8,7 @@ let of_block_counts counts = { counts = Hashtbl.copy counts }
 let collect ?fuel m ~entry ~args =
   { counts = (Interp.run ?fuel m ~entry ~args).Interp.counts.blocks }
 
-let add counts k v =
-  let old = Option.value (Hashtbl.find_opt counts k) ~default:0L in
-  Hashtbl.replace counts k (Int64.add old v)
-
-let merge ?(weight = 1.0) a b =
-  if weight < 0.0 then invalid_arg "Profile.merge: negative weight";
-  let scale v =
-    if weight = 1.0 then v
-    else Int64.of_float (Float.round (weight *. Int64.to_float v))
-  in
-  let counts = Hashtbl.copy a.counts in
-  Hashtbl.iter
-    (fun k v ->
-      let v = scale v in
-      if Int64.compare v 0L > 0 then add counts k v)
-    b.counts;
-  { counts }
-
 let fold f t acc = Hashtbl.fold (fun k v acc -> f k v acc) t.counts acc
-
-let collect_many ?fuel m ~entry ~args_list =
-  let counts = Hashtbl.create 64 in
-  List.iter
-    (fun args -> Hashtbl.iter (add counts) (collect ?fuel m ~entry ~args).counts)
-    args_list;
-  { counts }
 
 let block_count t ~func label =
   Option.value (Hashtbl.find_opt t.counts (func, label)) ~default:0L

@@ -18,11 +18,6 @@ val collect :
 (** Run the instrumented program on a training input and collect block
     counts — the profiling run of the paper's §3.1. *)
 
-val collect_many :
-  ?fuel:int64 -> Ir.modul -> entry:string -> args_list:int32 list list -> t
-(** Accumulate over several training inputs (the PHP experiment profiles
-    seven different workloads). *)
-
 val block_count : t -> func:string -> Ir.label -> int64
 (** 0 for blocks never seen — missing profile data means cold. *)
 
@@ -32,15 +27,6 @@ val max_count : t -> int64
 
 val max_count_func : t -> string -> int64
 (** The largest count within one function. *)
-
-val merge : ?weight:float -> t -> t -> t
-(** Pointwise sum.  [weight] (default 1) scales the {e second} profile's
-    counts before adding — the cross-run weighting the sampled-profile
-    pipeline uses when some recordings should count for more (longer
-    runs, more trusted workloads).  Scaled counts are rounded to the
-    nearest integer; entries that round to zero are dropped (below the
-    profile's resolution).  Raises [Invalid_argument] on a negative
-    weight. *)
 
 val fold : (string * Ir.label -> int64 -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over every (function, block) count, in unspecified order. *)

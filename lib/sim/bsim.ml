@@ -14,6 +14,15 @@
    register file and data memory are untagged native-[int] arrays
    (sign-extended 32-bit canonical form), so executing allocates nothing.
 
+   One step builder serves both families of steps.  It matches the
+   instruction once and builds its *core* — the static transfer, the
+   inline shape or the [compile] fallback — which counts the instruction
+   retired, charges its cost and runs it.  A plain step is its core,
+   wrapped only where the offset needs a probe or a NOP count.  A hooked
+   step (profile or sample hook on) is the same core, built at cost 0,
+   inside [hooks], which makes both probes, counts the NOP, charges the
+   cost and runs the hooks first.
+
    A *run* starts at an entry offset and ends at its first control-flow
    instruction (inclusive), or at the last decodable instruction before
    an undecodable offset or the end of text.  Runs entered at different
@@ -482,8 +491,8 @@ let compile ~off ~len (i : Insn.t) : st -> unit =
 
 (* ------------------------------------------------------------------ *)
 (* The cache: the decode memo plus two families of lazily built steps
-   and run entries, one without hooks and one with the profile and
-   sample hooks built in.                                              *)
+   and run entries, one without hooks and one whose steps wrap the same
+   cores in the profile and sample hooks.                              *)
 
 type family = {
   hooks : bool;
@@ -571,7 +580,7 @@ let fuel_trap c off : st -> unit =
 (* ------------------------------------------------------------------ *)
 (* Step building.                                                      *)
 
-(* A hooks-off step that falls through: the hot operand shapes from the
+(* A step's core that falls through: the hot operand shapes from the
    dynamic instruction mix run inline, the rest through [compile]. *)
 let plain_op ~cost ~next ~off ~len (i : Insn.t) : st -> unit =
   match i with
@@ -675,58 +684,46 @@ let plain_op ~cost ~next ~off ~len (i : Insn.t) : st -> unit =
         op st;
         next st
 
-(* A hooks-on retirement: every probe, count and hook in the
-   interpreter's order, profile cycles measured from before the probes.
+(* The profile and sample hooks around a hooked step's core, which is
+   built at cost 0: every probe, the NOP count, the cost and the hooks
+   in the interpreter's order, profile cycles measured from before the
+   probes; the core then counts the instruction retired and runs it.
    The first-byte probe is always made, so a hooked step is also its
    run's entry. *)
-let[@inline] retire_hooked st ~off ~cost ~nop ~pen ~sample_cost ~l1 ~t1 ~l2
-    ~t2 =
-  let cy = st.cy in
-  let c0 = Array.unsafe_get cy 0 in
-  probe st pen l1 t1;
-  if l2 >= 0 then probe st pen l2 t2;
-  st.insns <- st.insns + 1;
-  if nop then st.nops <- st.nops + 1;
-  Array.unsafe_set cy 0 (Array.unsafe_get cy 0 +. cost);
-  (match st.prof with
-  | None -> ()
-  | Some pr ->
-      Array.unsafe_set pr.p_insn off (Array.unsafe_get pr.p_insn off + 1);
-      if nop then
-        Array.unsafe_set pr.p_nop off (Array.unsafe_get pr.p_nop off + 1);
-      Array.unsafe_set pr.p_cyc off
-        (Array.unsafe_get pr.p_cyc off +. (Array.unsafe_get cy 0 -. c0)));
-  match st.samp with
-  | None -> ()
-  | Some s ->
-      let c = Array.unsafe_get cy 0 in
-      let nf = s.s_nf in
-      if c >= Array.unsafe_get nf 0 then begin
-        let due = 1 + int_of_float ((c -. Array.unsafe_get nf 0) /. s.sp) in
-        Array.unsafe_set s.s_counts off (Array.unsafe_get s.s_counts off + due);
-        s.s_taken <- s.s_taken + due;
-        Array.unsafe_set nf 0
-          (Array.unsafe_get nf 0 +. (float_of_int due *. s.sp));
-        let cost = float_of_int due *. sample_cost in
-        Array.unsafe_set nf 1 (Array.unsafe_get nf 1 +. cost);
-        Array.unsafe_set cy 0 (c +. cost)
-      end
-
-(* A hooks-on step: the hooked retirement, then [op] and, unless [op]
-   transfers control, [next]. *)
-let hooked_step c ~off ~cost ~nop ~l1 ~t1 ~l2 ~t2 ~op ~next : st -> unit =
+let hooks c ~off ~cost ~nop ~l1 ~t1 ~l2 ~t2 (core : st -> unit) : st -> unit =
   let pen = c.model.Timing.icache_miss_penalty
   and sample_cost = c.model.Timing.sample_cost in
-  match next with
-  | None ->
-      fun st ->
-        retire_hooked st ~off ~cost ~nop ~pen ~sample_cost ~l1 ~t1 ~l2 ~t2;
-        op st
-  | Some next ->
-      fun st ->
-        retire_hooked st ~off ~cost ~nop ~pen ~sample_cost ~l1 ~t1 ~l2 ~t2;
-        op st;
-        next st
+  fun st ->
+    let cy = st.cy in
+    let c0 = Array.unsafe_get cy 0 in
+    probe st pen l1 t1;
+    if l2 >= 0 then probe st pen l2 t2;
+    if nop then st.nops <- st.nops + 1;
+    Array.unsafe_set cy 0 (Array.unsafe_get cy 0 +. cost);
+    (match st.prof with
+    | None -> ()
+    | Some pr ->
+        Array.unsafe_set pr.p_insn off (Array.unsafe_get pr.p_insn off + 1);
+        if nop then
+          Array.unsafe_set pr.p_nop off (Array.unsafe_get pr.p_nop off + 1);
+        Array.unsafe_set pr.p_cyc off
+          (Array.unsafe_get pr.p_cyc off +. (Array.unsafe_get cy 0 -. c0)));
+    (match st.samp with
+    | None -> ()
+    | Some s ->
+        let c = Array.unsafe_get cy 0 in
+        let nf = s.s_nf in
+        if c >= Array.unsafe_get nf 0 then begin
+          let due = 1 + int_of_float ((c -. Array.unsafe_get nf 0) /. s.sp) in
+          Array.unsafe_set s.s_counts off (Array.unsafe_get s.s_counts off + due);
+          s.s_taken <- s.s_taken + due;
+          Array.unsafe_set nf 0
+            (Array.unsafe_get nf 0 +. (float_of_int due *. s.sp));
+          let cost = float_of_int due *. sample_cost in
+          Array.unsafe_set nf 1 (Array.unsafe_get nf 1 +. cost);
+          Array.unsafe_set cy 0 (c +. cost)
+        end);
+    core st
 
 (* The step for the instruction at [off], continuing into [next] unless
    it transfers control.  [link c fam target] is the lazily resolved
@@ -734,7 +731,10 @@ let hooked_step c ~off ~cost ~nop ~l1 ~t1 ~l2 ~t2 ~op ~next : st -> unit =
 let rec build_step c fam ~off ~(next : st -> unit) : st -> unit =
   let i, len = insn_at c off in
   let m = c.model in
-  let cost = Timing.insn_cost m i and nop = Nops.is_candidate i in
+  let insn_cost = Timing.insn_cost m i and nop = Nops.is_candidate i in
+  (* A hooked core charges nothing: [hooks] charges the cost before the
+     profile and sample hooks read the cycle count. *)
+  let cost = if fam.hooks then 0.0 else insn_cost in
   let l1, t1, l2, t2 = lines m ~off ~len in
   let pen = m.Timing.icache_miss_penalty in
   let tlen = String.length c.text in
@@ -753,82 +753,51 @@ let rec build_step c fam ~off ~(next : st -> unit) : st -> unit =
     | Insn.Call_rel d -> `Call (Int32.to_int d)
     | _ -> `None
   in
-  if fam.hooks then
-    let op, next =
-      match transfer with
-      | `Jcc (cc, d) -> (
-          let cond = compile_cond cc and ft = link c fam nx in
-          match static_target d with
-          | None ->
-              ( (fun st ->
-                  if cond st then fault "jump outside text" else ft.go st),
-                None )
-          | Some tk -> ((fun st -> if cond st then tk.go st else ft.go st), None))
-      | `Jmp d -> (
-          match static_target d with
-          | None -> ((fun _ -> fault "jump outside text"), None)
-          | Some tk -> ((fun st -> tk.go st), None))
-      | `Call d -> (
-          let ret_va = sext32 (text_base_i + nx) in
-          match static_target d with
-          | None ->
-              ( (fun st ->
-                  push st ret_va;
-                  fault "call outside text"),
-                None )
-          | Some tk ->
-              ( (fun st ->
-                  push st ret_va;
-                  tk.go st),
-                None ))
-      | `None when Insn.is_control_flow i -> (compile ~off ~len i, None)
-      | `None -> (compile ~off ~len i, Some next)
-    in
-    hooked_step c ~off ~cost ~nop ~l1 ~t1 ~l2 ~t2 ~op ~next
+  let core =
+    match transfer with
+    | `Jcc (cc, d) -> (
+        let cond = compile_cond cc and ft = link c fam nx in
+        match static_target d with
+        | None ->
+            fun st ->
+              retire st cost;
+              if cond st then fault "jump outside text" else ft.go st
+        | Some tk ->
+            fun st ->
+              retire st cost;
+              if cond st then tk.go st else ft.go st)
+    | `Jmp d -> (
+        match static_target d with
+        | None ->
+            fun st ->
+              retire st cost;
+              fault "jump outside text"
+        | Some tk ->
+            fun st ->
+              retire st cost;
+              tk.go st)
+    | `Call d -> (
+        let ret_va = sext32 (text_base_i + nx) in
+        match static_target d with
+        | None ->
+            fun st ->
+              retire st cost;
+              push st ret_va;
+              fault "call outside text"
+        | Some tk ->
+            fun st ->
+              retire st cost;
+              push st ret_va;
+              tk.go st)
+    | `None when Insn.is_control_flow i ->
+        let op = compile ~off ~len i in
+        fun st ->
+          retire st cost;
+          op st
+    | `None -> plain_op ~cost ~next ~off ~len i
+  in
+  if fam.hooks then hooks c ~off ~cost:insn_cost ~nop ~l1 ~t1 ~l2 ~t2 core
   else
-    let core =
-      match transfer with
-      | `Jcc (cc, d) -> (
-          let cond = compile_cond cc and ft = link c fam nx in
-          match static_target d with
-          | None ->
-              fun st ->
-                retire st cost;
-                if cond st then fault "jump outside text" else ft.go st
-          | Some tk ->
-              fun st ->
-                retire st cost;
-                if cond st then tk.go st else ft.go st)
-      | `Jmp d -> (
-          match static_target d with
-          | None ->
-              fun st ->
-                retire st cost;
-                fault "jump outside text"
-          | Some tk ->
-              fun st ->
-                retire st cost;
-                tk.go st)
-      | `Call d -> (
-          let ret_va = sext32 (text_base_i + nx) in
-          match static_target d with
-          | None ->
-              fun st ->
-                retire st cost;
-                push st ret_va;
-                fault "call outside text"
-          | Some tk ->
-              fun st ->
-                retire st cost;
-                push st ret_va;
-                tk.go st)
-      | `None when Insn.is_control_flow i ->
-          let op = compile ~off ~len i in
-          fun st ->
-            retire st cost;
-            op st
-      | `None -> plain_op ~cost ~next ~off ~len i
-    in
     (* The rare static facts wrap the core: the first-byte probe only at
        a line start (mid-run, the previous instruction's last byte was
        on the same line otherwise), the last-byte probe only when the

@@ -20,8 +20,11 @@
     A run closed by [jcc], [jmp rel] or [call rel] tail-calls the entry
     of its successor run directly; every other transfer goes back to a
     dispatch loop, which makes the fetch-bounds and decodability checks.
-    Runs with the profile or sample hooks on use a second family of
-    steps with the hooks built in, so hook-free steps test for none.
+    One step builder makes every step: it matches the instruction once
+    and builds its core (static transfer, inline shape or general
+    operation).  Runs with the profile or sample hooks on use a second
+    family of steps, the same cores inside one wrapper that makes the
+    probes and runs the hooks, so hook-free steps test for none.
     Every step updates the retired, NOP, miss and cycle counters in the
     machine state itself, so the partial counters of a faulting run are
     exact.

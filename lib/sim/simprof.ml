@@ -35,9 +35,9 @@ let floor_find a off =
   in
   go 0 (n - 1) None
 
-(* The image's layout, as binary-searchable tables: symbols sorted by
-   offset, and each function's block-offset table. *)
-let layout_tables (image : Link.image) =
+(* The image's layout as binary-searchable tables (symbols sorted by
+   offset, and each function's block-offset table), behind a lookup. *)
+let locator (image : Link.image) =
   let syms =
     let a = Array.of_list image.symbols in
     Array.sort (fun (_, a) (_, b) -> compare a b) a;
@@ -53,26 +53,36 @@ let layout_tables (image : Link.image) =
       image.block_offsets;
     tbl
   in
-  (syms, blocks_of)
+  fun off ->
+    let fname =
+      match floor_find syms off with Some (_, f) -> f | None -> "?"
+    in
+    let label =
+      match Hashtbl.find_opt blocks_of fname with
+      | None -> -1
+      | Some a -> (
+          match floor_find a off with Some (_, l) -> l | None -> -1)
+    in
+    (fname, label, off < image.user_start)
 
 let of_exec (image : Link.image) (p : Sim.exec_profile) =
-  let syms, blocks_of = layout_tables image in
+  let locate = locator image in
   (* One accumulator per function, block table inside. *)
   let accs = Hashtbl.create 16 in
-  let func_of_offset off =
-    match floor_find syms off with
-    | Some (fo, fname) -> (fo, fname)
-    | None -> (0, "?")  (* unreachable: offset 0 is the entry stub *)
-  in
   let n = Array.length p.insn_counts in
   for off = 0 to n - 1 do
     let c = p.insn_counts.(off) in
     if Int64.compare c 0L > 0 then begin
-      let fo, fname = func_of_offset off in
+      let fname, label, _ = locate off in
       let facc =
         match Hashtbl.find_opt accs fname with
         | Some a -> a
         | None ->
+            (* "?" (no symbol at or below [off]) is unreachable: offset 0
+               is the entry stub. *)
+            let fo =
+              Option.value (List.assoc_opt fname image.symbols) ~default:0
+            in
             let a = (ref 0L, ref 0L, ref 0.0, Hashtbl.create 8, fo) in
             Hashtbl.replace accs fname a;
             a
@@ -81,12 +91,6 @@ let of_exec (image : Link.image) (p : Sim.exec_profile) =
       fi := Int64.add !fi c;
       fn := Int64.add !fn p.nop_counts.(off);
       fc := !fc +. p.cycle_counts.(off);
-      let label =
-        match Hashtbl.find_opt blocks_of fname with
-        | None -> -1
-        | Some a -> (
-            match floor_find a off with Some (_, l) -> l | None -> -1)
-      in
       let bi, bn, bc =
         match Hashtbl.find_opt blocks label with
         | Some b -> b
@@ -154,20 +158,6 @@ let of_result image (r : Sim.result) =
   match r.exec_profile with
   | Some p -> of_exec image p
   | None -> invalid_arg "Simprof.of_result: run was not profiled"
-
-let locator (image : Link.image) =
-  let syms, blocks_of = layout_tables image in
-  fun off ->
-    let fname =
-      match floor_find syms off with Some (_, f) -> f | None -> "?"
-    in
-    let label =
-      match Hashtbl.find_opt blocks_of fname with
-      | None -> -1
-      | Some a -> (
-          match floor_find a off with Some (_, l) -> l | None -> -1)
-    in
-    (fname, label, off < image.user_start)
 
 let pct part total =
   if Int64.compare total 0L = 0 then 0.0

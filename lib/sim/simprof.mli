@@ -56,8 +56,9 @@ val locator : Link.image -> int -> string * Ir.label * bool
     total function from text offset to (function, block label,
     in-runtime).  Offsets before the first block label of their function
     map to label [-1]; offsets outside any symbol map to ["?"].  This is
-    the back-mapping primitive {!Sprof} uses to attribute PC samples
-    taken on a {e diversified} binary: the image's [block_offsets]
+    the one back-mapping primitive: {!of_exec} attributes counts through
+    it, and {!Sprof} uses it to attribute PC samples taken on a
+    {e diversified} binary: the image's [block_offsets]
     describe the diversified layout, so the mapping is NOP-aware by
     construction. *)
 

@@ -32,18 +32,6 @@ let test_collect_counts () =
   Alcotest.(check int64) "unknown block is cold" 0L
     (Profile.block_count profile ~func:"work" 999)
 
-let test_merge_and_many () =
-  let c = compile loop_src in
-  let p1 = Driver.train c ~args:[ 5l ] in
-  let p2 = Driver.train c ~args:[ 7l ] in
-  let merged = Profile.merge p1 p2 in
-  let both = Driver.train_many c ~args_list:[ [ 5l ]; [ 7l ] ] in
-  Alcotest.(check string) "merge equals accumulate" (Profile.to_string merged)
-    (Profile.to_string both);
-  Alcotest.(check bool)
-    "merged max grows" true
-    (Profile.max_count merged >= Profile.max_count p1)
-
 let test_serialization_roundtrip () =
   let c = compile loop_src in
   let p = Driver.train c ~args:[ 9l ] in
@@ -204,7 +192,6 @@ let suite =
     ( "profile.counts",
       [
         Alcotest.test_case "collect" `Quick test_collect_counts;
-        Alcotest.test_case "merge" `Quick test_merge_and_many;
         Alcotest.test_case "serialization roundtrip" `Quick
           test_serialization_roundtrip;
         Alcotest.test_case "serialization errors" `Quick

@@ -535,6 +535,57 @@ let test_call_rm_target_first () =
       Alcotest.(check int64) "call esp retired" 1L partial.Sim.instructions
   | Sim.Finished _ -> Alcotest.fail "call esp: expected a fault"
 
+(* ---------------- memory-operand inline shapes fault alike --------- *)
+
+(* The inline shapes of the step builder with a memory operand, each
+   entered from [main] of a bare image ([mov ebx, addr; shape; hlt]) at
+   an out-of-bounds and at an unaligned address, with the profile hook
+   and sampling on and with every hook off: the fault message and the
+   partial tuple must match the oracle's. *)
+let test_mem_shape_faults () =
+  let m = Insn.mem_base ~disp:4l Reg.EBX in
+  let shapes =
+    [
+      ("mov r,[b+d]", Insn.Mov_r_rm (Reg.EAX, Insn.Mem m));
+      ("mov [b+d],r", Insn.Mov_rm_r (Insn.Mem m, Reg.EAX));
+      ("add r,[b+d]", Insn.Alu_r_rm (Insn.Add, Reg.EAX, Insn.Mem m));
+      ("cmp [b+d],imm", Insn.Alu_rm_imm (Insn.Cmp, Insn.Mem m, 7l));
+    ]
+  in
+  List.iter
+    (fun (name, shape) ->
+      List.iter
+        (fun addr ->
+          let set_ebx = Insn.Mov_r_imm (Reg.EBX, addr) in
+          let text = Encode.program [ set_ebx; shape; Insn.Hlt ] in
+          let image =
+            {
+              (bare_image text) with
+              Link.globals = [ (Libc.argv_symbol, Link.data_base) ];
+            }
+          in
+          (match Decode.insn ~pos:(Encode.length set_ebx) text with
+          | Some (i, _) when Insn.equal i shape -> ()
+          | _ -> Alcotest.failf "%s does not decode to itself" name);
+          List.iter
+            (fun (hooks, profile, sample_period) ->
+              let what = Printf.sprintf "%s at 0x%lx, %s" name addr hooks in
+              let run ~reference =
+                run_outcome ~reference ~profile ?sample_period image ~args:[]
+              in
+              let oi = run ~reference:true in
+              check_parity what oi (run ~reference:false);
+              match oi with
+              | Sim.Faulted { partial; _ } ->
+                  Alcotest.(check int64) (what ^ " retired") 2L
+                    partial.Sim.instructions
+              | Sim.Finished _ -> Alcotest.failf "%s: expected a fault" what)
+            [
+              ("hooks on", true, Some sample_period); ("hooks off", false, None);
+            ])
+        [ 0x10l; Int32.add Link.data_base 2l ])
+    shapes
+
 (* ---------------- decode memo ownership ---------------- *)
 
 let test_decode_memo_shared () =
@@ -644,6 +695,8 @@ let suite =
           test_cold_cache_entry_order;
         Alcotest.test_case "hooks interleaved on one cache" `Quick
           test_hooks_interleaved;
+        Alcotest.test_case "memory-operand shapes fault alike" `Quick
+          test_mem_shape_faults;
         Alcotest.test_case "call r/m reads its target first" `Quick
           test_call_rm_target_first;
         Alcotest.test_case "decode memo shared" `Quick
