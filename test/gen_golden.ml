@@ -21,6 +21,14 @@ let portfolio_specs =
     "p0-30+sched+regperm+subst";
     "p50+sched+regperm+subst+b2";
     "p0-30+sched+regperm+subst+b1";
+    (* xchg candidates, basic-block shifting, the linear and
+       function-scope shapes, and a budget with shifting. *)
+    "p0-30+shift";
+    "p50+xchg";
+    "p0-30-lin+xchg+shift";
+    "p10-50-fn";
+    "p25-50-lin-fn+shift";
+    "p30+shift+sched+regperm+subst+b2";
   ]
 
 let configs =
