@@ -65,6 +65,15 @@ let tests () =
     Test.make ~name:"alg1.assemble"
       (Staged.stage (fun () -> ignore (assemble funcs)));
     Test.make ~name:"alg1.relink" (Staged.stage (fun () -> ignore (relink ())));
+    (* The daemon's per-variant work: Sdaemon.build_variant without
+       images, i.e. all three steps above plus the text digest. *)
+    Test.make ~name:"serve.build-variant"
+      (Staged.stage (fun () ->
+           let image, _ =
+             Driver.diversify_linked c ~config ~profile:p.Suite.profile
+               ~version:1
+           in
+           ignore (Digest.to_hex (Digest.string image.Link.text))));
     (* Figure 4: simulate the ref input of one binary. *)
     Test.make ~name:"figure4.simulate-ref"
       (Staged.stage (fun () ->

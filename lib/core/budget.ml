@@ -28,7 +28,7 @@ let mean_candidate_cost (config : Config.t) =
 let item_cost (m : Timing.model) (item : Asm.item) =
   match item with
   | Asm.Label _ -> 0.0
-  | Asm.Ins i -> Timing.insn_cost m i
+  | Asm.Ins { insn; _ } -> Timing.insn_cost m insn
   | Asm.Jmp_sym _ | Asm.Jcc_sym _ -> m.Timing.branch_cost
   | Asm.Call_sym _ -> m.Timing.call_cost
   | Asm.Mov_sym _ -> m.Timing.alu_cost (* mov r32, imm32 *)

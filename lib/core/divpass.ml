@@ -84,8 +84,8 @@ let regperm_pass =
 let rec flags_dead_after (items : Asm.item list) =
   match items with
   | [] -> false
-  | Asm.Ins i :: rest -> (
-      match Sched.flags_eff i with
+  | Asm.Ins { insn; _ } :: rest -> (
+      match Sched.flags_eff insn with
       | `Writes -> true
       | `Reads -> false
       | `Neutral -> flags_dead_after rest)
@@ -102,19 +102,19 @@ let subst_func ~rng (f : Asm.func) =
   let seen = ref 0 and changed = ref 0 and bytes = ref 0 in
   let rec walk = function
     | [] -> []
-    | (Asm.Ins i as item) :: rest ->
+    | (Asm.Ins { insn; _ } as item) :: rest ->
         let alts =
-          Subst.alternatives ~flags_dead:(flags_dead_after rest) i
+          Subst.alternatives ~flags_dead:(flags_dead_after rest) insn
         in
         let item' =
           if alts = [] then item
           else begin
             incr seen;
             if Rng.bernoulli rng subst_prob then begin
-              let alt = Rng.choose rng (Array.of_list alts) in
+              let alt = Asm.ins (Rng.choose rng (Array.of_list alts)) in
               incr changed;
-              bytes := !bytes + (Encode.length alt - Encode.length i);
-              Asm.Ins alt
+              bytes := !bytes + (Asm.item_size alt - Asm.item_size item);
+              alt
             end
             else item
           end

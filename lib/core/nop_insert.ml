@@ -14,12 +14,16 @@ let add a b =
    cannot collide. *)
 let shift_label_base = 1_000_000
 
-(* The candidate NOPs as ready-made items with their encoded lengths, so
-   an insertion allocates nothing and encodes nothing.  [Rng.choose]
+(* The candidate NOPs as ready-made items with their lengths, so an
+   insertion allocates nothing and encodes nothing.  [Rng.choose]
    over these arrays draws exactly as it does over [Nops.default] and
    [Nops.with_xchg]. *)
 let items_of candidates =
-  Array.map (fun nop -> (Asm.Ins nop, Encode.length nop)) candidates
+  Array.map
+    (fun nop ->
+      let item = Asm.ins nop in
+      (item, Asm.item_size item))
+    candidates
 
 let default_items = items_of Nops.default
 let xchg_items = items_of Nops.with_xchg

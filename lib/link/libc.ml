@@ -5,7 +5,7 @@ let start_symbol = "_start"
 let argv_symbol = "__argv"
 let argv_words = 8
 
-let ins i = Asm.Ins i
+let ins = Asm.ins
 let esp_mem disp = Insn.mem_base ~disp ESP
 let ebp_mem disp = Insn.mem_base ~disp EBP
 

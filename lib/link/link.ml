@@ -19,15 +19,6 @@ let argv_address image =
   | Some a -> a
   | None -> failwith "Link.argv_address: __argv missing"
 
-let patch32 text pos (v : int32) =
-  Bytes.set text pos (Char.chr (Int32.to_int v land 0xFF));
-  Bytes.set text (pos + 1)
-    (Char.chr (Int32.to_int (Int32.shift_right_logical v 8) land 0xFF));
-  Bytes.set text (pos + 2)
-    (Char.chr (Int32.to_int (Int32.shift_right_logical v 16) land 0xFF));
-  Bytes.set text (pos + 3)
-    (Char.chr (Int32.to_int (Int32.shift_right_logical v 24) land 0xFF))
-
 (* Data-space layout: __argv first, then the program's globals in
    declaration order. *)
 let layout_globals globals =
@@ -49,6 +40,9 @@ let layout_globals globals =
   in
   (List.rev global_addrs, data_init)
 
+(* __argv leads the data space whatever the program's globals are. *)
+let argv_addr = List.assoc Libc.argv_symbol (fst (layout_globals []))
+
 (* The fixed runtime — crt0 for [main_arity] plus the library — as
    relocatable objects, memoized per arity: every link of every variant
    composes the same undiversified runtime objects, exactly as the
@@ -64,109 +58,178 @@ let runtime_objects ~main_arity =
             f)
         (Libc.start ~main:"main" ~main_arity :: Libc.funcs))
 
+let fail fmt =
+  Printf.ksprintf (fun m -> failwith ("Link.link_objects: " ^ m)) fmt
+
+(* Give each object its text offset, from [start] in input order; a
+   symbol already [taken] or placed twice is a duplicate. *)
+let place offsets ~taken start objs =
+  List.fold_left
+    (fun off (o : Objfile.func_obj) ->
+      let sym = o.Objfile.sym in
+      if taken sym || Hashtbl.mem offsets sym then
+        fail "duplicate symbol %s" sym;
+      Hashtbl.replace offsets sym off;
+      off + Objfile.code_size o)
+    start objs
+
+let copy_code text base (o : Objfile.func_obj) =
+  Bytes.blit_string o.Objfile.code 0 text base (Objfile.code_size o)
+
+(* Patch one relocation of an object at text offset [base]: [false] when
+   [func] or [global] does not know its symbol. *)
+let patch text ~func ~global base reloc =
+  let set site v =
+    Bytes.set_int32_le text (base + site) v;
+    true
+  in
+  match reloc with
+  | Asm.Rel32 (site, sym) -> (
+      match func sym with
+      (* rel32 is relative to the end of the 4-byte field. *)
+      | Some target -> set site (Int32.of_int (target - (base + site + 4)))
+      | None -> false)
+  | Asm.Abs32 (site, sym) -> (
+      match global sym with Some addr -> set site addr | None -> false)
+
+let symbols_of placed =
+  List.map (fun ((o : Objfile.func_obj), base) -> (o.Objfile.sym, base)) placed
+
+(* Absolute text offset of every basic-block label, per function — the
+   layout map that lets runtime profiles attribute executed offsets back
+   to blocks. *)
+let blocks_of placed =
+  List.map
+    (fun ((o : Objfile.func_obj), base) ->
+      (o.Objfile.sym, List.map (fun (l, p) -> (l, base + p)) o.Objfile.labels))
+    placed
+
+(* The runtime laid out at text offset 0, as far as it can be without
+   the user objects: every call between runtime objects and every
+   [__argv] address is patched.  [cross] holds the relocations that name
+   a symbol outside the runtime, in link order — for the stock runtime,
+   crt0's one call to [main]. *)
+type prefix = {
+  runtime : Objfile.func_obj list;
+  code : string;
+  offsets : (string, int) Hashtbl.t;  (** runtime symbol -> text offset *)
+  symbols : (string * int) list;
+  blocks : (string * (Ir.label * int) list) list;
+  cross : (Objfile.func_obj * int * Asm.reloc) list;
+      (** object, its text offset, the relocation *)
+}
+
+let lay_out_prefix runtime =
+  let offsets = Hashtbl.create 32 in
+  let code = Bytes.create (place offsets ~taken:(fun _ -> false) 0 runtime) in
+  let placed =
+    List.map
+      (fun (o : Objfile.func_obj) -> (o, Hashtbl.find offsets o.Objfile.sym))
+      runtime
+  in
+  let func = Hashtbl.find_opt offsets in
+  let global sym = if sym = Libc.argv_symbol then Some argv_addr else None in
+  let cross =
+    List.concat_map
+      (fun ((o : Objfile.func_obj), base) ->
+        copy_code code base o;
+        List.filter
+          (fun r -> not (patch code ~func ~global base r))
+          o.Objfile.relocs
+        |> List.map (fun r -> (o, base, r)))
+      placed
+  in
+  {
+    runtime;
+    code = Bytes.unsafe_to_string code;
+    offsets;
+    symbols = symbols_of placed;
+    blocks = blocks_of placed;
+    cross;
+  }
+
+(* The stock runtime's prefix, laid out once per arity. *)
+let prefix_table : (int, prefix) Memo.t = Memo.create ()
+
+let stock_prefix ~main_arity =
+  Memo.find_or_add prefix_table main_arity (fun () ->
+      lay_out_prefix (runtime_objects ~main_arity))
+
+(* Layout rule: the runtime first, at its fixed offsets, then the user
+   objects in input order.  A link copies the prefix, appends the user
+   objects and patches the prefix's cross relocations, then the user
+   objects' relocations, so errors come in the order a walk over
+   [runtime @ objects] meets them. *)
 let link_objects ?expect_main_arity ?runtime ~objects ~globals () =
   let main_arity =
     match List.find_opt (fun o -> o.Objfile.sym = "main") objects with
-    | None -> failwith "Link.link_objects: no main function"
+    | None -> fail "no main function"
     | Some o -> o.Objfile.meta.Objfile.arity
   in
   (match expect_main_arity with
   | Some e when e <> main_arity ->
-      failwith
-        (Printf.sprintf
-           "Link.link_objects: main arity mismatch: object main takes %d \
-            argument(s), %d expected"
-           main_arity e)
+      fail
+        "main arity mismatch: object main takes %d argument(s), %d expected"
+        main_arity e
   | _ -> ());
-  let runtime =
-    match runtime with Some r -> r | None -> runtime_objects ~main_arity
+  let stock r =
+    match Memo.find runtime_table main_arity with
+    | Some s -> s == r
+    | None -> false
   in
-  (* Layout rule: fixed runtime objects first, at their fixed offsets,
-     then the user objects in input order. *)
-  let all = runtime @ objects in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (o : Objfile.func_obj) ->
-      if Hashtbl.mem seen o.Objfile.sym then
-        failwith ("Link.link_objects: duplicate symbol " ^ o.Objfile.sym);
-      Hashtbl.replace seen o.Objfile.sym ())
-    all;
-  let global_addrs, data_init = layout_globals globals in
+  let prefix =
+    match runtime with
+    | Some r when not (stock r) -> lay_out_prefix r
+    | _ -> stock_prefix ~main_arity
+  in
+  let user_start = String.length prefix.code in
   let offsets = Hashtbl.create 16 in
-  let total =
-    List.fold_left
-      (fun off (o : Objfile.func_obj) ->
-        Hashtbl.replace offsets o.Objfile.sym off;
-        off + Objfile.code_size o)
-      0 all
+  let text =
+    Bytes.create
+      (place offsets ~taken:(Hashtbl.mem prefix.offsets) user_start objects)
   in
-  let user_start =
-    List.fold_left (fun off o -> off + Objfile.code_size o) 0 runtime
+  Bytes.blit_string prefix.code 0 text 0 user_start;
+  let func sym =
+    match Hashtbl.find_opt offsets sym with
+    | Some _ as o -> o
+    | None -> Hashtbl.find_opt prefix.offsets sym
   in
-  let text = Bytes.create total in
-  List.iter
-    (fun (o : Objfile.func_obj) ->
-      let base = Hashtbl.find offsets o.Objfile.sym in
-      Bytes.blit_string o.Objfile.code 0 text base (Objfile.code_size o);
-      List.iter
-        (fun reloc ->
-          match reloc with
-          | Asm.Rel32 (site, sym) -> (
-              match Hashtbl.find_opt offsets sym with
-              | Some target ->
-                  (* rel32 is relative to the end of the 4-byte field. *)
-                  patch32 text (base + site)
-                    (Int32.of_int (target - (base + site + 4)))
-              | None ->
-                  failwith
-                    (Printf.sprintf
-                       "Link.link_objects: %s: undefined function %s"
-                       o.Objfile.sym sym))
-          | Asm.Abs32 (site, sym) -> (
-              match List.assoc_opt sym global_addrs with
-              | Some addr -> patch32 text (base + site) addr
-              | None ->
-                  failwith
-                    (Printf.sprintf
-                       "Link.link_objects: %s: undefined global %s"
-                       o.Objfile.sym sym)))
-        o.Objfile.relocs)
-    all;
-  let entry =
-    match Hashtbl.find_opt offsets Libc.start_symbol with
-    | Some e -> e
-    | None ->
-        failwith "Link.link_objects: entry stub missing from runtime objects"
+  let global_addrs, data_init = layout_globals globals in
+  let global sym = List.assoc_opt sym global_addrs in
+  let resolve (o : Objfile.func_obj) base reloc =
+    if not (patch text ~func ~global base reloc) then
+      match reloc with
+      | Asm.Rel32 (_, sym) -> fail "%s: undefined function %s" o.Objfile.sym sym
+      | Asm.Abs32 (_, sym) -> fail "%s: undefined global %s" o.Objfile.sym sym
   in
-  let symbols =
-    List.map
-      (fun (o : Objfile.func_obj) ->
-        (o.Objfile.sym, Hashtbl.find offsets o.Objfile.sym))
-      all
-  in
-  let block_offsets =
-    (* Absolute text offset of every basic-block label, per function —
-       the layout map that lets runtime profiles attribute executed
-       offsets back to blocks. *)
+  List.iter (fun (o, base, r) -> resolve o base r) prefix.cross;
+  let user =
     List.map
       (fun (o : Objfile.func_obj) ->
         let base = Hashtbl.find offsets o.Objfile.sym in
-        (o.Objfile.sym, List.map (fun (l, p) -> (l, base + p)) o.Objfile.labels))
-      all
+        copy_code text base o;
+        List.iter (resolve o base) o.Objfile.relocs;
+        (o, base))
+      objects
+  in
+  let entry =
+    match func Libc.start_symbol with
+    | Some e -> e
+    | None -> fail "entry stub missing from runtime objects"
   in
   {
-    text = Bytes.to_string text;
+    text = Bytes.unsafe_to_string text;
     text_base;
-    symbols;
+    symbols = prefix.symbols @ symbols_of user;
     entry;
     user_start;
-    block_offsets;
+    block_offsets = prefix.blocks @ blocks_of user;
     globals = global_addrs;
     data_init;
     main_arity;
   }
 
-let symbol_offset image name =
+let symbol_offset (image : image) name =
   match List.assoc_opt name image.symbols with
   | Some o -> o
   | None -> failwith ("Link.symbol_offset: unknown symbol " ^ name)

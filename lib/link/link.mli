@@ -7,6 +7,15 @@
     After layout, the two relocation kinds are patched: [Rel32] call
     displacements and [Abs32] global data addresses.
 
+    The runtime is laid out once per [main] arity and memoized: its
+    bytes with every call between runtime objects and every [__argv]
+    address already patched, its symbol and block offsets, and the
+    relocations that leave it.  Only one does — crt0's call to [main] —
+    so a link copies that prefix, appends the user objects, and patches
+    the user relocations plus that one.  Nothing in the prefix depends on
+    the user objects: [__argv] leads the data space whatever the
+    program's globals are.
+
     {!link_objects} is the only linker: the baseline and every
     diversified version go through it, and the committed
     [test/golden_nop_digests.json] fixture pins its whole output
@@ -55,7 +64,9 @@ val link_objects :
 (** Link relocatable objects into an image.  [objects] must define
     ["main"]; its arity is read from the object's metadata and drives
     the crt0 stub ([runtime] defaults to {!runtime_objects} for that
-    arity).  With [expect_main_arity], a differing object arity is a
+    arity).  The memoized {!runtime_objects} list, given or defaulted,
+    links from its pre-laid prefix; any other [runtime] list is laid out
+    by the same prefix builder on every call.  With [expect_main_arity], a differing object arity is a
     linker error.  Raises [Failure] — always naming the offending
     symbol — on a missing [main], a duplicate symbol, an unresolved
     function or global reference, or a [main]-arity mismatch. *)

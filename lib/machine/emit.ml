@@ -214,20 +214,20 @@ let expand_items frame (mi : Mir.minsn) : Asm.item list =
       match vloc frame d with
       | Vreg p -> [ Asm.Mov_sym (p, g) ]
       | Vmem m ->
-          [ Asm.Mov_sym (Reg.EAX, g); Asm.Ins (Mov_rm_r (Mem m, Reg.EAX)) ])
+          [ Asm.Mov_sym (Reg.EAX, g); Asm.ins (Mov_rm_r (Mem m, Reg.EAX)) ])
   | Mir.Call { dst; callee; args } ->
       let pushes =
         List.concat_map
           (fun (arg : Mir.mop) ->
             match arg with
-            | Mir.I imm -> [ Asm.Ins (Push_imm imm) ]
+            | Mir.I imm -> [ Asm.ins (Push_imm imm) ]
             | Mir.R r -> (
                 match vloc frame r with
-                | Vreg p -> [ Asm.Ins (Push_r p) ]
+                | Vreg p -> [ Asm.ins (Push_r p) ]
                 | Vmem m ->
                     [
-                      Asm.Ins (Mov_r_rm (Reg.EAX, Mem m));
-                      Asm.Ins (Push_r Reg.EAX);
+                      Asm.ins (Mov_r_rm (Reg.EAX, Mem m));
+                      Asm.ins (Push_r Reg.EAX);
                     ]))
           (List.rev args)
       in
@@ -235,17 +235,17 @@ let expand_items frame (mi : Mir.minsn) : Asm.item list =
         if args = [] then []
         else
           [
-            Asm.Ins
+            Asm.ins
               (Alu_rm_imm (Add, Reg Reg.ESP, Int32.of_int (4 * List.length args)));
           ]
       in
       let result =
         match dst with
         | None -> []
-        | Some d -> List.map (fun i -> Asm.Ins i) (from_scratch frame Reg.EAX d)
+        | Some d -> List.map Asm.ins (from_scratch frame Reg.EAX d)
       in
       pushes @ [ Asm.Call_sym callee ] @ cleanup @ result
-  | _ -> List.map (fun i -> Asm.Ins i) (expand frame mi)
+  | _ -> List.map Asm.ins (expand frame mi)
 
 let prologue frame =
   let saves =
@@ -279,10 +279,10 @@ let terminator frame ~next (t : Mir.mterm) : Asm.item list =
             | [] -> [] (* value already in EAX — cannot happen for vregs *)
             | l -> l)
       in
-      List.map (fun i -> Asm.Ins i) (load @ epilogue frame)
+      List.map Asm.ins (load @ epilogue frame)
   | Mir.Tjmp l -> if next = Some l then [] else [ Asm.Jmp_sym l ]
   | Mir.Tjcc (rel, a, b, l1, l2) ->
-      let cmp = List.map (fun i -> Asm.Ins i) (emit_cmp frame a b) in
+      let cmp = List.map Asm.ins (emit_cmp frame a b) in
       let jcc = Asm.Jcc_sym (cond_of_relop rel, l1) in
       let tail = if next = Some l2 then [] else [ Asm.Jmp_sym l2 ] in
       cmp @ (jcc :: tail)
@@ -310,7 +310,7 @@ let func (f : Mir.func) (assignment : Regalloc.assignment) : Asm.func =
         let rec inject = function
           | Asm.Label l :: rest when l = entry.Mir.label ->
               Asm.Label l
-              :: (List.map (fun i -> Asm.Ins i) (prologue frame) @ rest)
+              :: (List.map Asm.ins (prologue frame) @ rest)
           | item :: rest -> item :: inject rest
           | [] -> []
         in

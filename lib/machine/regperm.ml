@@ -48,7 +48,7 @@ let in_pool r = List.exists (Reg.equal r) Regalloc.pool
 let uses_pool_r8 (f : Asm.func) =
   List.exists
     (function
-      | Asm.Ins (Setcc (_, r8)) | Asm.Ins (Movzx_r_r8 (_, r8)) ->
+      | Asm.Ins { insn = Setcc (_, r8) | Movzx_r_r8 (_, r8); _ } ->
           in_pool (Reg.of_r8 r8)
       | _ -> false)
     f.Asm.items
@@ -72,11 +72,15 @@ let run ~rng (f : Asm.func) =
       List.map
         (fun item ->
           match item with
-          | Asm.Ins i ->
+          | Asm.Ins { insn; _ } ->
               incr seen;
-              let i' = map_insn p i in
-              if not (Insn.equal i i') then incr changed;
-              Asm.Ins i'
+              let insn' = map_insn p insn in
+              (* Only a rewritten instruction is re-encoded. *)
+              if Insn.equal insn insn' then item
+              else begin
+                incr changed;
+                Asm.ins insn'
+              end
           | Asm.Mov_sym (r, s) ->
               incr seen;
               let r' = p r in

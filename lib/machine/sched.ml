@@ -173,7 +173,7 @@ let schedule_run ~rng (insns : Insn.t array) =
   out
 
 let schedulable = function
-  | Asm.Ins i -> not (Insn.is_control_flow i)
+  | Asm.Ins { insn; _ } -> not (Insn.is_control_flow insn)
   | _ -> false
 
 let run ~rng (f : Asm.func) =
@@ -182,11 +182,11 @@ let run ~rng (f : Asm.func) =
     match run_rev with
     | [] | [ _ ] -> List.rev_append run_rev acc
     | _ ->
+        let items = Array.of_list (List.rev run_rev) in
         let insns =
-          Array.of_list
-            (List.rev_map
-               (function Asm.Ins i -> i | _ -> assert false)
-               run_rev)
+          Array.map
+            (function Asm.Ins { insn; _ } -> insn | _ -> assert false)
+            items
         in
         let order = schedule_run ~rng insns in
         let n = Array.length order in
@@ -194,7 +194,7 @@ let run ~rng (f : Asm.func) =
         Array.iteri (fun k i -> if k <> i then incr moved) order;
         (* acc is reversed, so append the schedule reversed. *)
         let out = ref acc in
-        Array.iter (fun i -> out := Asm.Ins insns.(i) :: !out) order;
+        Array.iter (fun i -> out := items.(i) :: !out) order;
         !out
   in
   let rec walk items run_rev acc =

@@ -14,8 +14,9 @@ type t = { uname : string; funcs : func_obj list; globals : Ir.global list }
 (* Bumped whenever the marshalled layout of [t] (or anything reachable
    from it: Asm.func, Insn.t, Ir.global) changes.  Also folded into every
    {!Store} key, so a format bump invalidates cached artifacts instead of
-   resurrecting stale ones. *)
-let format_version = 1
+   resurrecting stale ones.  Version 2: every [Asm.Ins] item carries its
+   encoding next to the instruction. *)
+let format_version = 2
 
 let no_digest = "-"
 

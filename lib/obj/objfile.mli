@@ -43,14 +43,19 @@ type t = {
 
 val format_version : int
 (** Object-format version: checked by {!load}, folded into every
-    {!Store} key so a bump invalidates cached artifacts. *)
+    {!Store} key so a bump invalidates cached artifacts.  It is 2 since
+    {!Asm.item}'s [Ins] carries its encoding ([{ insn; code }]): the
+    marshalled [asm] stream of a version-1 file holds bare instructions,
+    so it is refused rather than read as items without bytes. *)
 
 val no_digest : string
 (** The ["-"] placeholder digest of non-content-addressed objects. *)
 
 val of_asm :
   ?ir_digest:string -> ?pipeline:string -> arity:int -> Asm.func -> func_obj
-(** Assemble one symbolic function into a relocatable object. *)
+(** Assemble one symbolic function into a relocatable object
+    ({!Asm.assemble}: the items' carried bytes, blitted and
+    back-patched; nothing is re-encoded). *)
 
 val code_size : func_obj -> int
 

@@ -1,9 +1,8 @@
 (* Print the pinned whole-image fixture, test/golden_nop_digests.json.
 
-   For every workload: the undiversified baseline, then every paper NOP
-   config and every portfolio/budgeted config of the [portfolio] bench
-   experiment at versions 0-2, each built by [Driver.diversify_linked]
-   from the trained profile.  A cell records the MD5 of the final .text
+   For every workload: the undiversified baseline, then every config of
+   [Fixture_configs.all] at versions 0-2, each built by
+   [Driver.diversify_linked] from the trained profile.  A cell records the MD5 of the final .text
    and [layout_md5], an MD5 over a canonical text rendering of the rest
    of the image (symbols, block offsets, entry, user_start, globals,
    data_init, main arity).  The rendering uses only integer and string
@@ -12,33 +11,6 @@
    `dune runtest` regenerates the fixture into _build and diffs it
    against the committed file; after a change that is meant to alter
    the images, `dune promote` refreshes it. *)
-
-let portfolio_specs =
-  [
-    "off+sched";
-    "off+regperm";
-    "off+subst";
-    "p0-30+sched+regperm+subst";
-    "p50+sched+regperm+subst+b2";
-    "p0-30+sched+regperm+subst+b1";
-    (* xchg candidates, basic-block shifting, the linear and
-       function-scope shapes, and a budget with shifting. *)
-    "p0-30+shift";
-    "p50+xchg";
-    "p0-30-lin+xchg+shift";
-    "p10-50-fn";
-    "p25-50-lin-fn+shift";
-    "p30+shift+sched+regperm+subst+b2";
-  ]
-
-let configs =
-  Config.paper_configs
-  @ List.map
-      (fun spec ->
-        match Config.of_spec spec with
-        | Ok c -> (spec, c)
-        | Error e -> failwith ("gen_golden: " ^ e))
-      portfolio_specs
 
 let layout_md5 (img : Link.image) =
   let b = Buffer.create 4096 in
@@ -83,7 +55,7 @@ let () =
             cell w cname version
               (fst (Driver.diversify_linked c ~config ~profile ~version))
           done)
-        configs)
+        Fixture_configs.all)
     Workloads.all;
   print_string
     "{\n\

@@ -257,13 +257,13 @@ let test_block_label_tracking () =
       Asm.name = "t";
       items =
         [
-          Asm.Ins Insn.Cdq;
+          Asm.ins Insn.Cdq;
           Asm.Label 7;
-          Asm.Ins (Insn.Inc_r Reg.EAX);
-          Asm.Ins (Insn.Dec_r Reg.EAX);
+          Asm.ins (Insn.Inc_r Reg.EAX);
+          Asm.ins (Insn.Dec_r Reg.EAX);
           Asm.Label 8;
           Asm.Label 9;
-          Asm.Ins (Insn.Inc_r Reg.EBX);
+          Asm.ins (Insn.Inc_r Reg.EBX);
           Asm.Jmp_sym 7;
         ];
     }
@@ -290,15 +290,15 @@ let test_block_label_tracking () =
   Alcotest.(check int) "two NOPs" 2 stats.Nop_insert.nops_inserted;
   (match out.Asm.items with
   | [
-   Asm.Ins Insn.Cdq;
+   Asm.Ins { insn = Insn.Cdq; _ };
    Asm.Label 7;
-   Asm.Ins (Insn.Inc_r Reg.EAX);
-   Asm.Ins (Insn.Dec_r Reg.EAX);
+   Asm.Ins { insn = Insn.Inc_r Reg.EAX; _ };
+   Asm.Ins { insn = Insn.Dec_r Reg.EAX; _ };
    Asm.Label 8;
    Asm.Label 9;
-   Asm.Ins n1;
-   Asm.Ins (Insn.Inc_r Reg.EBX);
-   Asm.Ins n2;
+   Asm.Ins { insn = n1; _ };
+   Asm.Ins { insn = Insn.Inc_r Reg.EBX; _ };
+   Asm.Ins { insn = n2; _ };
    Asm.Jmp_sym 7;
   ] ->
       Alcotest.(check bool) "candidates" true

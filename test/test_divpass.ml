@@ -147,6 +147,101 @@ let test_assemble_every_workload () =
         specs)
     Workloads.all
 
+(* The reference assembler: every item encoded afresh from its
+   instruction, local branches with their final displacement, and each
+   reloc field zero. *)
+let reference_assemble (f : Asm.func) =
+  let size = function
+    | Asm.Label _ -> 0
+    | Asm.Ins { insn; _ } -> Encode.length insn
+    | Asm.Jmp_sym _ -> Encode.length (Insn.Jmp_rel 0l)
+    | Asm.Jcc_sym (c, _) -> Encode.length (Insn.Jcc (c, 0l))
+    | Asm.Call_sym _ -> Encode.length (Insn.Call_rel 0l)
+    | Asm.Mov_sym (r, _) -> Encode.length (Insn.Mov_r_imm (r, 0l))
+  in
+  let _, labels =
+    List.fold_left
+      (fun (pos, labels) item ->
+        let labels =
+          match item with Asm.Label l -> (l, pos) :: labels | _ -> labels
+        in
+        (pos + size item, labels))
+      (0, []) f.Asm.items
+  in
+  let rel l pos len = Int32.of_int (List.assoc l labels - (pos + len)) in
+  let buf = Buffer.create 256 in
+  let relocs = ref [] in
+  List.iter
+    (fun item ->
+      let pos = Buffer.length buf in
+      let code =
+        match item with
+        | Asm.Label _ -> ""
+        | Asm.Ins { insn; _ } -> Encode.insn insn
+        | Asm.Jmp_sym l -> Encode.insn (Insn.Jmp_rel (rel l pos 5))
+        | Asm.Jcc_sym (c, l) -> Encode.insn (Insn.Jcc (c, rel l pos 6))
+        | Asm.Call_sym sym ->
+            relocs := Asm.Rel32 (pos + 1, sym) :: !relocs;
+            Encode.insn (Insn.Call_rel 0l)
+        | Asm.Mov_sym (r, sym) ->
+            relocs := Asm.Abs32 (pos + 1, sym) :: !relocs;
+            Encode.insn (Insn.Mov_r_imm (r, 0l))
+      in
+      Buffer.add_string buf code)
+    f.Asm.items;
+  {
+    Asm.bytes = Buffer.contents buf;
+    relocs = List.rev !relocs;
+    label_offsets = List.rev labels;
+  }
+
+(* Every [Ins] item's carried bytes are the fresh encoding of its
+   instruction, and [Asm.assemble] (a blit of those bytes) equals the
+   reference assembler: for every workload, every fixture config and
+   versions 0-2, before any pass and after each enabled one, so no pass
+   can rewrite an instruction and keep its old bytes. *)
+let check_carried what (f : Asm.func) =
+  List.iter
+    (function
+      | Asm.Ins i ->
+          if i.Asm.code <> Encode.insn i.Asm.insn then
+            Alcotest.failf "%s %s: stale bytes for %s" what f.Asm.name
+              (Insn.to_string i.Asm.insn)
+      | _ -> ())
+    f.Asm.items;
+  if Asm.assemble f <> reference_assemble f then
+    Alcotest.failf "%s %s: assemble differs from a fresh encoding" what
+      f.Asm.name
+
+let test_carried_bytes_fresh () =
+  List.iter
+    (fun (w : Workload.t) ->
+      let c = Driver.compile_cached ~name:w.name w.source in
+      let profile = Driver.train_cached c ~args:w.train_args in
+      List.iter (check_carried (w.name ^ " baseline")) c.Driver.asm;
+      List.iter
+        (fun (cname, config) ->
+          for version = 0 to 2 do
+            let ctx =
+              { Divpass.prog = c.Driver.name; config; profile; version }
+            in
+            ignore
+              (List.fold_left
+                 (fun funcs (p : Divpass.pass) ->
+                   if not (p.Divpass.enabled config.Config.passes) then funcs
+                   else
+                     let out, _ = p.Divpass.run ctx funcs in
+                     List.iter
+                       (check_carried
+                          (Printf.sprintf "%s %s v%d after %s" w.name cname
+                             version p.Divpass.pname))
+                       out;
+                     out)
+                 c.Driver.asm Divpass.registry)
+          done)
+        Fixture_configs.all)
+    Workloads.all
+
 (* ---- semantics per transform ---- *)
 
 let semantics_specs =
@@ -232,10 +327,10 @@ let check_budget wname () =
 let test_budget_planner_unit () =
   let mk_block label n =
     Asm.Label label
-    :: List.init n (fun i -> Asm.Ins (Insn.Mov_r_imm (Reg.EAX, Int32.of_int i)))
+    :: List.init n (fun i -> Asm.ins (Insn.Mov_r_imm (Reg.EAX, Int32.of_int i)))
   in
   let f =
-    { Asm.name = "f"; items = mk_block 0 10 @ mk_block 1 10 @ [ Asm.Ins Insn.Ret ] }
+    { Asm.name = "f"; items = mk_block 0 10 @ mk_block 1 10 @ [ Asm.ins Insn.Ret ] }
   in
   let counts = Hashtbl.create 4 in
   Hashtbl.replace counts ("f", 0) 1000L;
@@ -263,8 +358,8 @@ let test_budget_planner_unit () =
 
 let test_sched_unit () =
   let open Insn in
-  let mov r v = Asm.Ins (Mov_r_imm (r, v)) in
-  let add d s = Asm.Ins (Alu_rm_r (Add, Reg d, s)) in
+  let mov r v = Asm.ins (Mov_r_imm (r, v)) in
+  let add d s = Asm.ins (Alu_rm_r (Add, Reg d, s)) in
   let f =
     {
       Asm.name = "f";
@@ -276,7 +371,7 @@ let test_sched_unit () =
           mov Reg.EDI 3l;
           add Reg.EBX Reg.ESI;
           add Reg.EDI Reg.EBX;
-          Asm.Ins Ret;
+          Asm.ins Ret;
         ];
     }
   in
@@ -311,11 +406,11 @@ let test_sched_unit () =
 
 let test_sched_stores_ordered () =
   let open Insn in
-  let store v = Asm.Ins (Mov_rm_imm (Mem (mem_abs 4096l), v)) in
+  let store v = Asm.ins (Mov_rm_imm (Mem (mem_abs 4096l), v)) in
   let f =
     {
       Asm.name = "f";
-      items = [ Asm.Label 0; store 1l; store 2l; store 3l; Asm.Ins Ret ];
+      items = [ Asm.Label 0; store 1l; store 2l; store 3l; Asm.ins Ret ];
     }
   in
   for seed = 0 to 15 do
@@ -336,13 +431,13 @@ let test_regperm_unit () =
       items =
         [
           Asm.Label 0;
-          Asm.Ins (Push_r Reg.EBX);
-          Asm.Ins (Mov_r_imm (Reg.EBX, 7l));
-          Asm.Ins (Mov_r_imm (Reg.EAX, 9l));
-          Asm.Ins (Alu_rm_r (Add, Reg Reg.EBX, Reg.ESI));
-          Asm.Ins (Mov_rm_r (Mem (Insn.mem_base Reg.EBP ~disp:8l), Reg.EDI));
-          Asm.Ins (Pop_r Reg.EBX);
-          Asm.Ins Ret;
+          Asm.ins (Push_r Reg.EBX);
+          Asm.ins (Mov_r_imm (Reg.EBX, 7l));
+          Asm.ins (Mov_r_imm (Reg.EAX, 9l));
+          Asm.ins (Alu_rm_r (Add, Reg Reg.EBX, Reg.ESI));
+          Asm.ins (Mov_rm_r (Mem (Insn.mem_base Reg.EBP ~disp:8l), Reg.EDI));
+          Asm.ins (Pop_r Reg.EBX);
+          Asm.ins Ret;
         ];
     }
   in
@@ -578,6 +673,8 @@ let suite =
       [
         Alcotest.test_case "every workload function, one pass" `Slow
           test_assemble_every_workload;
+        Alcotest.test_case "carried bytes are fresh bytes" `Slow
+          test_carried_bytes_fresh;
       ] );
     ( "divpass.semantics",
       [

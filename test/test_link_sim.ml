@@ -101,7 +101,7 @@ let link_main ~arity (f : Asm.func) =
 (* Run a raw instruction sequence as "main". *)
 let run_raw insns ~args =
   let f =
-    { Asm.name = "main"; items = Asm.Label 0 :: List.map (fun i -> Asm.Ins i) insns }
+    { Asm.name = "main"; items = Asm.Label 0 :: List.map Asm.ins insns }
   in
   Sim.run (link_main ~arity:(List.length args) f) ~args
 
@@ -143,14 +143,14 @@ let test_overflow_flag () =
       items =
         [
           Asm.Label 0;
-          Asm.Ins (Mov_r_imm (Reg.EAX, Int32.max_int));
-          Asm.Ins (Alu_rm_imm (Add, Reg Reg.EAX, 1l));
+          Asm.ins (Mov_r_imm (Reg.EAX, Int32.max_int));
+          Asm.ins (Alu_rm_imm (Add, Reg Reg.EAX, 1l));
           Asm.Jcc_sym (Cond.O, 1);
-          Asm.Ins (Mov_r_imm (Reg.EAX, 0l));
-          Asm.Ins Ret;
+          Asm.ins (Mov_r_imm (Reg.EAX, 0l));
+          Asm.ins Ret;
           Asm.Label 1;
-          Asm.Ins (Mov_r_imm (Reg.EAX, 1l));
-          Asm.Ins Ret;
+          Asm.ins (Mov_r_imm (Reg.EAX, 1l));
+          Asm.ins Ret;
         ];
     }
   in

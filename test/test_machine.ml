@@ -142,7 +142,7 @@ let test_asm_sizes () =
   Alcotest.(check int) "jcc" 6 (Asm.item_size (Asm.Jcc_sym (Cond.E, 0)));
   Alcotest.(check int) "call" 5 (Asm.item_size (Asm.Call_sym "f"));
   Alcotest.(check int) "mov sym" 5 (Asm.item_size (Asm.Mov_sym (Reg.EAX, "g")));
-  Alcotest.(check int) "nop" 1 (Asm.item_size (Asm.Ins Insn.Nop))
+  Alcotest.(check int) "nop" 1 (Asm.item_size (Asm.ins Insn.Nop))
 
 let test_asm_branch_resolution () =
   (* label 0; jmp 1; nops...; label 1; ret — the displacement must skip
@@ -154,11 +154,11 @@ let test_asm_branch_resolution () =
         [
           Asm.Label 0;
           Asm.Jmp_sym 1;
-          Asm.Ins Insn.Nop;
-          Asm.Ins Insn.Nop;
-          Asm.Ins Insn.Nop;
+          Asm.ins Insn.Nop;
+          Asm.ins Insn.Nop;
+          Asm.ins Insn.Nop;
           Asm.Label 1;
-          Asm.Ins Insn.Ret;
+          Asm.ins Insn.Ret;
         ];
     }
   in
@@ -173,7 +173,7 @@ let test_asm_backward_branch () =
   let f =
     {
       Asm.name = "t";
-      items = [ Asm.Label 0; Asm.Ins Insn.Nop; Asm.Jcc_sym (Cond.NE, 0) ];
+      items = [ Asm.Label 0; Asm.ins Insn.Nop; Asm.Jcc_sym (Cond.NE, 0) ];
     }
   in
   let a = Asm.assemble f in

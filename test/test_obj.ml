@@ -196,6 +196,70 @@ let test_missing_main_named () =
   expect_failure ~substring:"no main" (fun () ->
       Link.link_objects ~objects:without_main ~globals:[] ())
 
+(* A hand-built object: one block, [ret]. *)
+let ret_object ?(arity = 0) sym =
+  Objfile.of_asm ~arity
+    { Asm.name = sym; items = [ Asm.Label 0; Asm.ins Insn.Ret ] }
+
+(* The runtime is laid out once per arity, before any user object is
+   seen; a user object that reuses a runtime symbol must still collide
+   with it, the entry stub as much as a library function. *)
+let test_runtime_symbol_duplicate_named () =
+  List.iter
+    (fun sym ->
+      expect_failure ~substring:("duplicate symbol " ^ sym) (fun () ->
+          Link.link_objects
+            ~objects:[ ret_object "main"; ret_object sym ]
+            ~globals:[] ()))
+    [ Libc.start_symbol; "wmemcpy" ]
+
+(* The memoized runtime list, passed explicitly (as a caller that times
+   the relink on its own does), links the image the default does. *)
+let test_explicit_runtime_same_image () =
+  let c =
+    compile
+      "global int g[3]; int f(int x) { g[1] = x; return g[1] + 1; } \
+       int main(int a, int b) { return f(a) + b; }"
+  in
+  let link runtime =
+    Link.link_objects ?runtime ~objects:c.Driver.objects
+      ~globals:c.Driver.modul.Ir.globals ()
+  in
+  let want = link None in
+  Alcotest.(check bool)
+    "explicit runtime_objects = default" true
+    (link (Some (Link.runtime_objects ~main_arity:2)) = want);
+  Alcotest.(check bool)
+    "a copied runtime list = default" true
+    (link (Some (List.map Fun.id (Link.runtime_objects ~main_arity:2))) = want)
+
+(* crt0's call to main is the one relocation that crosses from the
+   runtime into user code: at every arity it decodes to a call landing
+   on main. *)
+let test_crt0_calls_main () =
+  for arity = 0 to Libc.argv_words do
+    let image =
+      Link.link_objects
+        ~objects:[ ret_object "helper"; ret_object ~arity "main" ]
+        ~globals:[] ()
+    in
+    let main = Link.symbol_offset image "main" in
+    let rec scan pos =
+      if pos >= image.Link.user_start then
+        Alcotest.failf "arity %d: no call in crt0" arity
+      else
+        match Decode.insn ~pos image.Link.text with
+        | Some (Insn.Call_rel d, len) ->
+            Alcotest.(check int)
+              (Printf.sprintf "arity %d: crt0's call lands on main" arity)
+              main
+              (pos + len + Int32.to_int d)
+        | Some (_, len) -> scan (pos + len)
+        | None -> Alcotest.failf "arity %d: undecodable crt0 at %d" arity pos
+    in
+    scan image.Link.entry
+  done
+
 (* ---------------- the content-addressed store ---------------- *)
 
 let test_warm_recompile_skips_lowering () =
@@ -306,12 +370,8 @@ let test_store_eviction () =
       (* Capacity 2, three keys: the least recently *used* one must go. *)
       Memo.set_capacity store 2;
       let key sym = Store.key ~ir_digest:sym ~pipeline:"-" in
-      let dummy sym =
-        Objfile.of_asm ~arity:0
-          { Asm.name = sym; items = [ Asm.Label 0; Asm.Ins Insn.Ret ] }
-      in
       let put sym =
-        ignore (Memo.find_or_add store (key sym) (fun () -> dummy sym))
+        ignore (Memo.find_or_add store (key sym) (fun () -> ret_object sym))
       in
       let ev0 = counter "obj.store.evict" in
       put "a";
@@ -408,6 +468,12 @@ let suite =
         Alcotest.test_case "main arity mismatch named" `Quick
           test_main_arity_mismatch_named;
         Alcotest.test_case "missing main" `Quick test_missing_main_named;
+        Alcotest.test_case "runtime symbol as a user object" `Quick
+          test_runtime_symbol_duplicate_named;
+        Alcotest.test_case "explicit runtime, same image" `Quick
+          test_explicit_runtime_same_image;
+        Alcotest.test_case "crt0 calls main at every arity" `Quick
+          test_crt0_calls_main;
       ] );
     ( "obj.store",
       [
