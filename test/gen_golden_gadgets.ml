@@ -11,6 +11,10 @@
    - [insns_md5]: [Insn.to_string] at every decodable offset of the
      baseline, one "offset text" line each.
 
+   It also pins Table 3 itself: [table3] is [Population.report] at the
+   thresholds 2, 5 and 12 over p0-30 versions 0-24, one [[k, pairs]]
+   entry per threshold.
+
    Every digest is over lines built with integer and string formatting
    only, so the fixture is byte-stable across compiler versions.
 
@@ -19,6 +23,7 @@
    `dune promote` refreshes it. *)
 
 let versions = List.init 5 Fun.id
+let table3_versions = 25
 
 let md5 lines = Digest.to_hex (Digest.string (String.concat "" lines))
 
@@ -58,9 +63,18 @@ let () =
                (fun v text -> Printf.sprintf "version %d\n%s" v (String.concat "" (f text)))
                texts)
         in
+        let table3 =
+          Population.report ~thresholds:[ 2; 5; 12 ]
+            (Driver.population c ~config ~profile ~n:table3_versions
+               ~init:(Population.create ())
+               (fun counts (img : Link.image) ->
+                 Population.add counts (Population.section_keys img.Link.text);
+                 counts))
+        in
         Printf.sprintf
           "    {\"workload\": %S, \"baseline_keys_md5\": %S, \
-           \"version_keys_md5\": %S, \"survivors_md5\": %S, \"insns_md5\": %S}"
+           \"version_keys_md5\": %S, \"survivors_md5\": %S, \"insns_md5\": %S, \
+           \"table3\": [%s]}"
           w.name
           (md5 (keys_lines (Population.section_keys original)))
           (per_version (fun text -> keys_lines (Population.section_keys text)))
@@ -68,7 +82,11 @@ let () =
                List.map
                  (fun (g : Finder.t) -> Printf.sprintf "%d\n" g.offset)
                  (Survivor.surviving_gadgets ~original ~diversified ())))
-          (md5 (insn_lines original)))
+          (md5 (insn_lines original))
+          (String.concat ", "
+             (List.map
+                (fun (k, n) -> Printf.sprintf "[%d, %d]" k n)
+                table3.Population.at_least)))
       Workloads.all
   in
   print_string "{\n  \"schema\": \"psd-golden-gadgets/1\",\n  \"cells\": [\n";

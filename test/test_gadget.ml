@@ -262,6 +262,20 @@ let test_population_thresholds () =
   Alcotest.(check int) "in >=2: shared ret + pop eax;ret" 2 (get 2);
   Alcotest.(check bool) "monotone" true (get 1 >= get 2 && get 2 >= get 3)
 
+(* A pair is keyed by what its instructions do, as [Insn.to_string]
+   names them: [89 D8] and [8B C3] both decode to "mov %ebx, %eax" (the
+   r/m,r and r,r/m directions of one register move), so the two
+   versions share offset 0's mov;ret as well as offset 2's ret.  The
+   second version's [C3] at offset 1 is a gadget the first lacks. *)
+let test_population_direction_forms () =
+  let counts = Population.create () in
+  List.iter
+    (fun hex -> Population.add counts (Population.section_keys (bytes_of_hex hex)))
+    [ "89 D8 C3"; "8B C3 C3" ];
+  Alcotest.(check (list (pair int int)))
+    "mov;ret at 0 and ret at 2 in both" [ (1, 3); (2, 2) ]
+    (Population.report ~thresholds:[ 1; 2 ] counts).Population.at_least
+
 (* [population] is the number of adds, whatever they hold: a version
    without gadgets, or one repeating another, is still a version. *)
 let test_population_counts_adds () =
@@ -420,6 +434,8 @@ let suite =
         Alcotest.test_case "thresholds" `Quick test_population_thresholds;
         Alcotest.test_case "population counts the adds" `Quick
           test_population_counts_adds;
+        Alcotest.test_case "register-move direction forms" `Quick
+          test_population_direction_forms;
         Alcotest.test_case "thresholds scale with n" `Quick
           test_thresholds_scale;
       ] );
