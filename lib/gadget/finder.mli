@@ -9,7 +9,11 @@
 
     This models the scanning strategy of ROPgadget-class tools: walk
     backward from every free-branch byte pattern, keeping every prefix
-    start that decodes cleanly into the branch. *)
+    start that decodes cleanly into the branch.  The rule, for a start
+    [s]: the linear sweep from [s] meets its first instruction that
+    {!breaks_gadget} at a free branch [b] with [b - s <= max_back_bytes],
+    after at most [max_insns] instructions counting [b], and every
+    instruction on the way decodes. *)
 
 type t = {
   offset : int;  (** start offset of the sequence within the section *)
@@ -33,23 +37,18 @@ val breaks_gadget : Insn.t -> bool
     interrupts are allowed: execution falls through them, and
     [int 0x80; ret] is the canonical syscall gadget. *)
 
-type decoder
-(** The decodes of one section, each offset decoded at most once, on
-    demand. *)
-
-val decoder : string -> decoder
-
-val decode : decoder -> int -> (Insn.t * int) option
-(** [Decode.insn ~pos] through the memo ([None] outside the section). *)
-
 val free_branch_sites : string -> (int * int) list
 (** Offsets (and lengths) of every decodable free-branch instruction in
-    the section, at any alignment.  Only offsets holding a free branch's
-    first byte ([C3], [C2] or [FF]) are decoded. *)
+    the section, at any alignment, read from {!Decode.classify}. *)
 
-val iter : ?params:params -> decoder -> (int -> Insn.t list -> unit) -> unit
-(** [iter d f] calls [f start insns] for every gadget of the section, in
-    increasing start order — {!scan} without building the records. *)
+val iter : ?params:params -> string -> (int -> Insn.t list -> unit) -> unit
+(** [iter text f] calls [f start insns] for every gadget of the section,
+    in increasing start order — {!scan} without building the records.
+    One backward pass over {!Decode.classify}'s lengths and classes
+    finds the starts; instructions are decoded only at the found starts,
+    once each, and the lists share their tails (the gadget at [start]
+    is its first instruction on the list of the gadget one instruction
+    on). *)
 
 val scan : ?params:params -> string -> t list
 (** All gadgets in a section, sorted by offset; at most one gadget per

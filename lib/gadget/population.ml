@@ -4,60 +4,59 @@ let thresholds n =
 
 type report = { population : int; at_least : (int * int) list }
 
-(* The per-version half: which (offset, normalized bytes) pairs does this
-   version contain?  The normalized sequence is keyed by its rendering,
-   which is injective enough for machine instructions and avoids a
-   polymorphic-compare hash of the AST.  A section has at most one
+type key = int * Insn.t list
+
+(* The per-version half: which (offset, normalized sequence) pairs does
+   this version contain?  A gadget's sequence is normalized by dropping
+   the NOP candidates (Table 1) and folding each remaining instruction
+   to its canonical form, so two sequences are one key exactly when
+   their [Insn.to_string] renderings agree.  A section has at most one
    gadget per start offset, so the pairs are distinct, and the scan
-   meets them in offset order.  Gadgets share their tails, so each
-   instruction offset is rendered (or found to be a NOP candidate, "")
-   once per section.  Pure data out, so the pool can run one version
-   per task. *)
+   meets them in offset order.  Pure data out, so the pool can run one
+   version per task. *)
 let section_keys text =
-  let d = Finder.decoder text in
-  let rendered = Array.make (String.length text) None in
-  let render pos i =
-    match rendered.(pos) with
-    | Some s -> s
-    | None ->
-        let s = if Nops.is_candidate i then "" else Insn.to_string i in
-        rendered.(pos) <- Some s;
-        s
-  in
   let keys = ref [] in
-  Finder.iter d (fun start insns ->
-      let rec parts pos acc = function
-        | [] -> List.rev acc
-        | i :: rest ->
-            let s = render pos i and _, len = Option.get (Finder.decode d pos) in
-            parts (pos + len) (if s = "" then acc else s :: acc) rest
-      in
-      match parts start [] insns with
+  Finder.iter text (fun start insns ->
+      match
+        List.filter_map
+          (fun i -> if Nops.is_candidate i then None else Some (Insn.canonical i))
+          insns
+      with
       | [] -> ()
-      | normalized -> keys := (start, String.concat ";" normalized) :: !keys);
+      | normalized -> keys := (start, normalized) :: !keys);
   List.rev !keys
+
+(* A key hashes by its offset, its length and its first instruction:
+   keys that share an offset across versions are few, and they mostly
+   differ in where they start. *)
+module Table = Hashtbl.Make (struct
+  type t = key
+
+  let equal ((a, x) : t) (b, y) = a = b && List.equal Insn.equal x y
+
+  let hash ((offset, insns) : t) =
+    (offset * 31) + List.length insns
+end)
 
 (* The merge half: how many versions contain each pair?  One version's
    keys are added at a time, so a census holds the table and never the
    population. *)
-type counts = {
-  table : (int * string, int) Hashtbl.t;
-  mutable versions : int;
-}
+type counts = { table : int ref Table.t; mutable versions : int }
 
-let create () = { table = Hashtbl.create 1024; versions = 0 }
+let create () = { table = Table.create 1024; versions = 0 }
 
 let add t keys =
   List.iter
     (fun key ->
-      let old = Option.value (Hashtbl.find_opt t.table key) ~default:0 in
-      Hashtbl.replace t.table key (old + 1))
+      match Table.find_opt t.table key with
+      | Some c -> incr c
+      | None -> Table.add t.table key (ref 1))
     keys;
   t.versions <- t.versions + 1
 
 let report ~thresholds t =
   let at_least k =
-    (k, Hashtbl.fold (fun _ c n -> if c >= k then n + 1 else n) t.table 0)
+    (k, Table.fold (fun _ c n -> if !c >= k then n + 1 else n) t.table 0)
   in
   { population = t.versions; at_least = List.map at_least thresholds }
 

@@ -20,11 +20,20 @@ type report = {
       (** (k, number of (offset, gadget) pairs present in ≥ k versions) *)
 }
 
-val section_keys : string -> (int * string) list
-(** One version's distinct (offset, normalized-sequence rendering) pairs
-    under the default {!Finder.params}, sorted — the per-version scan
-    that {!add} counts.  Plain data, so a pool task can ship it across
-    a process boundary. *)
+type key = int * Insn.t list
+(** A gadget's (offset, normalized sequence).  The sequence is the
+    gadget's instructions without the NOP candidates of Table 1
+    ({!Nops.is_candidate}), each folded by {!Insn.canonical}: the
+    register-register [MOV r32, r/m32] ([8B /r]) and ALU [r32, r/m32]
+    ([03/0B/.../3B /r]) forms become their [89 /r] and [01/09/.../39 /r]
+    twins, which [Insn.to_string] already renders alike.  Two keys are
+    equal exactly when their offsets and renderings are. *)
+
+val section_keys : string -> key list
+(** One version's distinct keys under the default {!Finder.params},
+    sorted by offset — the per-version scan that {!add} counts.  A
+    gadget made only of NOP candidates has no key.  Plain data, so a
+    pool task can ship it across a process boundary. *)
 
 type counts
 (** A census in progress: for every pair seen so far, the number of
@@ -33,7 +42,7 @@ type counts
 
 val create : unit -> counts
 
-val add : counts -> (int * string) list -> unit
+val add : counts -> key list -> unit
 (** Count one version's {!section_keys}. *)
 
 val report : thresholds:int list -> counts -> report
@@ -41,5 +50,5 @@ val report : thresholds:int list -> counts -> report
     of the versions added so far; [population] is the number of adds.
     Independent of the order in which versions were added. *)
 
-val of_keys : thresholds:int list -> (int * string) list list -> report
+val of_keys : thresholds:int list -> key list list -> report
 (** {!add} every key set to a fresh {!create}, then {!report}. *)

@@ -20,5 +20,10 @@ val surviving_gadgets :
     The one Survivor entry point — Table 2 counts the list, the attack
     checker judges it ({!Attack.attack_on_gadgets}), and attack-surface
     analyses read its offsets.  [original] is scanned once and
-    memoized, since a census compares one original against every
-    version. *)
+    memoized with each gadget's NOP-stripped sequence, since a census
+    compares one original against every version.  The diversified
+    section is walked with {!Decode.classify}; instructions are decoded
+    only where the walk reaches a free branch within the scanner depth.
+    The comparison is instruction equality, not the canonical form of
+    {!Population.key}: a survivor is the same instructions, not just the
+    same rendering. *)

@@ -9,13 +9,40 @@
     Non-canonical but architecturally valid encodings (e.g. a 32-bit
     displacement that would have fitted in 8 bits) are accepted; this
     mirrors a real disassembler and matters for gadget scanning, where the
-    interesting instruction streams start inside other instructions. *)
+    interesting instruction streams start inside other instructions.
+
+    One opcode table decides both questions a scanner asks at every
+    offset: how long the instruction there is, and what it does to a
+    gadget.  {!classify} answers them without building an {!Insn.t};
+    {!insn} consults the same table and builds the instruction only for
+    bytes it accepts. *)
+
+val classify : string -> int -> int
+(** [classify bytes pos] is the instruction at offset [pos] as one int,
+    [length * 4 + class] (read them with {!length_of} and {!class_of}),
+    or [0] ({!undecodable}) where {!insn} returns [None].  It never
+    allocates.  The class is {!free_branch} exactly for
+    {!Insn.is_free_branch} instructions, {!breaks_gadget} for the
+    other control flow that ends a gadget body ([Finder.breaks_gadget]:
+    all but [int]), and {!ordinary} for the rest. *)
+
+val length_of : int -> int
+(** The encoded length in a {!classify} result. *)
+
+val class_of : int -> int
+(** The class in a {!classify} result: one of the four below. *)
+
+val undecodable : int
+val ordinary : int
+val free_branch : int
+val breaks_gadget : int
 
 val insn : ?pos:int -> string -> (Insn.t * int) option
 (** [insn ?pos bytes] decodes one instruction starting at byte offset
     [pos] (default 0).  Returns the instruction and its encoded length, or
     [None] if the bytes at [pos] are not a valid instruction (unknown
-    opcode, invalid ModRM digit, or truncated). *)
+    opcode, invalid ModRM digit, or truncated).  Bad bytes are rejected
+    by the {!classify} table before anything is built. *)
 
 val sequence : ?pos:int -> ?max:int -> string -> (Insn.t * int) list
 (** [sequence ?pos ?max bytes] linear-sweeps from [pos], returning

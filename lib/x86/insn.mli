@@ -95,6 +95,16 @@ val is_terminator : t -> bool
 (** Ends a basic block: unconditional transfers, returns, halt (but not
     calls, which fall through). *)
 
+val canonical : t -> t
+(** The one instruction of its {!to_string} text: [canonical a =
+    canonical b] exactly when [to_string a = to_string b].  Two encodings
+    name the same register-register operation and fold into one:
+    [MOV r32, r/m32] ([8B /r]) into [MOV r/m32, r32] ([89 /r]), and the
+    ALU [r32, r/m32] column ([03/0B/.../3B /r]) into the [r/m32, r32]
+    column ([01/09/.../39 /r]).  Short branches ([EB cb], [70+cc cb])
+    fold into their rel32 forms.  Every other instruction is its own
+    canonical form. *)
+
 val pp : Format.formatter -> t -> unit
 (** AT&T-flavoured assembly-like rendering for diagnostics, e.g.
     [mov %esp, %esp], [lea 0x4(%esi), %edi]. *)

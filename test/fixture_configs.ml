@@ -29,3 +29,23 @@ let all =
         | Ok c -> (spec, c)
         | Error e -> failwith ("Fixture_configs: " ^ e))
       portfolio_specs
+
+(* The [.text] of every image on the grid: each workload's baseline,
+   then versions 0-2 of every config above, labelled "workload config
+   vN".  Built once, on first use, for the tests that read every offset
+   of real code. *)
+let texts =
+  lazy
+    (List.concat_map
+       (fun (w : Workload.t) ->
+         let c = Driver.compile_cached ~name:w.name w.source in
+         let profile = Driver.train_cached c ~args:w.train_args in
+         (w.name ^ " baseline", (Driver.link_baseline c).Link.text)
+         :: List.concat_map
+              (fun (cname, config) ->
+                List.init 3 (fun version ->
+                    ( Printf.sprintf "%s %s v%d" w.name cname version,
+                      (fst (Driver.diversify_linked c ~config ~profile ~version))
+                        .Link.text )))
+              all)
+       Workloads.all)

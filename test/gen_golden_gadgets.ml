@@ -27,8 +27,13 @@ let table3_versions = 25
 
 let md5 lines = Digest.to_hex (Digest.string (String.concat "" lines))
 
+(* A key renders as its offset and its instructions' [Insn.to_string]
+   texts joined by ";". *)
 let keys_lines keys =
-  List.map (fun (off, s) -> Printf.sprintf "%d %s\n" off s) keys
+  List.map
+    (fun (off, insns) ->
+      Printf.sprintf "%d %s\n" off (String.concat ";" (List.map Insn.to_string insns)))
+    keys
 
 let config =
   match Config.of_spec "p0-30" with

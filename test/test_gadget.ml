@@ -142,6 +142,67 @@ let prop_scan_by_walking =
         (Finder.scan ~params text)
       = scan_by_walking params text)
 
+(* finder.mli's rule, one start at a time with [Decode.insn]: the sweep
+   from [start] meets its first gadget-breaking instruction at a free
+   branch at most [max_back_bytes] on, within [max_insns] instructions,
+   every one of them decodable. *)
+let scan_by_rule (params : Finder.params) text =
+  let cap = max 1 params.max_insns in
+  let gadget start =
+    let rec walk pos k acc =
+      if k > cap then None
+      else
+        match Decode.insn ~pos text with
+        | None -> None
+        | Some (i, len) ->
+            if Insn.is_free_branch i then
+              if pos - start <= params.max_back_bytes then
+                Some (List.rev (i :: acc), pos + len)
+              else None
+            else if Finder.breaks_gadget i then None
+            else walk (pos + len) (k + 1) (i :: acc)
+    in
+    Option.map
+      (fun (insns, stop) ->
+        { Finder.offset = start; insns; bytes = String.sub text start (stop - start) })
+      (walk start 1 [])
+  in
+  List.filter_map gadget (List.init (String.length text) Fun.id)
+
+let same_scan params text =
+  List.equal
+    (fun (a : Finder.t) (b : Finder.t) ->
+      a.offset = b.offset && List.equal Insn.equal a.insns b.insns && a.bytes = b.bytes)
+    (Finder.scan ~params text) (scan_by_rule params text)
+
+let test_finder_rule_images () =
+  List.iter
+    (fun (what, text) ->
+      if not (same_scan Finder.default_params text) then
+        Alcotest.failf "%s: scan differs from the rule" what)
+    (Lazy.force Fixture_configs.texts)
+
+(* Seeded strings rich in free-branch first bytes, at the default depth
+   and at every depth from 1 to 9 instructions and 0 to 32 bytes. *)
+let test_finder_rule_random () =
+  let rng = Rng.create 31L in
+  let byte () =
+    match Rng.int rng 8 with
+    | 0 | 1 -> Char.chr (List.nth [ 0xC3; 0xC2; 0xFF ] (Rng.int rng 3))
+    | 2 -> Char.chr (List.nth [ 0xD0; 0xE2; 0x10; 0x24; 0x25; 0x14; 0x64 ] (Rng.int rng 7))
+    | _ -> Char.chr (Rng.int rng 256)
+  in
+  for k = 1 to 3000 do
+    let text = String.init (1 + Rng.int rng 64) (fun _ -> byte ()) in
+    let params =
+      if k mod 2 = 0 then Finder.default_params
+      else { Finder.max_insns = 1 + Rng.int rng 9; max_back_bytes = Rng.int rng 33 }
+    in
+    if not (same_scan params text) then
+      Alcotest.failf "%S (max_insns %d, back %d): scan differs from the rule"
+        text params.max_insns params.max_back_bytes
+  done
+
 let test_finder_respects_depth () =
   (* Eight one-byte instructions then ret; with max_insns = 5 the start
      at offset 0 would need 9 instructions, so it is not a gadget. *)
@@ -418,6 +479,10 @@ let suite =
         Alcotest.test_case "depth limit" `Quick test_finder_respects_depth;
         QCheck_alcotest.to_alcotest prop_free_branch_sites;
         QCheck_alcotest.to_alcotest prop_scan_by_walking;
+        Alcotest.test_case "scan = the rule on the fixture images" `Quick
+          test_finder_rule_images;
+        Alcotest.test_case "scan = the rule on seeded strings" `Quick
+          test_finder_rule_random;
       ] );
     ( "gadget.survivor",
       [

@@ -236,6 +236,116 @@ let test_figure2_overlapping_decode () =
   | _ -> Alcotest.fail "offset stream decodes as adc;ret (hidden gadget)"
 
 (* ------------------------------------------------------------------ *)
+(* The opcode table against the instruction builder: at every offset,
+   [Decode.classify]'s length and class are those of [Decode.insn]'s
+   instruction (free branch, other gadget-breaking control flow, or
+   ordinary), and 0 exactly where [insn] is [None]. *)
+
+let class_of_insn i =
+  if Insn.is_free_branch i then Decode.free_branch
+  else if Finder.breaks_gadget i then Decode.breaks_gadget
+  else Decode.ordinary
+
+(* The first offset of [text] where the two disagree, if any. *)
+let table_mismatch text =
+  let n = String.length text in
+  let rec at pos =
+    if pos > n then None
+    else
+      let expected =
+        match Decode.insn ~pos text with
+        | None -> Decode.undecodable
+        | Some (i, len) -> (len lsl 2) lor class_of_insn i
+      in
+      let got = Decode.classify text pos in
+      if got = expected then at (pos + 1)
+      else
+        Some
+          (Printf.sprintf "offset %d (%s): classify %d, insn %d" pos
+             (hex (String.sub text pos (min 12 (n - pos))))
+             got expected)
+  in
+  at 0
+
+let check_table what text =
+  match table_mismatch text with
+  | None -> ()
+  | Some m -> Alcotest.failf "%s: %s" what m
+
+let test_table_images () =
+  let texts = Lazy.force Fixture_configs.texts in
+  Alcotest.(check int) "every baseline and versions 0-2 of every config"
+    (List.length Workloads.all * (1 + (3 * List.length Fixture_configs.all)))
+    (List.length texts);
+  List.iter (fun (what, text) -> check_table what text) texts
+
+(* Seeded random bytes, and every opcode with every ModRM byte (and,
+   behind the ModRM forms that take one, every SIB byte), each whole
+   and cut short, so every truncation path is met. *)
+let test_table_random () =
+  let rng = Rng.create 30L in
+  let random len = String.init len (fun _ -> Char.chr (Rng.int rng 256)) in
+  for k = 1 to 3000 do
+    check_table (Printf.sprintf "random string %d" k) (random (1 + Rng.int rng 24))
+  done;
+  check_table "random 64 KiB" (random 65536);
+  let tail = random 10 in
+  let prefixes =
+    List.concat_map
+      (fun op ->
+        List.concat_map
+          (fun modrm ->
+            let b = String.make 1 (Char.chr op) ^ String.make 1 (Char.chr modrm) in
+            if modrm land 0xC7 = 0x04 || modrm land 0xC0 = 0x40 && modrm land 7 = 4
+            then List.init 256 (fun sib -> b ^ String.make 1 (Char.chr sib))
+            else [ b ])
+          (List.init 256 Fun.id))
+      (0x0F :: [ 0x01; 0x03; 0x81; 0x83; 0x8D; 0xC1; 0xC7; 0xF7; 0xFF ])
+  in
+  List.iter
+    (fun prefix ->
+      for cut = 1 to String.length prefix do
+        check_table "prefix" (String.sub prefix 0 cut)
+      done;
+      check_table "prefix + tail" (prefix ^ tail))
+    prefixes;
+  for op = 0 to 255 do
+    for b = 0 to 255 do
+      check_table "two bytes" (Printf.sprintf "%c%c%s" (Char.chr op) (Char.chr b) tail)
+    done
+  done
+
+(* [Insn.canonical] names one instruction per [Insn.to_string] text:
+   over every instruction decoded from the fixture images, two render
+   alike exactly when their canonical forms are equal. *)
+let test_canonical_images () =
+  let by_text = Hashtbl.create 4096 and by_canon = Hashtbl.create 4096 in
+  let seen i =
+    let text = Insn.to_string i and canon = Insn.canonical i in
+    (match Hashtbl.find_opt by_text text with
+    | Some c when not (Insn.equal c canon) ->
+        Alcotest.failf "%S: canonical forms differ" text
+    | Some _ -> ()
+    | None -> Hashtbl.replace by_text text canon);
+    match Hashtbl.find_opt by_canon canon with
+    | Some t when t <> text ->
+        Alcotest.failf "one canonical form renders as %S and %S" t text
+    | Some _ -> ()
+    | None -> Hashtbl.replace by_canon canon text
+  in
+  List.iter
+    (fun (_, text) ->
+      for pos = 0 to String.length text - 1 do
+        match Decode.insn ~pos text with Some (i, _) -> seen i | None -> ()
+      done)
+    (Lazy.force Fixture_configs.texts);
+  (* Both direction forms of one register move meet, so the fold is
+     exercised, not vacuous. *)
+  Alcotest.(check bool)
+    "8B /r and 89 /r register moves both decoded" true
+    (Hashtbl.mem by_text "mov %esp, %ebp")
+
+(* ------------------------------------------------------------------ *)
 (* Classification. *)
 
 let test_classification () =
@@ -370,6 +480,12 @@ let prop_decode_never_raises =
       | Some (_, len) -> len > 0 && len <= String.length s
       | None -> true)
 
+let prop_canonical =
+  QCheck.Test.make ~name:"canonical keeps the rendering and is idempotent"
+    ~count:2000 arb_insn (fun i ->
+      let c = Insn.canonical i in
+      Insn.to_string c = Insn.to_string i && Insn.equal (Insn.canonical c) c)
+
 let prop_program_concat =
   QCheck.Test.make ~name:"program = concat of insn encodings" ~count:200
     QCheck.(list_of_size (Gen.int_bound 10) arb_insn)
@@ -403,6 +519,12 @@ let suite =
         Alcotest.test_case "sequence max" `Quick test_decode_max;
         Alcotest.test_case "figure 2 overlapping decode" `Quick
           test_figure2_overlapping_decode;
+        Alcotest.test_case "opcode table = builder on the fixture images" `Quick
+          test_table_images;
+        Alcotest.test_case "opcode table = builder on seeded bytes" `Quick
+          test_table_random;
+        Alcotest.test_case "canonical form = rendering on the fixture images"
+          `Quick test_canonical_images;
       ] );
     ( "x86.classify",
       [
@@ -416,6 +538,7 @@ let suite =
           prop_roundtrip;
           prop_length_consistent;
           prop_decode_never_raises;
+          prop_canonical;
           prop_program_concat;
         ] );
   ]
