@@ -68,6 +68,7 @@ type st = {
   mutable cf : bool;
   mutable pf : bool;
   mem : int array; (* data space, word-indexed, up to stack_top *)
+  written : Bytes.t; (* one byte per page of [mem]: nonzero once stored to *)
   tlen : int; (* String.length text *)
   mutable eip : int; (* text offset; read by the dispatch loop only *)
   out : Buffer.t;
@@ -107,12 +108,22 @@ let[@inline] mem_rd st va =
   if a < data_base_i || a >= stack_top_i then fault "load out of bounds: 0x%x" a;
   Array.unsafe_get st.mem (a lsr 2)
 
+(* A page is 4 KiB of the address space, 1,024 words of [mem]. *)
+let page_bits = 12
+
 let[@inline] mem_wr st va v =
   let a = va land 0xFFFFFFFF in
   if a land 3 <> 0 then fault "unaligned store at 0x%x" a;
   if a < data_base_i || a >= stack_top_i then
     fault "store out of bounds: 0x%x" a;
+  Bytes.unsafe_set st.written (a lsr page_bits) '\001';
   Array.unsafe_set st.mem (a lsr 2) v
+
+(* A store made before the run starts (data image, arguments, stack
+   image), by word index. *)
+let store_word st w v =
+  Bytes.set st.written (w lsr (page_bits - 2)) '\001';
+  st.mem.(w) <- v
 
 (* Parity of the low byte, tabulated. *)
 let ptab =
@@ -946,16 +957,25 @@ let exec_loop (c : cache) (st : st) =
 
 (* One spare data space, handed from a finished run to the next: a
    fresh 8 MiB array per run is major-heap garbage the GC must then
-   sweep.  A run that finds no spare (the first run in a process)
-   allocates its own. *)
-let spare : int array option Atomic.t = Atomic.make None
+   sweep.  The spare travels with its page map, and the next run
+   zeroes only the pages the last one wrote (most runs touch a few
+   pages of data and stack), so it starts as a fresh array would.  A
+   run that finds no spare (the first run in a process) allocates its
+   own. *)
+let spare : (int array * Bytes.t) option Atomic.t = Atomic.make None
 
 let take_mem () =
   match Atomic.exchange spare None with
-  | Some m ->
-      Array.fill m 0 (Array.length m) 0;
+  | Some ((mem, written) as m) ->
+      let words = 1 lsl (page_bits - 2) in
+      Bytes.iteri
+        (fun page w ->
+          if w <> '\000' then Array.fill mem (page * words) words 0)
+        written;
+      Bytes.fill written 0 (Bytes.length written) '\000';
       m
-  | None -> Array.make (stack_top_i / 4) 0
+  | None ->
+      (Array.make (stack_top_i / 4) 0, Bytes.make (stack_top_i lsr page_bits) '\000')
 
 let make_state ?(profile = false) ?sample_period ~fuel (image : Link.image)
     (model : Timing.model) : st =
@@ -981,6 +1001,7 @@ let make_state ?(profile = false) ?sample_period ~fuel (image : Link.image)
     if Int64.compare fuel (Int64.of_int max_int) >= 0 then max_int
     else Int64.to_int fuel
   in
+  let mem, written = take_mem () in
   {
     regs = Array.make 8 0;
     zf = false;
@@ -988,7 +1009,8 @@ let make_state ?(profile = false) ?sample_period ~fuel (image : Link.image)
     of_ = false;
     cf = false;
     pf = false;
-    mem = take_mem ();
+    mem;
+    written;
     tlen = String.length image.text;
     eip = image.entry;
     out = Buffer.create 256;
@@ -1008,7 +1030,7 @@ let init_data st (image : Link.image) =
   List.iter
     (fun (addr, words) ->
       let base = Int32.to_int addr lsr 2 in
-      Array.iteri (fun i v -> st.mem.(base + i) <- Int32.to_int v) words)
+      Array.iteri (fun i v -> store_word st (base + i) (Int32.to_int v)) words)
     image.data_init
 
 let finish st : result =
@@ -1052,7 +1074,7 @@ let exec_to_outcome cache st : outcome =
     | () -> Simcore.finished (finish st)
     | exception Fault msg -> Faulted { fault_msg = msg; partial = finish st }
   in
-  Atomic.set spare (Some st.mem);
+  Atomic.set spare (Some (st.mem, st.written));
   outcome
 
 (* Argument validation lives in [Sim.run]. *)
@@ -1062,7 +1084,7 @@ let run_outcome ~fuel ?profile ?sample_period (image : Link.image) ~args :
   let st = make_state ?profile ?sample_period ~fuel image Timing.default in
   init_data st image;
   let argv = Int32.to_int (Link.argv_address image) lsr 2 in
-  List.iteri (fun i v -> st.mem.(argv + i) <- Int32.to_int v) args;
+  List.iteri (fun i v -> store_word st (argv + i) (Int32.to_int v)) args;
   st.regs.(Reg.encode Reg.ESP) <- stack_top_i - 16;
   exec_to_outcome cache st
 
@@ -1074,7 +1096,7 @@ let run_at_outcome ~fuel ?(stack_image = []) (image : Link.image)
   let esp = stack_top_i - (16 + (4 * List.length stack_image)) in
   st.regs.(Reg.encode Reg.ESP) <- esp;
   List.iteri
-    (fun i v -> st.mem.((esp lsr 2) + i) <- Int32.to_int v)
+    (fun i v -> store_word st ((esp lsr 2) + i) (Int32.to_int v))
     stack_image;
   st.eip <- start_offset;
   exec_to_outcome cache st

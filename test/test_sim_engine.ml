@@ -535,6 +535,51 @@ let test_call_rm_target_first () =
       Alcotest.(check int64) "call esp retired" 1L partial.Sim.instructions
   | Sim.Finished _ -> Alcotest.fail "call esp: expected a fault"
 
+(* ---------------- a run starts on zeroed memory ---------------- *)
+
+(* The block engine hands one data space from run to run and zeroes
+   only the pages the last run wrote.  A writer stores to the first
+   data page, a far data page and deep stack with its own code, and to
+   two more pages before it starts (its data image and its stack
+   image); a reader that loads all five addresses before writing any
+   must see 0 on both engines, as a fresh space would give it. *)
+let test_memory_zeroed_between_runs () =
+  let first = Link.data_base
+  and far = Int32.add Link.data_base 0x200000l
+  and deep = Int32.sub Link.stack_top 0x100000l
+  and init = Int32.add Link.data_base 0x100000l
+  and slot = Int32.sub Link.stack_top 20l in
+  let load_all =
+    Insn.Mov_r_rm (Reg.EAX, Insn.Mem (Insn.mem_abs first))
+    :: List.map
+         (fun a -> Insn.Alu_r_rm (Insn.Or, Reg.EAX, Insn.Mem (Insn.mem_abs a)))
+         [ far; deep; init; slot ]
+    @ [ Insn.Hlt ]
+  in
+  let store a v = Insn.Mov_rm_imm (Insn.Mem (Insn.mem_abs a), v) in
+  let writer =
+    {
+      (bare_image
+         (Encode.program ([ store first 1l; store far 2l; store deep 4l ] @ load_all)))
+      with
+      Link.data_init = [ (init, [| 8l |]) ];
+    }
+  and reader = bare_image (Encode.program load_all) in
+  let status what o = (result_of what o).Sim.status in
+  for round = 1 to 2 do
+    let wrote =
+      Sim.run_at_outcome ~fuel:100L ~stack_image:[ 16l ] writer ~start_offset:0
+    in
+    Alcotest.(check int32) "the writer reads its own stores" 31l
+      (status "writer" wrote);
+    let run ~reference = run_at_outcome ~reference ~fuel:100L reader ~start_offset:0 in
+    let oi = run ~reference:true and ob = run ~reference:false in
+    check_parity (Printf.sprintf "reader, round %d" round) oi ob;
+    Alcotest.(check int32)
+      (Printf.sprintf "round %d: the reader sees zeroed memory" round)
+      0l (status "reader" ob)
+  done
+
 (* ---------------- memory-operand inline shapes fault alike --------- *)
 
 (* The inline shapes of the step builder with a memory operand, each
@@ -695,6 +740,8 @@ let suite =
           test_cold_cache_entry_order;
         Alcotest.test_case "hooks interleaved on one cache" `Quick
           test_hooks_interleaved;
+        Alcotest.test_case "each run starts on zeroed memory" `Quick
+          test_memory_zeroed_between_runs;
         Alcotest.test_case "memory-operand shapes fault alike" `Quick
           test_mem_shape_faults;
         Alcotest.test_case "call r/m reads its target first" `Quick
