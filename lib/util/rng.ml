@@ -1,24 +1,36 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state, kept in 8 bytes rather than a mutable [int64]
+   field: a store into the field boxes every new state, while
+   [Bytes.set_int64_le] writes it unboxed, so a draw allocates
+   nothing. *)
+type t = Bytes.t
+
+let[@inline] state t = Bytes.get_int64_le t 0
+let[@inline] set_state t s = Bytes.set_int64_le t 0 s
+
+let create seed =
+  let t = Bytes.create 8 in
+  set_state t seed;
+  t
 
 (* SplitMix64 constants (Steele, Lea & Flood, OOPSLA 2014). *)
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = seed }
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (state t) golden_gamma in
+  set_state t s;
+  mix64 s
 
 let split t =
   let s = next_int64 t in
   (* Mix once more so the child stream starts far from the parent's. *)
-  { state = mix64 s }
+  create (mix64 s)
 
 (* FNV-1a over the label bytes, folded into the seed.  Good enough to give
    independent SplitMix64 starting points; we only need collision
@@ -43,7 +55,7 @@ let of_labels seed labels =
   in
   create (mix64 h)
 
-let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 34)
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 34)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -51,13 +63,13 @@ let int t bound =
   (* Rejection sampling for exact uniformity. *)
   let mask = (1 lsl 30) - 1 in
   let limit = mask / bound * bound in
-  let rec loop () =
-    let r = bits t in
-    if r < limit then r mod bound else loop ()
-  in
-  loop ()
+  let r = ref (bits t) in
+  while !r >= limit do
+    r := bits t
+  done;
+  !r mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits scaled into [0,1), then into [0,bound). *)
   let r53 = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   r53 /. 9007199254740992.0 *. bound

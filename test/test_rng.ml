@@ -106,11 +106,36 @@ let test_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 Fun.id) sorted
 
+(* The stream itself, pinned: every diversified image is a function of
+   these draws, so a change to the state's representation must leave
+   the first outputs of each draw kind exactly as they were. *)
+let test_stream_pinned () =
+  let seed = 20130223L in
+  let r = Rng.create seed in
+  Alcotest.(check (list int64))
+    "next_int64"
+    [ -2165485758430612680L; -8310503195033984255L; 887280780828464812L ]
+    (List.init 3 (fun _ -> Rng.next_int64 r));
+  let r = Rng.create seed in
+  Alcotest.(check (list int))
+    "int 1000" [ 963; 872; 538; 77; 172; 366 ]
+    (List.init 6 (fun _ -> Rng.int r 1000));
+  let r = Rng.create seed in
+  Alcotest.(check (list bool))
+    "bernoulli 0.3"
+    [ false; false; true; false; false; false; false; true; false; false; false; false ]
+    (List.init 12 (fun _ -> Rng.bernoulli r 0.3));
+  let r = Rng.create seed in
+  let s = Rng.split r in
+  Alcotest.(check int64) "split" (-7095048550235471518L) (Rng.next_int64 s);
+  Alcotest.(check (float 0.)) "float after split" 0x1.195652c006804p-1 (Rng.float r 1.0)
+
 let suite =
   [
     ( "rng",
       [
         Alcotest.test_case "determinism" `Quick test_determinism;
+        Alcotest.test_case "stream pinned" `Quick test_stream_pinned;
         Alcotest.test_case "distinct seeds" `Quick test_distinct_seeds;
         Alcotest.test_case "copy" `Quick test_copy_independent;
         Alcotest.test_case "split" `Quick test_split_independent;
