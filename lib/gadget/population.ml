@@ -26,16 +26,15 @@ let section_keys text =
       | normalized -> keys := (start, normalized) :: !keys);
   List.rev !keys
 
-(* A key hashes by its offset, its length and its first instruction:
-   keys that share an offset across versions are few, and they mostly
-   differ in where they start. *)
+(* A key hashes by its offset and its length: the keys that share both
+   across versions are few, so equality settles a bucket quickly, and no
+   instruction is hashed. *)
 module Table = Hashtbl.Make (struct
   type t = key
 
   let equal ((a, x) : t) (b, y) = a = b && List.equal Insn.equal x y
 
-  let hash ((offset, insns) : t) =
-    (offset * 31) + List.length insns
+  let hash ((offset, insns) : t) = (offset * 31) + List.length insns
 end)
 
 (* The merge half: how many versions contain each pair?  One version's

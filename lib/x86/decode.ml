@@ -203,8 +203,11 @@ let shift_of_digit = function
   | 7 -> Sar
   | _ -> raise Invalid
 
+(* The register form of a byte-register ModRM: mod must be 11. *)
 let reg8 b =
-  match Reg.decode8 (b land 7) with Some r -> r | None -> raise Invalid
+  match Reg.decode8 (b land 7) with
+  | Some r when b lsr 6 = 0b11 -> r
+  | _ -> raise Invalid
 
 let decode_0f c =
   let op2 = u8 c in
@@ -295,8 +298,9 @@ let decode_one c =
       | _ -> raise Invalid)
   | _ -> raise Invalid
 
-(* The table rejects bad bytes; the builder runs on accepted ones only,
-   and its own checks are the backstop that keeps [insn] total. *)
+(* The table rejects bad bytes, and the builder runs on accepted ones
+   only.  The builder still checks every rule on its own: that keeps
+   [insn] total, and lets the tests hold the table against it. *)
 let insn ?(pos = 0) bytes =
   if classify bytes pos = undecodable then None
   else

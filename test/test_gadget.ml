@@ -130,11 +130,14 @@ let scan_by_walking (params : Finder.params) text =
   Hashtbl.fold (fun start insns acc -> (start, insns) :: acc) found []
   |> List.sort compare
 
+(* Random sections with random scan depths. *)
+let arb_scan =
+  QCheck.make
+    ~print:(fun (s, (i, b)) -> Printf.sprintf "%S max_insns=%d back=%d" s i b)
+    QCheck.Gen.(pair gen_section (pair (int_range 1 9) (int_range 0 32)))
+
 let prop_scan_by_walking =
-  QCheck.Test.make ~name:"scan = per-branch walk" ~count:2000
-    (QCheck.make
-       ~print:(fun (s, (i, b)) -> Printf.sprintf "%S max_insns=%d back=%d" s i b)
-       QCheck.Gen.(pair gen_section (pair (int_range 1 9) (int_range 0 32))))
+  QCheck.Test.make ~name:"scan = per-branch walk" ~count:2000 arb_scan
     (fun (text, (max_insns, max_back_bytes)) ->
       let params = { Finder.max_insns; max_back_bytes } in
       List.map
@@ -182,26 +185,10 @@ let test_finder_rule_images () =
         Alcotest.failf "%s: scan differs from the rule" what)
     (Lazy.force Fixture_configs.texts)
 
-(* Seeded strings rich in free-branch first bytes, at the default depth
-   and at every depth from 1 to 9 instructions and 0 to 32 bytes. *)
-let test_finder_rule_random () =
-  let rng = Rng.create 31L in
-  let byte () =
-    match Rng.int rng 8 with
-    | 0 | 1 -> Char.chr (List.nth [ 0xC3; 0xC2; 0xFF ] (Rng.int rng 3))
-    | 2 -> Char.chr (List.nth [ 0xD0; 0xE2; 0x10; 0x24; 0x25; 0x14; 0x64 ] (Rng.int rng 7))
-    | _ -> Char.chr (Rng.int rng 256)
-  in
-  for k = 1 to 3000 do
-    let text = String.init (1 + Rng.int rng 64) (fun _ -> byte ()) in
-    let params =
-      if k mod 2 = 0 then Finder.default_params
-      else { Finder.max_insns = 1 + Rng.int rng 9; max_back_bytes = Rng.int rng 33 }
-    in
-    if not (same_scan params text) then
-      Alcotest.failf "%S (max_insns %d, back %d): scan differs from the rule"
-        text params.max_insns params.max_back_bytes
-  done
+let prop_scan_by_rule =
+  QCheck.Test.make ~name:"scan = the rule on random sections" ~count:2000 arb_scan
+    (fun (text, (max_insns, max_back_bytes)) ->
+      same_scan { Finder.max_insns; max_back_bytes } text)
 
 let test_finder_respects_depth () =
   (* Eight one-byte instructions then ret; with max_insns = 5 the start
@@ -481,8 +468,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_scan_by_walking;
         Alcotest.test_case "scan = the rule on the fixture images" `Quick
           test_finder_rule_images;
-        Alcotest.test_case "scan = the rule on seeded strings" `Quick
-          test_finder_rule_random;
+        QCheck_alcotest.to_alcotest prop_scan_by_rule;
       ] );
     ( "gadget.survivor",
       [
