@@ -9,8 +9,8 @@ open Insn
    are valid, and the operand rule (LEA wants memory; SETcc and MOVZX
    want one of the four byte registers; a shift count must be below 32).
    [classify] reads an offset's length and class from it without
-   building an instruction; [insn] builds one only where the table
-   accepts the bytes. *)
+   building an instruction; [insn] builds the instruction with its own
+   checks, and the tests hold the two against each other. *)
 
 let undecodable = 0
 let ordinary = 1
@@ -118,9 +118,9 @@ let classify bytes pos =
     else operands bytes n pos (Array.unsafe_get secondary (byte bytes (pos + 1))) (pos + 2)
 
 (* ------------------------------------------------------------------ *)
-(* Building the instruction the table accepted.  The cursor measures
-   the length again on its own, which the tests hold against the
-   table's. *)
+(* Building the instruction.  The builder checks every rule and
+   measures the length on its own, without the table, so a table that
+   rejects or accepts too much disagrees with it. *)
 
 type cursor = { bytes : string; mutable pos : int }
 
@@ -298,16 +298,11 @@ let decode_one c =
       | _ -> raise Invalid)
   | _ -> raise Invalid
 
-(* The table rejects bad bytes, and the builder runs on accepted ones
-   only.  The builder still checks every rule on its own: that keeps
-   [insn] total, and lets the tests hold the table against it. *)
 let insn ?(pos = 0) bytes =
-  if classify bytes pos = undecodable then None
-  else
-    let c = { bytes; pos } in
-    match decode_one c with
-    | i -> Some (i, c.pos - pos)
-    | exception (Invalid | Invalid_argument _) -> None
+  let c = { bytes; pos } in
+  match decode_one c with
+  | i -> Some (i, c.pos - pos)
+  | exception (Invalid | Invalid_argument _) -> None
 
 let sequence ?(pos = 0) ?max bytes =
   let rec loop pos n acc =

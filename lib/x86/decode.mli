@@ -13,9 +13,10 @@
 
     One opcode table decides both questions a scanner asks at every
     offset: how long the instruction there is, and what it does to a
-    gadget.  {!classify} answers them without building an {!Insn.t};
-    {!insn} consults the same table and builds the instruction only for
-    bytes it accepts. *)
+    gadget.  {!classify} answers them without building an {!Insn.t}.
+    {!insn} builds the instruction without the table, checking every
+    operand rule itself, so the two are independent readings of the
+    same bytes and agree at every offset. *)
 
 val classify : string -> int -> int
 (** [classify bytes pos] is the instruction at offset [pos] as one int,
@@ -41,8 +42,8 @@ val insn : ?pos:int -> string -> (Insn.t * int) option
 (** [insn ?pos bytes] decodes one instruction starting at byte offset
     [pos] (default 0).  Returns the instruction and its encoded length, or
     [None] if the bytes at [pos] are not a valid instruction (unknown
-    opcode, invalid ModRM digit, or truncated).  Bad bytes are rejected
-    by the {!classify} table before anything is built. *)
+    opcode, invalid ModRM digit, or truncated): exactly where
+    {!classify} is {!undecodable}. *)
 
 val sequence : ?pos:int -> ?max:int -> string -> (Insn.t * int) list
 (** [sequence ?pos ?max bytes] linear-sweeps from [pos], returning

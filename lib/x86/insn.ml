@@ -76,15 +76,13 @@ let is_terminator = function
   | Ret | Ret_imm _ | Jmp_rel _ | Jmp_rel8 _ | Jmp_rm _ | Hlt -> true
   | _ -> false
 
-(* One instruction per [to_string] text: the register-register forms of
-   the r,r/m direction ([8B /r] and the [03 /r] column) become their r/m,r
-   twins ([89 /r], the [01 /r] column), and the short branches their
-   rel32 forms. *)
+(* One instruction per [to_string] text among those a gadget can hold:
+   the register-register forms of the r,r/m direction ([8B /r] and the
+   [03 /r] column) become their r/m,r twins ([89 /r], the [01 /r]
+   column). *)
 let canonical = function
   | Mov_r_rm (d, Reg s) -> Mov_rm_r (Reg d, s)
   | Alu_r_rm (op, d, Reg s) -> Alu_rm_r (op, Reg d, s)
-  | Jmp_rel8 d -> Jmp_rel (Int32.of_int d)
-  | Jcc8 (c, d) -> Jcc (c, Int32.of_int d)
   | i -> i
 
 let alu_name = function

@@ -96,14 +96,16 @@ val is_terminator : t -> bool
     calls, which fall through). *)
 
 val canonical : t -> t
-(** The one instruction of its {!to_string} text: [canonical a =
-    canonical b] exactly when [to_string a = to_string b].  Two encodings
-    name the same register-register operation and fold into one:
-    [MOV r32, r/m32] ([8B /r]) into [MOV r/m32, r32] ([89 /r]), and the
-    ALU [r32, r/m32] column ([03/0B/.../3B /r]) into the [r/m32, r32]
-    column ([01/09/.../39 /r]).  Short branches ([EB cb], [70+cc cb])
-    fold into their rel32 forms.  Every other instruction is its own
-    canonical form. *)
+(** The one instruction of its {!to_string} text among the instructions
+    a gadget can hold (free branches and everything that does not break a
+    gadget; short and rel32 branches, which render alike, are left
+    apart): for those, [canonical a = canonical b] exactly when
+    [to_string a = to_string b].  Two encodings name the same
+    register-register operation and fold into one: [MOV r32, r/m32]
+    ([8B /r]) into [MOV r/m32, r32] ([89 /r]), and the ALU [r32, r/m32]
+    column ([03/0B/.../3B /r]) into the [r/m32, r32] column
+    ([01/09/.../39 /r]).  Every other instruction is its own canonical
+    form. *)
 
 val pp : Format.formatter -> t -> unit
 (** AT&T-flavoured assembly-like rendering for diagnostics, e.g.

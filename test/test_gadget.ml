@@ -109,7 +109,7 @@ let prop_free_branch_sites =
 let scan_by_walking (params : Finder.params) text =
   let found = Hashtbl.create 64 in
   List.iter
-    (fun (branch, _) ->
+    (fun (branch, len) ->
       for start = max 0 (branch - params.max_back_bytes) to branch do
         let rec walk pos n acc =
           if pos = branch then Some (List.rev (fst (Option.get (Decode.insn ~pos text)) :: acc))
@@ -123,12 +123,16 @@ let scan_by_walking (params : Finder.params) text =
         let g = if start = branch then walk start 1 [] else walk start 2 [] in
         match g with
         | Some insns when not (Hashtbl.mem found start) ->
-            Hashtbl.replace found start insns
+            Hashtbl.replace found start (insns, String.sub text start (branch + len - start))
         | _ -> ()
       done)
     (sites_by_full_decode text);
-  Hashtbl.fold (fun start insns acc -> (start, insns) :: acc) found []
+  Hashtbl.fold (fun start (insns, bytes) acc -> (start, insns, bytes) :: acc) found []
   |> List.sort compare
+
+(* [Finder.scan] in the same shape, bytes included. *)
+let scan_of params text =
+  List.map (fun (g : Finder.t) -> (g.offset, g.insns, g.bytes)) (Finder.scan ~params text)
 
 (* Random sections with random scan depths. *)
 let arb_scan =
@@ -140,55 +144,17 @@ let prop_scan_by_walking =
   QCheck.Test.make ~name:"scan = per-branch walk" ~count:2000 arb_scan
     (fun (text, (max_insns, max_back_bytes)) ->
       let params = { Finder.max_insns; max_back_bytes } in
-      List.map
-        (fun (g : Finder.t) -> (g.offset, g.insns))
-        (Finder.scan ~params text)
-      = scan_by_walking params text)
+      scan_of params text = scan_by_walking params text)
 
-(* finder.mli's rule, one start at a time with [Decode.insn]: the sweep
-   from [start] meets its first gadget-breaking instruction at a free
-   branch at most [max_back_bytes] on, within [max_insns] instructions,
-   every one of them decodable. *)
-let scan_by_rule (params : Finder.params) text =
-  let cap = max 1 params.max_insns in
-  let gadget start =
-    let rec walk pos k acc =
-      if k > cap then None
-      else
-        match Decode.insn ~pos text with
-        | None -> None
-        | Some (i, len) ->
-            if Insn.is_free_branch i then
-              if pos - start <= params.max_back_bytes then
-                Some (List.rev (i :: acc), pos + len)
-              else None
-            else if Finder.breaks_gadget i then None
-            else walk (pos + len) (k + 1) (i :: acc)
-    in
-    Option.map
-      (fun (insns, stop) ->
-        { Finder.offset = start; insns; bytes = String.sub text start (stop - start) })
-      (walk start 1 [])
-  in
-  List.filter_map gadget (List.init (String.length text) Fun.id)
-
-let same_scan params text =
-  List.equal
-    (fun (a : Finder.t) (b : Finder.t) ->
-      a.offset = b.offset && List.equal Insn.equal a.insns b.insns && a.bytes = b.bytes)
-    (Finder.scan ~params text) (scan_by_rule params text)
-
-let test_finder_rule_images () =
+(* The same walk over every offset of the fixture images, at the default
+   depths. *)
+let test_scan_by_walking_images () =
+  let params = Finder.default_params in
   List.iter
     (fun (what, text) ->
-      if not (same_scan Finder.default_params text) then
-        Alcotest.failf "%s: scan differs from the rule" what)
+      if scan_of params text <> scan_by_walking params text then
+        Alcotest.failf "%s: scan differs from the per-branch walk" what)
     (Lazy.force Fixture_configs.texts)
-
-let prop_scan_by_rule =
-  QCheck.Test.make ~name:"scan = the rule on random sections" ~count:2000 arb_scan
-    (fun (text, (max_insns, max_back_bytes)) ->
-      same_scan { Finder.max_insns; max_back_bytes } text)
 
 let test_finder_respects_depth () =
   (* Eight one-byte instructions then ret; with max_insns = 5 the start
@@ -466,9 +432,8 @@ let suite =
         Alcotest.test_case "depth limit" `Quick test_finder_respects_depth;
         QCheck_alcotest.to_alcotest prop_free_branch_sites;
         QCheck_alcotest.to_alcotest prop_scan_by_walking;
-        Alcotest.test_case "scan = the rule on the fixture images" `Quick
-          test_finder_rule_images;
-        QCheck_alcotest.to_alcotest prop_scan_by_rule;
+        Alcotest.test_case "scan = per-branch walk on the fixture images" `Quick
+          test_scan_by_walking_images;
       ] );
     ( "gadget.survivor",
       [
