@@ -41,14 +41,14 @@ let window = 16
    offset on a gadget's sweep is itself a gadget start, so a gadget's
    instruction list is its first instruction consed onto the list of
    the gadget [len] bytes on: each found start is decoded once, and
-   the lists share their tails. *)
+   the lists share their tails.  [f] sees the starts as the pass finds
+   them, last first. *)
 let iter ?(params = default_params) text f =
   let n = String.length text in
   let cap = max 1 params.max_insns in
   let term = Array.make window (-1)
   and count = Array.make window 0
   and insns = Array.make window [] in
-  let found = ref [] in
   for pos = n - 1 downto 0 do
     let s = Decode.classify text pos in
     let cls = Decode.class_of s and slot = pos land (window - 1) in
@@ -71,10 +71,9 @@ let iter ?(params = default_params) text f =
       let i = match Decode.insn ~pos text with Some (i, _) -> i | None -> assert false in
       let l = if cls = Decode.free_branch then [ i ] else i :: insns.(next) in
       insns.(slot) <- l;
-      found := (pos, l) :: !found
+      f pos l
     end
-  done;
-  List.iter (fun (start, l) -> f start l) !found
+  done
 
 let scan ?params text =
   let gadgets = ref [] in
@@ -88,7 +87,7 @@ let scan ?params text =
       gadgets :=
         { offset = start; insns; bytes = String.sub text start (stop - start) }
         :: !gadgets);
-  List.rev !gadgets
+  !gadgets
 
 let count ?params text =
   let n = ref 0 in

@@ -43,12 +43,19 @@ val free_branch_sites : string -> (int * int) list
 
 val iter : ?params:params -> string -> (int -> Insn.t list -> unit) -> unit
 (** [iter text f] calls [f start insns] for every gadget of the section,
-    in increasing start order — {!scan} without building the records.
+    in decreasing start order — {!scan} without building the records.
     One backward pass over {!Decode.classify}'s lengths and classes
     finds the starts; instructions are decoded only at the found starts,
-    once each, and the lists share their tails (the gadget at [start]
+    once each, and the lists share their tails: the gadget at [start]
     is its first instruction on the list of the gadget one instruction
-    on). *)
+    on, which [f] has already seen. *)
+
+val window : int
+(** A power of two above the longest instruction.  When {!iter} calls
+    [f start (i :: rest)] with [rest] non-empty, the last start [f] saw
+    in the slot [(start + length of i) mod window] is the one that
+    [rest] belongs to, so a caller can keep per-gadget results in
+    [window] slots. *)
 
 val scan : ?params:params -> string -> t list
 (** All gadgets in a section, sorted by offset; at most one gadget per

@@ -38,7 +38,8 @@ val section_keys : string -> key list
 type counts
 (** A census in progress: for every pair seen so far, the number of
     versions containing it.  Its size is the number of distinct pairs,
-    not the number of versions. *)
+    not the number of versions, and it holds each distinct sequence
+    once, however many offsets it is counted at. *)
 
 val create : unit -> counts
 
