@@ -56,11 +56,11 @@ let blocks_of (funcs : Asm.func list) ~profile =
         else
           let count =
             match label with
-            | Some l -> Profile.block_count profile ~func:f.Asm.name l
+            | Some l -> Profile.block_count profile ~func:(Asm.name f) l
             | None -> 0L
           in
           {
-            bfunc = f.Asm.name;
+            bfunc = Asm.name f;
             blabel = label;
             count;
             sites;
@@ -78,7 +78,7 @@ let blocks_of (funcs : Asm.func list) ~profile =
               (cost +. item_cost m item)
               acc
       in
-      walk f.Asm.items None 0 0.0 [])
+      walk (Asm.items f) None 0 0.0 [])
     funcs
 
 let plan ~config ~profile funcs =

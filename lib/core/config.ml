@@ -97,11 +97,17 @@ let with_budget t pct =
 let base_name t =
   (match t.strategy with
   | Off -> "baseline"
-  | Uniform p -> Printf.sprintf "p%d" (pct p)
+  | Uniform p -> "p" ^ string_of_int (pct p)
   | Profiled { pmin; pmax; shape; scope } ->
-      Printf.sprintf "p%d-%d%s%s" (pct pmin) (pct pmax)
-        (match shape with Heuristic.Linear -> "-lin" | Heuristic.Logarithmic -> "")
-        (match scope with `Function -> "-fn" | `Program -> ""))
+      String.concat ""
+        [
+          "p";
+          string_of_int (pct pmin);
+          "-";
+          string_of_int (pct pmax);
+          (match shape with Heuristic.Linear -> "-lin" | Heuristic.Logarithmic -> "");
+          (match scope with `Function -> "-fn" | `Program -> "");
+        ])
   ^ (if t.use_xchg then "+xchg" else "")
   ^ if t.bb_shift then "+shift" else ""
 

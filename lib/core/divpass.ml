@@ -46,7 +46,7 @@ let per_function pname ~enabled transform : pass =
         let out =
           List.map
             (fun f ->
-              let rng = fn_rng ctx pname f.Asm.name in
+              let rng = fn_rng ctx pname (Asm.name f) in
               let f', s, c, b = transform ~rng f in
               seen := !seen + s;
               changed := !changed + c;
@@ -122,8 +122,8 @@ let subst_func ~rng (f : Asm.func) =
         item' :: walk rest
     | item :: rest -> item :: walk rest
   in
-  let items = walk f.Asm.items in
-  ({ f with Asm.items }, !seen, !changed, !bytes)
+  let items = walk (Asm.items f) in
+  (Asm.func (Asm.name f) items, !seen, !changed, !bytes)
 
 let subst_pass =
   per_function "subst" ~enabled:(fun p -> p.Config.subst) subst_func

@@ -31,7 +31,7 @@ let xchg_items = items_of Nops.with_xchg
 (* Basic-block shifting (paper §6): prepend "jmp past; <sled>; past:" to
    the function, displacing everything in it — including its first
    instructions, which plain NOP insertion barely moves. *)
-let shift_function ~rng ~candidates (f : Asm.func) =
+let shift_function ~rng ~candidates f =
   let target = 1 + Rng.int rng 15 in
   let rec sled acc len =
     if len >= target then (acc, len)
@@ -41,11 +41,8 @@ let shift_function ~rng ~candidates (f : Asm.func) =
   in
   let sled_items, bytes = sled [] 0 in
   let skip = shift_label_base in
-  ( {
-      f with
-      Asm.items =
-        (Asm.Jmp_sym skip :: sled_items) @ (Asm.Label skip :: f.Asm.items);
-    },
+  ( Asm.func (Asm.name f)
+      ((Asm.Jmp_sym skip :: sled_items) @ (Asm.Label skip :: Asm.items f)),
     5 + bytes (* the jmp and the sled *) )
 
 (* The block's pNOP as a function of its label, for one function. *)
@@ -59,7 +56,7 @@ let block_prob ?prob ~config ~profile ~xmax name =
       | Config.Profiled { pmin; pmax; shape; scope } ->
           let max_count =
             match scope with
-            | `Program -> xmax
+            | `Program -> Lazy.force xmax
             | `Function -> Profile.max_count_func profile name
           in
           fun label ->
@@ -70,63 +67,125 @@ let block_prob ?prob ~config ~profile ~xmax name =
             in
             Heuristic.pnop shape ~pmin ~pmax ~count ~max_count)
 
-(* Algorithm 1 over one function's item stream.  Every non-label item is
-   an instruction eligible for a preceding NOP.  The block's probability
-   is evaluated once, at the first instruction after its label (or at the
-   function's first instruction, for the unlabelled entry); it is a pure
-   function of the label, so the draws are those of evaluating it at
-   every instruction. *)
-let run_with_xmax ?prob ~config ~profile ~rng ~xmax (f : Asm.func) =
-  let candidates =
-    if config.Config.use_xchg then xchg_items else default_items
-  in
-  let f, shift_bytes =
-    if config.Config.bb_shift then shift_function ~rng ~candidates f
-    else (f, 0)
-  in
-  let prob_of_block = block_prob ?prob ~config ~profile ~xmax f.Asm.name in
-  let seen = ref 0 and inserted = ref 0 and added = ref shift_bytes in
-  (* [p] is the current block's probability, [nan] until its first
-     instruction. *)
-  let rec walk block p acc = function
-    | [] -> List.rev acc
-    | (Asm.Label l as item) :: rest ->
-        walk (Some l) Float.nan (item :: acc) rest
-    | item :: rest ->
-        incr seen;
-        let p = if Float.is_nan p then prob_of_block block else p in
-        (* Two sources of randomness (§3): whether to insert, and which
-           candidate to insert. *)
-        if Rng.bernoulli rng p then begin
-          let nop, n = Rng.choose rng candidates in
-          incr inserted;
-          added := !added + n;
-          walk block p (item :: nop :: acc) rest
-        end
-        else walk block p (item :: acc) rest
-  in
-  let items = walk None Float.nan [] f.Asm.items in
-  ( { f with Asm.items },
-    { insns_seen = !seen; nops_inserted = !inserted; bytes_added = !added } )
+(* A function's trials, block by block, as one flat array: for each
+   block that holds instructions, its end (it starts where the one
+   before ends) and its {!Rng.threshold}.  A block's pNOP is evaluated
+   once, in block order, and a block without instructions is never
+   evaluated (block 0 is the unlabelled entry, block [b > 0] the one
+   [labels.(b - 1)] starts). *)
+let trials prob_of_block (l : Asm.layout) =
+  let starts = l.Asm.block_starts in
+  List.init (Array.length starts - 1) Fun.id
+  |> List.filter (fun b -> starts.(b) < starts.(b + 1))
+  |> List.concat_map (fun b ->
+         [
+           starts.(b + 1);
+           Rng.threshold
+             (prob_of_block (if b = 0 then None else Some l.Asm.labels.(b - 1)));
+         ])
+  |> Array.of_list
 
-let run ~config ~profile ~rng f =
-  match config.Config.strategy with
-  | Config.Off -> (f, zero)
-  | _ ->
-      run_with_xmax ~config ~profile ~rng ~xmax:(Profile.max_count profile) f
+(* A program's trials are a function of the profile, the strategy
+   and the functions alone, so they are kept per profile: one entry per
+   strategy, for the last function list seen under it.  [Profile.t] is
+   immutable, so its physical identity is a sound key, and the table
+   holds a profile's entries only while the profile lives. *)
+module By_profile = Ephemeron.K1.Make (struct
+  type t = Profile.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+type memo = {
+  strategy : Config.strategy;
+  funcs : Asm.func list;
+  trials : int array list;
+}
+
+let memo : memo list By_profile.t = By_profile.create 16
+
+let memoized ~profile ~strategy funcs compute =
+  let entries = Option.value (By_profile.find_opt memo profile) ~default:[] in
+  let same e = compare e.strategy strategy = 0 in
+  match List.find_opt (fun e -> e.funcs == funcs && same e) entries with
+  | Some e -> e.trials
+  | None ->
+      let trials = compute () in
+      By_profile.replace memo profile
+        ({ strategy; funcs; trials }
+        :: List.filter (fun e -> not (same e)) entries);
+      trials
+
+(* Algorithm 1 over one function's layout: instruction [j] gets one
+   trial at its block's threshold, then on success one candidate choice,
+   so the draws are those of a walk over the items that evaluates the
+   block's pNOP at every instruction.  [buf] holds the insertions while
+   they are drawn; it grows as needed and is reused by the next
+   function. *)
+let draw_function ~rng ~candidates ~buf trials f =
+  let at, what = !buf in
+  let at = ref at and what = ref what in
+  let inserted = ref 0 and added = ref 0 and start = ref 0 in
+  for b = 0 to (Array.length trials / 2) - 1 do
+    let stop = trials.(2 * b) and threshold = trials.((2 * b) + 1) in
+    let j = ref !start in
+    while !j < stop do
+      (* Two sources of randomness (§3): whether to insert, and which
+         candidate to insert. *)
+      let k = !j + Rng.first_success rng threshold (stop - !j) in
+      if k < stop then begin
+        let nop, size = Rng.choose rng candidates in
+        if !inserted = Array.length !at then begin
+          at := Array.append !at !at;
+          what := Array.append !what !what
+        end;
+        !at.(!inserted) <- k;
+        !what.(!inserted) <- nop;
+        incr inserted;
+        added := !added + size
+      end;
+      j := k + 1
+    done;
+    start := stop
+  done;
+  buf := (!at, !what);
+  ( Asm.insert f (Array.sub !at 0 !inserted) (Array.sub !what 0 !inserted),
+    { insns_seen = !start; nops_inserted = !inserted; bytes_added = !added } )
 
 let run_program ?prob ~config ~profile ~rng funcs =
   match config.Config.strategy with
   | Config.Off -> (funcs, zero)
-  | _ ->
-      let xmax = Profile.max_count profile in
+  | strategy ->
+      let candidates =
+        if config.Config.use_xchg then xchg_items else default_items
+      in
+      let xmax = lazy (Profile.max_count profile) in
+      let trials f =
+        trials
+          (block_prob ?prob ~config ~profile ~xmax (Asm.name f))
+          (Asm.layout f)
+      in
       let total = ref zero in
+      let buf = ref (Array.make 16 0, Array.make 16 (fst candidates.(0))) in
+      let draw f trials =
+        let f, s = draw_function ~rng ~candidates ~buf trials f in
+        total := add !total s;
+        f
+      in
       let out =
-        List.map
-          (fun f ->
-            let f', s = run_with_xmax ?prob ~config ~profile ~rng ~xmax f in
-            total := add !total s;
-            f')
-          funcs
+        if config.Config.bb_shift then
+          List.map
+            (fun f ->
+              let f, bytes = shift_function ~rng ~candidates f in
+              total := add !total { zero with bytes_added = bytes };
+              draw f (trials f))
+            funcs
+        else
+          let all () = List.map trials funcs in
+          List.map2 draw funcs
+            (match prob with
+            | Some _ -> all ()
+            | None -> memoized ~profile ~strategy funcs all)
       in
       (out, !total)

@@ -10,14 +10,21 @@
     §3.
 
     Block labels in the stream carry the profile attribution: the
-    probability changes at each [Asm.Label] marker.  It is evaluated once
-    per block, at the block's first instruction (the instructions before
-    a function's first label form a block with label [None]); a block
-    without instructions is never evaluated.  The probability is a pure
-    function of the label, so this draws exactly as evaluating it at
-    every instruction would: per instruction, one Bernoulli trial, then
-    one candidate choice on success, and no draw at all for the trial
-    when p <= 0 or p >= 1. *)
+    probability changes at each [Asm.Label] marker (the instructions
+    before a function's first label form a block with label [None]).
+    The probability is a pure function of the label, so it is evaluated once
+    per block, as the block's {!Rng.threshold}, and the draws are exactly
+    those of evaluating it at every instruction: per instruction, in
+    order, one Bernoulli trial, then one candidate choice on success,
+    and no draw at all for the trial when p <= 0 or p >= 1.  The trial
+    is {!Rng.draw_below}, the integer compare [r53 < ceil (p * 2^53)],
+    which decides as [Rng.bernoulli] does ([r53 / 2^53 < p]) without
+    float arithmetic; a NaN p still draws and never inserts.
+
+    Without a [prob] override and without basic-block shifting, a
+    program's block thresholds are computed once per (profile,
+    strategy, function list) and kept while the profile lives, so a
+    variant of a warm program costs its draws and its insertions. *)
 
 type stats = {
   insns_seen : int;  (** instructions eligible for a preceding NOP *)
@@ -32,16 +39,6 @@ val shift_label_base : int
     §6 basic-block-shifting extension inserts; they never collide with
     IR block labels. *)
 
-val run :
-  config:Config.t ->
-  profile:Profile.t ->
-  rng:Rng.t ->
-  Asm.func ->
-  Asm.func * stats
-(** Diversify one function.  With [Config.Off] the function is returned
-    unchanged.  The profile is consulted only for [Profiled] strategies;
-    blocks absent from it count as cold ([pmax]). *)
-
 val run_program :
   ?prob:(string -> Ir.label option -> float) ->
   config:Config.t ->
@@ -51,6 +48,10 @@ val run_program :
   Asm.func list * stats
 (** Diversify all user functions with a shared program-wide [x_max] (the
     paper normalizes by the maximum execution count in the program).
+    With [Config.Off] the functions are returned unchanged.  The profile
+    is consulted only for [Profiled] strategies; blocks absent from it
+    count as cold ([pmax]).  Each result is its input plus its
+    insertions ({!Asm.insert}), drawn over the input's {!Asm.layout}.
     [prob] overrides the per-block probability entirely (the budgeted
     mode supplies the {!Budget} planner here); it receives the function
     name and the current block label, once per block.  Without it the strategy's

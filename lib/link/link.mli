@@ -16,6 +16,15 @@
     the user objects: [__argv] leads the data space whatever the
     program's globals are.
 
+    A variant moves code but never symbols, so what a link resolves by
+    name is kept with the prefix as a plan, one per program: the user
+    symbols (checked for duplicates once), what every relocation
+    resolves to, and the globals' data layout.  A link whose objects
+    define the same symbols with the same relocations over the same
+    globals (the same list, physically) reuses the plan, and then only
+    places the code and patches; any other builds a new plan, with the
+    same checks and errors.
+
     {!link_objects} is the only linker: the baseline and every
     diversified version go through it, and the committed
     [test/golden_nop_digests.json] fixture pins its whole output

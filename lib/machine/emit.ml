@@ -316,4 +316,4 @@ let func (f : Mir.func) (assignment : Regalloc.assignment) : Asm.func =
         in
         inject all
   in
-  { Asm.name = f.name; items }
+  Asm.func f.name items

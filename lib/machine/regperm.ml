@@ -51,7 +51,7 @@ let uses_pool_r8 (f : Asm.func) =
       | Asm.Ins { insn = Setcc (_, r8) | Movzx_r_r8 (_, r8); _ } ->
           in_pool (Reg.of_r8 r8)
       | _ -> false)
-    f.Asm.items
+    (Asm.items f)
 
 let run ~rng (f : Asm.func) =
   let pool = Array.of_list Regalloc.pool in
@@ -88,7 +88,7 @@ let run ~rng (f : Asm.func) =
               Asm.Mov_sym (r', s)
           | Asm.Label _ | Asm.Jmp_sym _ | Asm.Jcc_sym _ | Asm.Call_sym _ ->
               item)
-        f.Asm.items
+        (Asm.items f)
     in
-    ({ f with Asm.items }, !seen, !changed)
+    (Asm.func (Asm.name f) items, !seen, !changed)
   end

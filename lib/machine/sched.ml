@@ -204,5 +204,5 @@ let run ~rng (f : Asm.func) =
         if schedulable item then walk rest (item :: run_rev) acc
         else walk rest [] (item :: flush run_rev acc)
   in
-  let items = walk f.Asm.items [] [] in
-  ({ f with Asm.items }, !seen, !moved)
+  let items = walk (Asm.items f) [] [] in
+  (Asm.func (Asm.name f) items, !seen, !moved)

@@ -42,6 +42,6 @@ let func ~cctx (irf : Ir.func) : Asm.func =
   count_stage "emit";
   let asm, dt = Cctx.timed (fun () -> Emit.func mf assignment) in
   record cctx ~pass:"emit" ~func:name ~before:mirn
-    ~after:(List.length asm.Asm.items)
+    ~after:(List.length (Asm.items asm))
     ~bytes:(Asm.func_size asm) ~changed:true dt;
   asm

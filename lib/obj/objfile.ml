@@ -15,8 +15,9 @@ type t = { uname : string; funcs : func_obj list; globals : Ir.global list }
    from it: Asm.func, Insn.t, Ir.global) changes.  Also folded into every
    {!Store} key, so a format bump invalidates cached artifacts instead of
    resurrecting stale ones.  Version 2: every [Asm.Ins] item carries its
-   encoding next to the instruction. *)
-let format_version = 2
+   encoding next to the instruction.  Version 3: an [Asm.func] is a base
+   (its items and, once computed, their flat layout) plus insertions. *)
+let format_version = 3
 
 let no_digest = "-"
 
@@ -24,7 +25,7 @@ let of_asm ?(ir_digest = no_digest) ?(pipeline = no_digest) ~arity
     (f : Asm.func) =
   let a = Asm.assemble f in
   {
-    sym = f.Asm.name;
+    sym = Asm.name f;
     code = a.Asm.bytes;
     relocs = a.Asm.relocs;
     labels = a.Asm.label_offsets;

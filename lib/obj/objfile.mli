@@ -43,10 +43,13 @@ type t = {
 
 val format_version : int
 (** Object-format version: checked by {!load}, folded into every
-    {!Store} key so a bump invalidates cached artifacts.  It is 2 since
-    {!Asm.item}'s [Ins] carries its encoding ([{ insn; code }]): the
-    marshalled [asm] stream of a version-1 file holds bare instructions,
-    so it is refused rather than read as items without bytes. *)
+    {!Store} key so a bump invalidates cached artifacts.  It is 3 since
+    an {!Asm.func} is a base plus insertions, the base keeping its
+    {!Asm.layout} once computed (plain data: the layout of a lowered
+    function is marshalled with it, and shares its bytes with [code]).
+    Version 2 gave {!Asm.item}'s [Ins] its encoding ([{ insn; code }]);
+    version 1 held bare instructions.  Older files are refused rather
+    than read as another shape. *)
 
 val no_digest : string
 (** The ["-"] placeholder digest of non-content-addressed objects. *)

@@ -37,11 +37,10 @@ let split t =
    resistance across the handful of labels a build uses. *)
 let fnv1a64 init s =
   let h = ref init in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001B3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)));
+    h := Int64.mul !h 0x100000001B3L
+  done;
   !h
 
 let of_labels seed labels =
@@ -78,6 +77,42 @@ let bernoulli t p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
   else float t 1.0 < p
+
+(* [float t 1.0 < p] is [r53 /. 2^53 < p] for the draw's top 53 bits
+   [r53]; both sides scale by 2^53 exactly, and an integer is below a
+   real [x] exactly when it is below [ceil x].  The sentinels stand for
+   the two cases [bernoulli] decides without a draw. *)
+let two53 = 9007199254740992.0
+let never = -1
+let always = max_int
+
+let threshold p =
+  if p <= 0.0 then never
+  else if p >= 1.0 then always
+  else if Float.is_nan p then 0
+  else int_of_float (Float.ceil (p *. two53))
+
+let draw_below t thr =
+  if thr = never then false
+  else if thr = always then true
+  else Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) < thr
+
+(* [draw_below] in a loop, with the state in a local: one call and one
+   state store per success, not per trial. *)
+let first_success t thr n =
+  if thr = never || n <= 0 then max n 0
+  else if thr = always then 0
+  else begin
+    let s = ref (state t) and k = ref 0 and found = ref false in
+    while (not !found) && !k < n do
+      s := Int64.add !s golden_gamma;
+      if Int64.to_int (Int64.shift_right_logical (mix64 !s) 11) < thr then
+        found := true
+      else incr k
+    done;
+    set_state t !s;
+    !k
+  end
 
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";

@@ -45,6 +45,25 @@ val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p].  [p] outside [0;1] is
     clamped. *)
 
+val threshold : float -> int
+(** [threshold p] is {!bernoulli}'s test on [p] as one integer, for
+    loops that draw many times at one probability: [p <= 0] and
+    [p >= 1] map to sentinels that {!draw_below} decides without a
+    draw, NaN maps to 0 (a draw that never succeeds, as [bernoulli]
+    makes), and any other [p] to [ceil (p * 2^53)]. *)
+
+val draw_below : t -> int -> bool
+(** [draw_below t (threshold p)] decides exactly as [bernoulli t p] and
+    takes the same draws from [t]: the integer compare [r53 < thr] on
+    the draw's top 53 bits is [bernoulli]'s [r53 / 2^53 < p], with no
+    float arithmetic. *)
+
+val first_success : t -> int -> int -> int
+(** [first_success t thr n] runs up to [n] trials [draw_below t thr] and
+    returns the number that failed before the first success, or [n] when
+    none succeeds: the same decisions and the same draws as that loop,
+    in one call. *)
+
 val choose : t -> 'a array -> 'a
 (** [choose t arr] picks a uniformly random element.  Raises
     [Invalid_argument] on an empty array. *)

@@ -218,7 +218,8 @@ let test_inserted_are_candidates () =
   let rng = Rng.create 7L in
   List.iter
     (fun f ->
-      let f', _ = Nop_insert.run ~config ~profile ~rng f in
+      let f', _ = Nop_insert.run_program ~config ~profile ~rng [ f ] in
+      let f' = List.hd f' in
       let orig = Asm.insns f in
       let div = Asm.insns f' in
       (* With p=1 every item gets a preceding NOP.  Symbolic items
@@ -233,7 +234,7 @@ let test_inserted_are_candidates () =
                | Asm.Mov_sym _ ->
                    true
                | _ -> false)
-             f.Asm.items)
+             (Asm.items f))
       in
       Alcotest.(check int) "doubled instruction count"
         ((2 * List.length orig) + n_sym)
@@ -253,20 +254,17 @@ let test_inserted_are_candidates () =
    function's original entry instructions sit under [shift_label_base]. *)
 let test_block_label_tracking () =
   let f =
-    {
-      Asm.name = "t";
-      items =
-        [
-          Asm.ins Insn.Cdq;
-          Asm.Label 7;
-          Asm.ins (Insn.Inc_r Reg.EAX);
-          Asm.ins (Insn.Dec_r Reg.EAX);
-          Asm.Label 8;
-          Asm.Label 9;
-          Asm.ins (Insn.Inc_r Reg.EBX);
-          Asm.Jmp_sym 7;
-        ];
-    }
+    Asm.func "t"
+      [
+        Asm.ins Insn.Cdq;
+        Asm.Label 7;
+        Asm.ins (Insn.Inc_r Reg.EAX);
+        Asm.ins (Insn.Dec_r Reg.EAX);
+        Asm.Label 8;
+        Asm.Label 9;
+        Asm.ins (Insn.Inc_r Reg.EBX);
+        Asm.Jmp_sym 7;
+      ]
   in
   let diversify config =
     let queries = ref [] in
@@ -288,7 +286,7 @@ let test_block_label_tracking () =
     [ ("t", None); ("t", Some 7); ("t", Some 9) ]
     queries;
   Alcotest.(check int) "two NOPs" 2 stats.Nop_insert.nops_inserted;
-  (match out.Asm.items with
+  (match Asm.items out with
   | [
    Asm.Ins { insn = Insn.Cdq; _ };
    Asm.Label 7;
@@ -315,7 +313,7 @@ let test_block_label_tracking () =
       ("t", Some 9);
     ]
     queries;
-  match shifted.Asm.items with
+  match Asm.items shifted with
   | Asm.Jmp_sym l :: _ ->
       Alcotest.(check int) "jmp past the sled" Nop_insert.shift_label_base l
   | _ -> Alcotest.fail "shifted function starts with a jmp"

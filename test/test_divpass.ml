@@ -64,7 +64,7 @@ let test_rng_isolation () =
    its label's offset, and every relocation field is four zero bytes. *)
 let check_assembled what (f : Asm.func) =
   let a = Asm.assemble f in
-  let msg m = Printf.sprintf "%s %s: %s" what f.Asm.name m in
+  let msg m = Printf.sprintf "%s %s: %s" what (Asm.name f) m in
   Alcotest.(check int) (msg "length") (Asm.func_size f)
     (String.length a.Asm.bytes);
   let _, labels, branches =
@@ -79,7 +79,7 @@ let check_assembled what (f : Asm.func) =
           | _ -> branches
         in
         (pos + Asm.item_size item, labels, branches))
-      (0, [], []) f.Asm.items
+      (0, [], []) (Asm.items f)
   in
   Alcotest.(check (list (pair int int)))
     (msg "label offsets") (List.rev labels) a.Asm.label_offsets;
@@ -105,7 +105,7 @@ let check_assembled what (f : Asm.func) =
     a.Asm.relocs
 
 let count_items funcs =
-  List.fold_left (fun n (f : Asm.func) -> n + List.length f.Asm.items) 0 funcs
+  List.fold_left (fun n (f : Asm.func) -> n + List.length (Asm.items f)) 0 funcs
 
 let total_size funcs =
   List.fold_left (fun n f -> n + Asm.func_size f) 0 funcs
@@ -166,7 +166,7 @@ let reference_assemble (f : Asm.func) =
           match item with Asm.Label l -> (l, pos) :: labels | _ -> labels
         in
         (pos + size item, labels))
-      (0, []) f.Asm.items
+      (0, []) (Asm.items f)
   in
   let rel l pos len = Int32.of_int (List.assoc l labels - (pos + len)) in
   let buf = Buffer.create 256 in
@@ -188,7 +188,7 @@ let reference_assemble (f : Asm.func) =
             Encode.insn (Insn.Mov_r_imm (r, 0l))
       in
       Buffer.add_string buf code)
-    f.Asm.items;
+    (Asm.items f);
   {
     Asm.bytes = Buffer.contents buf;
     relocs = List.rev !relocs;
@@ -205,13 +205,13 @@ let check_carried what (f : Asm.func) =
     (function
       | Asm.Ins i ->
           if i.Asm.code <> Encode.insn i.Asm.insn then
-            Alcotest.failf "%s %s: stale bytes for %s" what f.Asm.name
+            Alcotest.failf "%s %s: stale bytes for %s" what (Asm.name f)
               (Insn.to_string i.Asm.insn)
       | _ -> ())
-    f.Asm.items;
+    (Asm.items f);
   if Asm.assemble f <> reference_assemble f then
     Alcotest.failf "%s %s: assemble differs from a fresh encoding" what
-      f.Asm.name
+      (Asm.name f)
 
 let test_carried_bytes_fresh () =
   List.iter
@@ -241,6 +241,106 @@ let test_carried_bytes_fresh () =
           done)
         Fixture_configs.all)
     Workloads.all
+
+(* A diversified function is its base plus insertions, assembled by
+   splicing the base's bytes; the same function as one flat item list is
+   laid out from scratch.  The two agree — bytes, relocations and label
+   offsets — on every fixture config, workload and version 0-24 (the
+   golden fixture pins versions 0-2 only). *)
+let flat f = Asm.func (Asm.name f) (Asm.items f)
+
+let check_spliced what f =
+  if Asm.assemble f <> Asm.assemble (flat f) then
+    Alcotest.failf "%s %s: the splice differs from the item list's assembly"
+      what (Asm.name f)
+
+let test_splice_versions () =
+  List.iter
+    (fun (w : Workload.t) ->
+      let c = Driver.compile_cached ~name:w.name w.source in
+      let profile = Driver.train_cached c ~args:w.train_args in
+      List.iter
+        (fun (cname, config) ->
+          for version = 0 to 24 do
+            let ctx = { Divpass.prog = c.Driver.name; config; profile; version } in
+            List.iter
+              (check_spliced (Printf.sprintf "%s %s v%d" w.name cname version))
+              (fst (Divpass.run_all ctx c.Driver.asm))
+          done)
+        Fixture_configs.all)
+    Workloads.all
+
+(* Random insertion sets, on a function with a forward branch, a
+   backward branch, relocations and a label at its end, on the runtime
+   and on every workload function.  Positions may repeat, and one in
+   four sets starts with an insertion before instruction 0. *)
+let edges =
+  Asm.func "edges"
+    [
+      Asm.Label 0;
+      Asm.ins (Insn.Push_r Reg.EBP);
+      Asm.Jcc_sym (Cond.E, 2);
+      Asm.Label 1;
+      Asm.ins (Insn.Inc_r Reg.EAX);
+      Asm.Call_sym "callee";
+      Asm.Jcc_sym (Cond.NE, 1);
+      Asm.Mov_sym (Reg.EBX, "glob");
+      Asm.Jmp_sym 2;
+      Asm.ins Insn.Ret;
+      Asm.Label 2;
+    ]
+
+let splice_pool =
+  lazy
+    (Array.of_list
+       ((edges :: Libc.funcs)
+       @ List.concat_map
+           (fun (w : Workload.t) ->
+             (Driver.compile_cached ~name:w.name w.source).Driver.asm)
+           Workloads.all))
+
+(* [f] plus one insertion per (position, candidate) pair, positions
+   taken modulo the instruction count and sorted. *)
+let spliced f inserts =
+  let n = Array.length (Asm.layout f).Asm.offsets - 1 in
+  let inserts =
+    List.sort compare (List.map (fun (p, k) -> (p mod n, k)) inserts)
+  in
+  let nops = Nops.with_xchg in
+  Asm.insert f
+    (Array.of_list (List.map fst inserts))
+    (Array.of_list
+       (List.map (fun (_, k) -> Asm.ins nops.(k mod Array.length nops)) inserts))
+
+let agrees g =
+  let a = Asm.assemble g in
+  a = Asm.assemble (flat g) && a = reference_assemble g
+
+let test_splice_edges () =
+  List.iter
+    (fun (what, inserts) ->
+      Alcotest.(check bool) what true (agrees (spliced edges inserts)))
+    [
+      ("before instruction 0", [ (0, 0) ]);
+      ("between a branch and its target", [ (2, 1); (2, 2); (3, 3) ]);
+      ("before the last instruction", [ (7, 4) ]);
+      ("before every instruction", List.init 8 (fun j -> (j, j)));
+    ]
+
+let prop_splice =
+  let open QCheck in
+  let inserts = Gen.(list_size (int_bound 12) (pair nat nat)) in
+  Test.make ~name:"random insertions splice as the item list assembles"
+    ~count:1000
+    (make
+       ~print:Print.(pair int (list (pair int int)))
+       Gen.(
+         pair nat
+           (frequency
+              [ (1, map (fun l -> (0, 0) :: l) inserts); (3, inserts) ])))
+    (fun (i, inserts) ->
+      let pool = Lazy.force splice_pool in
+      agrees (spliced pool.(i mod Array.length pool) inserts))
 
 (* ---- semantics per transform ---- *)
 
@@ -330,7 +430,7 @@ let test_budget_planner_unit () =
     :: List.init n (fun i -> Asm.ins (Insn.Mov_r_imm (Reg.EAX, Int32.of_int i)))
   in
   let f =
-    { Asm.name = "f"; items = mk_block 0 10 @ mk_block 1 10 @ [ Asm.ins Insn.Ret ] }
+    Asm.func "f" (mk_block 0 10 @ mk_block 1 10 @ [ Asm.ins Insn.Ret ])
   in
   let counts = Hashtbl.create 4 in
   Hashtbl.replace counts ("f", 0) 1000L;
@@ -361,19 +461,16 @@ let test_sched_unit () =
   let mov r v = Asm.ins (Mov_r_imm (r, v)) in
   let add d s = Asm.ins (Alu_rm_r (Add, Reg d, s)) in
   let f =
-    {
-      Asm.name = "f";
-      items =
-        [
-          Asm.Label 0;
-          mov Reg.EBX 1l;
-          mov Reg.ESI 2l;
-          mov Reg.EDI 3l;
-          add Reg.EBX Reg.ESI;
-          add Reg.EDI Reg.EBX;
-          Asm.ins Ret;
-        ];
-    }
+    Asm.func "f"
+      [
+        Asm.Label 0;
+        mov Reg.EBX 1l;
+        mov Reg.ESI 2l;
+        mov Reg.EDI 3l;
+        add Reg.EBX Reg.ESI;
+        add Reg.EDI Reg.EBX;
+        Asm.ins Ret;
+      ]
   in
   let insns g = Asm.insns g in
   let pos g i =
@@ -408,10 +505,8 @@ let test_sched_stores_ordered () =
   let open Insn in
   let store v = Asm.ins (Mov_rm_imm (Mem (mem_abs 4096l), v)) in
   let f =
-    {
-      Asm.name = "f";
-      items = [ Asm.Label 0; store 1l; store 2l; store 3l; Asm.ins Ret ];
-    }
+    Asm.func "f"
+      [ Asm.Label 0; store 1l; store 2l; store 3l; Asm.ins Ret ]
   in
   for seed = 0 to 15 do
     let rng = Rng.of_labels (Int64.of_int seed) [ "sched-stores" ] in
@@ -426,20 +521,17 @@ let test_sched_stores_ordered () =
 let test_regperm_unit () =
   let open Insn in
   let f =
-    {
-      Asm.name = "f";
-      items =
-        [
-          Asm.Label 0;
-          Asm.ins (Push_r Reg.EBX);
-          Asm.ins (Mov_r_imm (Reg.EBX, 7l));
-          Asm.ins (Mov_r_imm (Reg.EAX, 9l));
-          Asm.ins (Alu_rm_r (Add, Reg Reg.EBX, Reg.ESI));
-          Asm.ins (Mov_rm_r (Mem (Insn.mem_base Reg.EBP ~disp:8l), Reg.EDI));
-          Asm.ins (Pop_r Reg.EBX);
-          Asm.ins Ret;
-        ];
-    }
+    Asm.func "f"
+      [
+        Asm.Label 0;
+        Asm.ins (Push_r Reg.EBX);
+        Asm.ins (Mov_r_imm (Reg.EBX, 7l));
+        Asm.ins (Mov_r_imm (Reg.EAX, 9l));
+        Asm.ins (Alu_rm_r (Add, Reg Reg.EBX, Reg.ESI));
+        Asm.ins (Mov_rm_r (Mem (Insn.mem_base Reg.EBP ~disp:8l), Reg.EDI));
+        Asm.ins (Pop_r Reg.EBX);
+        Asm.ins Ret;
+      ]
   in
   let changed_once = ref false in
   for seed = 0 to 15 do
@@ -450,7 +542,7 @@ let test_regperm_unit () =
     (* determinism: the same stream reproduces the same function *)
     let rng' = Rng.of_labels (Int64.of_int seed) [ "regperm-unit" ] in
     let g', _, _ = Regperm.run ~rng:rng' f in
-    Alcotest.(check bool) "deterministic" true (g = g');
+    Alcotest.(check bool) "deterministic" true (Asm.items g = Asm.items g');
     (* non-pool registers and frame references never change *)
     Alcotest.(check bool) "eax untouched" true
       (List.mem (Mov_r_imm (Reg.EAX, 9l)) (Asm.insns g));
@@ -675,6 +767,10 @@ let suite =
           test_assemble_every_workload;
         Alcotest.test_case "carried bytes are fresh bytes" `Slow
           test_carried_bytes_fresh;
+        Alcotest.test_case "splice = item-list assembly, versions 0-24" `Slow
+          test_splice_versions;
+        Alcotest.test_case "splice at the edges" `Quick test_splice_edges;
+        QCheck_alcotest.to_alcotest prop_splice;
       ] );
     ( "divpass.semantics",
       [

@@ -101,7 +101,7 @@ let link_main ~arity (f : Asm.func) =
 (* Run a raw instruction sequence as "main". *)
 let run_raw insns ~args =
   let f =
-    { Asm.name = "main"; items = Asm.Label 0 :: List.map Asm.ins insns }
+    Asm.func "main" (Asm.Label 0 :: List.map Asm.ins insns)
   in
   Sim.run (link_main ~arity:(List.length args) f) ~args
 
@@ -138,21 +138,18 @@ let test_overflow_flag () =
   let open Insn in
   (* INT_MAX + 1 overflows: OF set, so JO taken. *)
   let f =
-    {
-      Asm.name = "main";
-      items =
-        [
-          Asm.Label 0;
-          Asm.ins (Mov_r_imm (Reg.EAX, Int32.max_int));
-          Asm.ins (Alu_rm_imm (Add, Reg Reg.EAX, 1l));
-          Asm.Jcc_sym (Cond.O, 1);
-          Asm.ins (Mov_r_imm (Reg.EAX, 0l));
-          Asm.ins Ret;
-          Asm.Label 1;
-          Asm.ins (Mov_r_imm (Reg.EAX, 1l));
-          Asm.ins Ret;
-        ];
-    }
+    Asm.func "main"
+      [
+        Asm.Label 0;
+        Asm.ins (Mov_r_imm (Reg.EAX, Int32.max_int));
+        Asm.ins (Alu_rm_imm (Add, Reg Reg.EAX, 1l));
+        Asm.Jcc_sym (Cond.O, 1);
+        Asm.ins (Mov_r_imm (Reg.EAX, 0l));
+        Asm.ins Ret;
+        Asm.Label 1;
+        Asm.ins (Mov_r_imm (Reg.EAX, 1l));
+        Asm.ins Ret;
+      ]
   in
   let r = Sim.run (link_main ~arity:0 f) ~args:[] in
   Alcotest.(check int32) "overflow detected" 1l r.Sim.status

@@ -148,19 +148,16 @@ let test_asm_branch_resolution () =
   (* label 0; jmp 1; nops...; label 1; ret — the displacement must skip
      the nops. *)
   let f =
-    {
-      Asm.name = "t";
-      items =
-        [
-          Asm.Label 0;
-          Asm.Jmp_sym 1;
-          Asm.ins Insn.Nop;
-          Asm.ins Insn.Nop;
-          Asm.ins Insn.Nop;
-          Asm.Label 1;
-          Asm.ins Insn.Ret;
-        ];
-    }
+    Asm.func "t"
+      [
+        Asm.Label 0;
+        Asm.Jmp_sym 1;
+        Asm.ins Insn.Nop;
+        Asm.ins Insn.Nop;
+        Asm.ins Insn.Nop;
+        Asm.Label 1;
+        Asm.ins Insn.Ret;
+      ]
   in
   let a = Asm.assemble f in
   (* Bytes: E9 03 00 00 00 90 90 90 C3 *)
@@ -171,10 +168,8 @@ let test_asm_branch_resolution () =
 
 let test_asm_backward_branch () =
   let f =
-    {
-      Asm.name = "t";
-      items = [ Asm.Label 0; Asm.ins Insn.Nop; Asm.Jcc_sym (Cond.NE, 0) ];
-    }
+    Asm.func "t"
+      [ Asm.Label 0; Asm.ins Insn.Nop; Asm.Jcc_sym (Cond.NE, 0) ]
   in
   let a = Asm.assemble f in
   (* jcc at offset 1, ends at 7; target 0 → disp = -7 = 0xF9. *)
@@ -184,11 +179,8 @@ let test_asm_unknown_label () =
   (* The branches are resolved after the walk; the first unknown label in
      stream order is the one named, with the function. *)
   let f =
-    {
-      Asm.name = "t";
-      items =
-        [ Asm.Label 1; Asm.Jcc_sym (Cond.E, 1); Asm.Jmp_sym 42; Asm.Jmp_sym 43 ];
-    }
+    Asm.func "t"
+      [ Asm.Label 1; Asm.Jcc_sym (Cond.E, 1); Asm.Jmp_sym 42; Asm.Jmp_sym 43 ]
   in
   match Asm.assemble f with
   | exception Failure msg ->
@@ -198,10 +190,8 @@ let test_asm_unknown_label () =
 
 let test_asm_relocs () =
   let f =
-    {
-      Asm.name = "t";
-      items = [ Asm.Call_sym "callee"; Asm.Mov_sym (Reg.EBX, "glob") ];
-    }
+    Asm.func "t"
+      [ Asm.Call_sym "callee"; Asm.Mov_sym (Reg.EBX, "glob") ]
   in
   let a = Asm.assemble f in
   Alcotest.(check bool) "two relocs" true

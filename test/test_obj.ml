@@ -199,7 +199,7 @@ let test_missing_main_named () =
 (* A hand-built object: one block, [ret]. *)
 let ret_object ?(arity = 0) sym =
   Objfile.of_asm ~arity
-    { Asm.name = sym; items = [ Asm.Label 0; Asm.ins Insn.Ret ] }
+    (Asm.func sym [ Asm.Label 0; Asm.ins Insn.Ret ])
 
 (* The runtime is laid out once per arity, before any user object is
    seen; a user object that reuses a runtime symbol must still collide

@@ -88,6 +88,69 @@ let test_bernoulli_rate () =
   let rate = float_of_int !hits /. float_of_int n in
   Alcotest.(check bool) "rate near 0.3" true (abs_float (rate -. 0.3) < 0.01)
 
+(* [draw_below] at [threshold p] against [bernoulli] at [p], on copies of
+   one stream: the same decision, and the same draws taken, so the next
+   outputs of the two streams agree. *)
+let same_as_bernoulli r p =
+  let a = Rng.copy r and b = Rng.copy r in
+  let expected = Rng.bernoulli a p in
+  let got = Rng.draw_below b (Rng.threshold p) in
+  expected = got && Rng.next_int64 a = Rng.next_int64 b
+
+let test_threshold_edges () =
+  (* The first draw's top 53 bits, as a probability: p * 2^53 is that
+     integer, so [bernoulli] is false at p and true just above it.  The
+     stream is one whose first draw is below 1/4, so the next float up
+     is less than 2^-53 away: p * 2^53 is not an integer there. *)
+  let at_draw r =
+    Int64.to_float (Int64.shift_right_logical (Rng.next_int64 (Rng.copy r)) 11)
+    /. 9007199254740992.0
+  in
+  let rec stream seed =
+    let r = Rng.create seed in
+    if at_draw r < 0.25 then r else stream (Int64.succ seed)
+  in
+  let r = stream 23L in
+  let at_draw = at_draw r in
+  List.iter
+    (fun (what, p) ->
+      Alcotest.(check bool) what true (same_as_bernoulli r p))
+    [
+      ("0", 0.0);
+      ("1", 1.0);
+      ("negative", -0.25);
+      ("above 1", 1.5);
+      ("nan", Float.nan);
+      ("smallest subnormal", Float.succ 0.0);
+      ("1 - ulp", Float.pred 1.0);
+      ("p * 2^53 integral", 0.375);
+      ("just below it", Float.pred 0.375);
+      ("just above it", Float.succ 0.375);
+      ("the draw itself", at_draw);
+      ("just below the draw", Float.pred at_draw);
+      ("just above the draw", Float.succ at_draw);
+    ];
+  Alcotest.(check bool) "false at the draw" false
+    (Rng.draw_below (Rng.copy r) (Rng.threshold at_draw));
+  Alcotest.(check bool) "true just above it" true
+    (Rng.draw_below (Rng.copy r) (Rng.threshold (Float.succ at_draw)))
+
+let prop_threshold =
+  QCheck.Test.make ~name:"threshold draw decides as bernoulli" ~count:2000
+    QCheck.(pair int64 (float_range 0.0 1.0))
+    (fun (seed, p) -> same_as_bernoulli (Rng.create seed) p)
+
+(* [first_success] against the [draw_below] loop it stands for. *)
+let prop_first_success =
+  QCheck.Test.make ~name:"first_success is the draw_below loop" ~count:1000
+    QCheck.(triple int64 (float_range (-0.1) 1.1) (int_bound 40))
+    (fun (seed, p, n) ->
+      let thr = Rng.threshold p in
+      let a = Rng.create seed and b = Rng.create seed in
+      let rec loop k = if k < n && not (Rng.draw_below a thr) then loop (k + 1) else k in
+      let expected = loop 0 in
+      Rng.first_success b thr n = expected && Rng.next_int64 a = Rng.next_int64 b)
+
 let test_choose () =
   let r = Rng.create 3L in
   let arr = [| 10; 20; 30 |] in
@@ -147,6 +210,9 @@ let suite =
         Alcotest.test_case "float bounds" `Quick test_float_bounds;
         Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
         Alcotest.test_case "bernoulli rate" `Quick test_bernoulli_rate;
+        Alcotest.test_case "threshold edges" `Quick test_threshold_edges;
+        QCheck_alcotest.to_alcotest prop_threshold;
+        QCheck_alcotest.to_alcotest prop_first_success;
         Alcotest.test_case "choose" `Quick test_choose;
         Alcotest.test_case "shuffle" `Quick test_shuffle_permutation;
       ] );
